@@ -133,7 +133,7 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 	if err != nil {
 		return nil, err
 	}
-	next := model.New()
+	next := m.NewLike()
 	for _, rec := range out.Records {
 		next.Set(rec.Key, rec.Value)
 	}

@@ -1,0 +1,195 @@
+package pagerank
+
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/model"
+	"repro/internal/writable"
+)
+
+// Key parsing and per-schema slot tables: what lets an iteration reach
+// every rank, in-flow and edge score of a model without rendering,
+// hashing or sorting a key.
+
+// parseKey inverts RankKey, inflowKey, EdgeKey and the input records'
+// keys: kind is the key's first byte ('r', 'f', 'e' or 'v') and a, b the
+// vertex numbers it names (b only for an edge). Keys in any other form
+// report !ok.
+func parseKey(key string) (kind byte, a, b int, ok bool) {
+	if key == "" {
+		return 0, 0, 0, false
+	}
+	kind, rest := key[0], key[1:]
+	switch kind {
+	case 'r', 'f', 'v':
+		a, ok = parse8(rest)
+	case 'e':
+		src, dst, _ := strings.Cut(rest, ":")
+		if a, ok = parse8(src); ok {
+			b, ok = parse8(dst)
+		}
+	}
+	return kind, a, b, ok
+}
+
+// parse8 inverts "%08d" for non-negative numbers: at least eight digits,
+// more only when the first is not a padding zero.
+func parse8(s string) (int, bool) {
+	if len(s) < 8 || len(s) > 18 || (len(s) > 8 && s[0] == '0') {
+		return 0, false
+	}
+	v := 0
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		v = v*10 + int(d)
+	}
+	return v, true
+}
+
+// layout resolves the app's keys against one model schema, once: the
+// slot of every vertex's rank and frozen in-flow and of every out-edge's
+// score, -1 where the schema lacks the key. Iterations, partitioning
+// and merging then read and write by slot and take key strings from the
+// schema instead of rendering them.
+type layout struct {
+	schema *model.Schema
+	off    []int32   // the app's edgeOff
+	out    [][]int32 // the graph's adjacency
+	rank   []int32   // by vertex
+	inflow []int32   // by vertex
+	edge   []int32   // by edgeOff[v]+i
+}
+
+// maxLayouts bounds the layout cache: one per sub-model plus the full
+// model's is the steady state, and a run that keeps minting schemas
+// starts over rather than growing without bound.
+const maxLayouts = 64
+
+// layoutOf returns the layout of schema s, building it on first sight by
+// one walk over the schema's keys.
+func (a *App) layoutOf(s *model.Schema) *layout {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if l := a.layouts[s]; l != nil {
+		return l
+	}
+	g := a.graph
+	if a.edgeOff == nil {
+		a.edgeOff = make([]int32, g.N+1)
+		for v, out := range g.Out {
+			a.edgeOff[v+1] = a.edgeOff[v] + int32(len(out))
+		}
+	}
+	slots := make([]int32, 2*g.N+int(a.edgeOff[g.N]))
+	for i := range slots {
+		slots[i] = -1
+	}
+	l := &layout{schema: s, off: a.edgeOff, out: g.Out,
+		rank: slots[:g.N], inflow: slots[g.N : 2*g.N], edge: slots[2*g.N:]}
+	for slot, key := range s.Keys() {
+		kind, v, w, ok := parseKey(key)
+		if !ok || v >= g.N {
+			continue
+		}
+		switch kind {
+		case 'r':
+			l.rank[v] = int32(slot)
+		case 'f':
+			l.inflow[v] = int32(slot)
+		case 'e':
+			for i, dst := range g.Out[v] {
+				if int(dst) == w { // every parallel edge shares the key
+					l.edge[int(a.edgeOff[v])+i] = int32(slot)
+				}
+			}
+		}
+	}
+	if a.layouts == nil || len(a.layouts) >= max(maxLayouts, 2*a.parts+2) {
+		a.layouts = map[*model.Schema]*layout{}
+	}
+	a.layouts[s] = l
+	return l
+}
+
+// layoutFor returns m's layout: hint when m is on hint's schema, as the
+// model a job hands its tasks is.
+func (a *App) layoutFor(m *model.Model, hint *layout) *layout {
+	if s := m.Schema(); s != hint.schema {
+		return a.layoutOf(s)
+	}
+	return hint
+}
+
+// slotOf returns key's slot in the layout's schema, or -1.
+func (l *layout) slotOf(key string) int {
+	kind, v, w, ok := parseKey(key)
+	if !ok || v >= len(l.rank) {
+		return -1
+	}
+	switch kind {
+	case 'r':
+		return int(l.rank[v])
+	case 'f':
+		return int(l.inflow[v])
+	}
+	for i, dst := range l.out[v] {
+		if int(dst) == w {
+			return int(l.edgeSlot(v, i))
+		}
+	}
+	return -1
+}
+
+// get and set are Model.Get and Model.Set for a model on the layout's
+// schema, by slot when the key names something in the graph.
+func (l *layout) get(m *model.Model, key string) (writable.Writable, bool) {
+	if s := l.slotOf(key); s >= 0 {
+		return m.At(s)
+	}
+	return m.Get(key)
+}
+
+func (l *layout) set(m *model.Model, key string, v writable.Writable) {
+	if s := l.slotOf(key); s >= 0 {
+		m.SetAt(s, v)
+	} else {
+		m.Set(key, v)
+	}
+}
+
+// edgeSlot returns the slot of the score of v's i-th out-edge, or -1.
+func (l *layout) edgeSlot(v, i int) int32 { return l.edge[int(l.off[v])+i] }
+
+// rankKey returns RankKey(v), the schema's own string when it has one.
+func (l *layout) rankKey(v int) string {
+	if s := l.rank[v]; s >= 0 {
+		return l.schema.Key(int(s))
+	}
+	return RankKey(v)
+}
+
+// floatAt returns the Float64 in slot s of m, still boxed: scores and
+// ranks travel from model to emitter to model as the values they are.
+func floatAt(m *model.Model, s int32) (writable.Writable, bool) {
+	v, _ := m.At(int(s))
+	_, ok := v.(writable.Float64)
+	return v, ok
+}
+
+// adjacency reads a vertex record: the vertex and its out-neighbours,
+// which are the graph's own list (layouts number edges by it).
+func (a *App) adjacency(v writable.Writable) (int, []int32, error) {
+	val, ok := v.(writable.Vector)
+	if !ok || len(val) == 0 {
+		return 0, nil, fmt.Errorf("pagerank: record value is not a vertex adjacency")
+	}
+	src := int(val[0])
+	if src < 0 || src >= a.graph.N || len(val)-1 != len(a.graph.Out[src]) {
+		return 0, nil, fmt.Errorf("pagerank: record of vertex %d does not match the app's graph", src)
+	}
+	return src, a.graph.Out[src], nil
+}

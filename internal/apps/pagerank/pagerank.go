@@ -19,6 +19,8 @@ package pagerank
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mapred"
@@ -53,6 +55,14 @@ type App struct {
 	assign []int // vertex -> partition (fixed per app, like the paper's static partitioning)
 	parts  int
 	seed   int64
+
+	// Loop-invariant tables, built on first use inside a run (set-up
+	// pays for none of them).
+	mu         sync.Mutex
+	edgeOff    []int32                   // edgeOff[v]+i numbers out-edge i of v; len N+1
+	layouts    map[*model.Schema]*layout // slot tables per model schema
+	subSchemas []*model.Schema           // Partition's sub-model key sets under assign
+	vertexIDs  []string                  // the input records' keys, by vertex
 }
 
 // PartitionStrategy selects the graph partitioner for the best-effort
@@ -156,7 +166,7 @@ func vertexValue(v int, out []int32) writable.Vector {
 func Records(g *webgraph.Graph) []mapred.Record {
 	recs := make([]mapred.Record, g.N)
 	for v := 0; v < g.N; v++ {
-		recs[v] = mapred.Record{Key: fmt.Sprintf("v%08d", v), Value: vertexValue(v, g.Out[v])}
+		recs[v] = mapred.Record{Key: pad8Key('v', v), Value: vertexValue(v, g.Out[v])}
 	}
 	return recs
 }
@@ -164,13 +174,21 @@ func Records(g *webgraph.Graph) []mapred.Record {
 // InitialModel builds the Nutch starting state: every rank 1.0 and every
 // edge score rank/outdegree.
 func InitialModel(g *webgraph.Graph) *model.Model {
-	m := model.New()
+	// Keys are set in ascending order — every edge by (src, dst), then
+	// every rank — which the store takes without hashing or sorting.
+	m := model.NewWithCapacity(g.N + g.NumEdges())
+	var out []int32
 	for v := 0; v < g.N; v++ {
-		m.Set(RankKey(v), writable.Float64(1))
-		score := 1.0 / float64(len(g.Out[v]))
-		for _, w := range g.Out[v] {
-			m.Set(EdgeKey(v, int(w)), writable.Float64(score))
+		out = append(out[:0], g.Out[v]...)
+		slices.Sort(out)
+		var score writable.Writable = writable.Float64(1.0 / float64(len(out))) // boxed once per vertex
+		for _, w := range out {
+			m.Set(EdgeKey(v, int(w)), score)
 		}
+	}
+	var one writable.Writable = writable.Float64(1)
+	for v := 0; v < g.N; v++ {
+		m.Set(RankKey(v), one)
 	}
 	return m
 }
@@ -178,18 +196,25 @@ func InitialModel(g *webgraph.Graph) *model.Model {
 // Ranks extracts the vertex ranks from a model.
 func Ranks(m *model.Model, n int) []float64 {
 	out := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if r, ok := m.Float(RankKey(v)); ok {
-			out[v] = r
+	m.Range(func(key string, val writable.Writable) bool {
+		if kind, v, _, ok := parseKey(key); ok && kind == 'r' && v < n {
+			if r, isFloat := val.(writable.Float64); isFloat {
+				out[v] = float64(r)
+			}
 		}
-	}
+		return true
+	})
 	return out
 }
 
 // Iteration implements core.App: the aggregation job followed by the
-// propagation job.
+// propagation job. The next model is built on m's schema and every key
+// is reached through m's layout, so an iteration renders, hashes and
+// sorts no key; scores are emitted as the boxed values the model already
+// holds.
 func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*model.Model, error) {
 	damping := a.Damping
+	lay := a.layoutOf(m.Schema())
 
 	// Aggregation: every vertex emits, for each outgoing edge, the
 	// edge's current score keyed by the destination vertex; the
@@ -198,23 +223,25 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 		Name:             "pagerank-aggregate",
 		PartitionedModel: true, // tasks read the state of their own vertices
 		Mapper: mapred.MapperFunc(func(_ string, v writable.Writable, m *model.Model, emit mapred.Emitter) error {
-			val := v.(writable.Vector)
-			src := int(val[0])
+			src, out, err := a.adjacency(v)
+			if err != nil {
+				return err
+			}
+			l := a.layoutFor(m, lay)
 			// During local iterations, the vertex's frozen
 			// cross-partition in-flow contributes as a constant.
-			if inflow, ok := m.Float(inflowKey(src)); ok && inflow != 0 {
-				emit.Emit(RankKey(src), writable.Float64(inflow))
+			if inflow, ok := floatAt(m, l.inflow[src]); ok && inflow.(writable.Float64) != 0 {
+				emit.Emit(l.rankKey(src), inflow)
 			}
-			for _, wf := range val[1:] {
-				dst := int(wf)
-				score, ok := m.Float(EdgeKey(src, dst))
+			for i, dst := range out {
+				score, ok := floatAt(m, l.edgeSlot(src, i))
 				if !ok {
 					// Edge not in this (sub-)model: a cross edge
 					// during local iterations. Its effect enters
 					// through the frozen in-flow and the merge.
 					continue
 				}
-				emit.Emit(RankKey(dst), writable.Float64(score))
+				emit.Emit(l.rankKey(int(dst)), score)
 			}
 			return nil
 		}),
@@ -234,16 +261,16 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 	}
 	// New ranks: vertices with no in-edges in (this partition of) the
 	// graph fall back to 1-c.
-	next := model.New()
-	m.Range(func(key string, v writable.Writable) bool {
-		if key[0] == 'r' {
-			next.Set(key, writable.Float64(1-damping))
+	next := model.NewOn(lay.schema)
+	var floor writable.Writable = writable.Float64(1 - damping)
+	for _, s := range lay.rank {
+		if _, tracked := m.At(int(s)); tracked {
+			next.SetAt(int(s), floor)
 		}
-		return true
-	})
+	}
 	for _, rec := range aggOut.Records {
-		if _, tracked := m.Get(rec.Key); tracked {
-			next.Set(rec.Key, rec.Value)
+		if _, tracked := lay.get(m, rec.Key); tracked {
+			lay.set(next, rec.Key, rec.Value)
 		}
 	}
 
@@ -252,20 +279,21 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 		Name:             "pagerank-propagate",
 		PartitionedModel: true,
 		Mapper: mapred.MapperFunc(func(_ string, v writable.Writable, nm *model.Model, emit mapred.Emitter) error {
-			val := v.(writable.Vector)
-			src := int(val[0])
-			rank, ok := nm.Float(RankKey(src))
+			src, out, err := a.adjacency(v)
+			if err != nil {
+				return err
+			}
+			rank, ok := nm.FloatAt(int(a.layoutFor(nm, lay).rank[src]))
 			if !ok {
 				return nil // vertex outside this partition's model
 			}
-			outdeg := float64(len(val) - 1)
-			for _, wf := range val[1:] {
-				dst := int(wf)
-				ek := EdgeKey(src, dst)
-				if _, tracked := m.Get(ek); !tracked {
+			var score writable.Writable = writable.Float64(rank / float64(len(out))) // one box per vertex
+			for i := range out {
+				s := int(lay.edgeSlot(src, i))
+				if _, tracked := m.At(s); !tracked {
 					continue // cross edge, not part of this sub-model
 				}
-				emit.Emit(ek, writable.Float64(rank/outdeg))
+				emit.Emit(lay.schema.Key(s), score)
 			}
 			return nil
 		}),
@@ -275,15 +303,14 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 		return nil, err
 	}
 	for _, rec := range propOut.Records {
-		next.Set(rec.Key, rec.Value)
+		lay.set(next, rec.Key, rec.Value)
 	}
 	// Frozen cross-partition in-flows persist across local iterations.
-	m.Range(func(key string, v writable.Writable) bool {
-		if key[0] == 'f' {
-			next.Set(key, v)
+	for _, s := range lay.inflow {
+		if v, ok := m.At(int(s)); ok {
+			next.SetAt(int(s), v)
 		}
-		return true
-	})
+	}
 	return next, nil
 }
 
@@ -325,6 +352,7 @@ func (a *App) Partition(in *mapred.Input, m *model.Model, p int) ([]core.SubProb
 			a.assign = webgraph.RandomPartition(a.seed, a.graph.N, p)
 		}
 		a.parts = p
+		a.subSchemas = nil
 	}
 	assign := a.assign
 
@@ -335,34 +363,40 @@ func (a *App) Partition(in *mapred.Input, m *model.Model, p int) ([]core.SubProb
 	if err != nil {
 		return nil, err
 	}
+	full := a.layoutOf(m.Schema())
+	if a.subSchemas == nil {
+		a.subSchemas = a.partitionSchemas(full)
+	}
 	models := make([]*model.Model, p)
+	lays := make([]*layout, p)
 	for i := range models {
-		models[i] = model.New()
+		models[i] = model.NewOn(a.subSchemas[i])
+		lays[i] = a.layoutOf(a.subSchemas[i])
 	}
 	inflow := make([]float64, a.graph.N)
 	for v := 0; v < a.graph.N; v++ {
 		pv := assign[v]
-		if rank, ok := m.Float(RankKey(v)); ok {
-			models[pv].Set(RankKey(v), writable.Float64(rank))
+		if rank, ok := floatAt(m, full.rank[v]); ok {
+			models[pv].SetAt(int(lays[pv].rank[v]), rank)
 		}
-		for _, w := range a.graph.Out[v] {
+		for i, w := range a.graph.Out[v] {
+			score, ok := floatAt(m, full.edgeSlot(v, i))
+			if !ok {
+				continue
+			}
 			if assign[int(w)] != pv {
 				// Cross edge: excluded from the sub-graph; its
 				// current score is frozen into the destination's
 				// in-flow constant.
-				if score, ok := m.Float(EdgeKey(v, int(w))); ok {
-					inflow[int(w)] += score
-				}
-				continue
-			}
-			if score, ok := m.Float(EdgeKey(v, int(w))); ok {
-				models[pv].Set(EdgeKey(v, int(w)), writable.Float64(score))
+				inflow[int(w)] += float64(score.(writable.Float64))
+			} else {
+				models[pv].SetAt(int(lays[pv].edgeSlot(v, i)), score)
 			}
 		}
 	}
 	for v, f := range inflow {
 		if f != 0 {
-			models[assign[v]].Set(inflowKey(v), writable.Float64(f))
+			models[assign[v]].SetAt(int(lays[assign[v]].inflow[v]), writable.Float64(f))
 		}
 	}
 	subs := make([]core.SubProblem, p)
@@ -370,6 +404,39 @@ func (a *App) Partition(in *mapred.Input, m *model.Model, p int) ([]core.SubProb
 		subs[i] = core.SubProblem{Records: records[i], Model: models[i]}
 	}
 	return subs, nil
+}
+
+// partitionSchemas returns the key set of each partition's sub-model
+// under a.assign: its vertices' ranks, its internal edges, and an
+// in-flow constant for every vertex a cross edge points at. The sets
+// depend only on the graph and the assignment, so every best-effort
+// iteration's sub-models share them.
+func (a *App) partitionSchemas(full *layout) []*model.Schema {
+	keys := make([][]string, a.parts)
+	fed := make([]bool, a.graph.N) // some cross edge points at the vertex
+	for v, out := range a.graph.Out {
+		pv := a.assign[v]
+		keys[pv] = append(keys[pv], full.rankKey(v))
+		for i, w := range out {
+			if a.assign[int(w)] != pv {
+				fed[int(w)] = true
+			} else if s := full.edgeSlot(v, i); s >= 0 {
+				keys[pv] = append(keys[pv], full.schema.Key(int(s)))
+			} else {
+				keys[pv] = append(keys[pv], EdgeKey(v, int(w)))
+			}
+		}
+	}
+	for v, is := range fed {
+		if is {
+			keys[a.assign[v]] = append(keys[a.assign[v]], inflowKey(v))
+		}
+	}
+	schemas := make([]*model.Schema, a.parts)
+	for i := range schemas {
+		schemas[i] = model.NewSchema(keys[i])
+	}
+	return schemas
 }
 
 // Merge implements core.PICApp (Figure 8): concatenate the partial
@@ -383,18 +450,18 @@ func (a *App) Merge(parts []*model.Model, prev *model.Model) (*model.Model, erro
 	if a.assign == nil {
 		return nil, fmt.Errorf("pagerank: Merge before Partition")
 	}
-	merged := model.New()
+	merged, lay := a.likePrev(prev)
 	for _, part := range parts {
 		var err error
 		part.Range(func(key string, v writable.Writable) bool {
 			if key[0] == 'f' {
 				return true
 			}
-			if _, dup := merged.Get(key); dup {
+			if _, dup := lay.get(merged, key); dup {
 				err = fmt.Errorf("pagerank: duplicate key %q across partitions", key)
 				return false
 			}
-			merged.Set(key, writable.Clone(v))
+			lay.set(merged, key, writable.Clone(v))
 			return true
 		})
 		if err != nil {
@@ -407,20 +474,39 @@ func (a *App) Merge(parts []*model.Model, prev *model.Model) (*model.Model, erro
 	return merged, nil
 }
 
+// likePrev returns an empty model on the previous merged model's schema
+// — which holds every rank and every edge, cross edges included — and
+// that schema's layout.
+func (a *App) likePrev(prev *model.Model) (*model.Model, *layout) {
+	m := model.New()
+	if prev != nil {
+		m = prev.NewLike()
+	}
+	return m, a.layoutOf(m.Schema())
+}
+
 // refreshCrossScores recomputes every cross-partition edge score from
 // the merged source ranks — the merge step's dependency propagation,
 // shared by Merge and FinalizeMerge.
 func (a *App) refreshCrossScores(merged *model.Model) error {
-	groups := webgraph.CrossEdgeGroups(a.graph, a.assign, a.parts)
-	for _, row := range groups {
-		for _, edges := range row {
-			for _, e := range edges {
-				srcRank, ok := merged.Float(RankKey(int(e.Src)))
+	lay := a.layoutOf(merged.Schema())
+	for v, out := range a.graph.Out {
+		var score writable.Writable // rank/outdegree, boxed once per source
+		for i, w := range out {
+			if a.assign[int(w)] == a.assign[v] {
+				continue
+			}
+			if score == nil {
+				rank, ok := merged.FloatAt(int(lay.rank[v]))
 				if !ok {
-					return fmt.Errorf("pagerank: merged model missing rank of %d", e.Src)
+					return fmt.Errorf("pagerank: merged model missing rank of %d", v)
 				}
-				score := srcRank / float64(a.graph.OutDegree(int(e.Src)))
-				merged.Set(EdgeKey(int(e.Src), int(e.Dst)), writable.Float64(score))
+				score = writable.Float64(rank / float64(len(out)))
+			}
+			if s := lay.edgeSlot(v, i); s >= 0 {
+				merged.SetAt(int(s), score)
+			} else {
+				merged.Set(EdgeKey(v, int(w)), score)
 			}
 		}
 	}

@@ -21,78 +21,70 @@ import (
 // to halt. The per-key semantics match Iteration exactly; floating-sum
 // order may differ, so backends agree to rounding, not byte-for-byte.
 func (a *App) VertexProgram(in *mapred.Input, m *model.Model) (bsp.Program, error) {
-	p := &prProgram{damping: a.Damping, byID: make(map[string]*prVertex)}
+	lay := a.layoutOf(m.Schema())
+	p := &prProgram{app: a, lay: lay, prev: m, newRank: make([]float64, a.graph.N)}
+	ids := a.recordKeys()
 	for _, split := range in.Splits {
 		for _, rec := range split.Records {
-			val, ok := rec.Value.(writable.Vector)
-			if !ok || len(val) == 0 {
-				return nil, fmt.Errorf("pagerank: record %q is not a vertex adjacency", rec.Key)
+			src, _, err := a.adjacency(rec.Value)
+			if err != nil {
+				return nil, fmt.Errorf("%w (record %q)", err, rec.Key)
 			}
-			src := int(val[0])
-			v := &prVertex{id: rec.Key, home: split.Home, src: src}
-			_, v.hasRank = m.Float(RankKey(src))
-			v.inflow, _ = m.Float(inflowKey(src))
-			v.out = make([]int, len(val)-1)
-			v.score = make([]float64, len(val)-1)
-			v.tracked = make([]bool, len(val)-1)
-			for i, wf := range val[1:] {
-				dst := int(wf)
-				v.out[i] = dst
-				// Untracked edges are cross edges during local
-				// iterations; they enter through the frozen in-flow.
-				v.score[i], v.tracked[i] = m.Float(EdgeKey(src, dst))
+			if rec.Key != ids[src] {
+				return nil, fmt.Errorf("pagerank: record %q is not vertex %d's (%q)", rec.Key, src, ids[src])
 			}
-			p.verts = append(p.verts, v)
-			p.byID[v.id] = v
+			p.verts = append(p.verts, bsp.VertexInfo{ID: rec.Key, Home: split.Home})
 		}
 	}
 	return p, nil
 }
 
-// prVertex is the per-vertex state of one iteration's program.
-type prVertex struct {
-	id      string
-	home    int
-	src     int
-	out     []int     // full out-neighbor list (outdegree uses all of it)
-	score   []float64 // current score of out edge i, when tracked
-	tracked []bool    // out edge i present in the (sub-)model
-	inflow  float64   // frozen cross-partition in-flow constant
-
-	hasRank bool    // vertex rank tracked in the (sub-)model
-	newRank float64 // set in superstep 1
+// recordKeys returns the input records' keys by vertex — the BSP vertex
+// ids messages are addressed to — rendered once per app.
+func (a *App) recordKeys() []string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.vertexIDs == nil {
+		a.vertexIDs = make([]string, a.graph.N)
+		for v := range a.vertexIDs {
+			a.vertexIDs[v] = pad8Key('v', v)
+		}
+	}
+	return a.vertexIDs
 }
 
+// prProgram is one iteration's vertex program. Its per-vertex state is
+// the previous model itself, read through its layout; only the new ranks
+// are the program's own.
 type prProgram struct {
-	damping float64
-	verts   []*prVertex
-	byID    map[string]*prVertex
+	app     *App
+	lay     *layout
+	prev    *model.Model
+	verts   []bsp.VertexInfo
+	newRank []float64 // by vertex, set in superstep 1
 }
 
 // Vertices implements bsp.Program.
-func (p *prProgram) Vertices() []bsp.VertexInfo {
-	infos := make([]bsp.VertexInfo, len(p.verts))
-	for i, v := range p.verts {
-		infos[i] = bsp.VertexInfo{ID: v.id, Home: v.home}
-	}
-	return infos
-}
+func (p *prProgram) Vertices() []bsp.VertexInfo { return p.verts }
 
 // Compute implements bsp.Program.
 func (p *prProgram) Compute(step int, id string, msgs []bsp.Message, s bsp.Sender) (bool, error) {
-	v, ok := p.byID[id]
-	if !ok {
+	kind, v, _, ok := parseKey(id)
+	if !ok || kind != 'v' || v >= len(p.newRank) {
 		return false, fmt.Errorf("pagerank: unknown vertex %q", id)
 	}
 	if step == 0 {
-		for i, dst := range v.out {
-			if v.tracked[i] {
-				s.Send(pad8Key('v', dst), "", writable.Float64(v.score[i]))
+		ids := p.app.vertexIDs
+		for i, dst := range p.lay.out[v] {
+			// Untracked edges are cross edges during local iterations;
+			// they enter through the frozen in-flow.
+			if score, tracked := floatAt(p.prev, p.lay.edgeSlot(v, i)); tracked {
+				s.Send(ids[dst], "", score)
 			}
 		}
 		return false, nil
 	}
-	sum := v.inflow
+	sum, _ := p.prev.FloatAt(int(p.lay.inflow[v]))
 	for _, msg := range msgs {
 		f, ok := msg.Value.(writable.Float64)
 		if !ok {
@@ -100,7 +92,7 @@ func (p *prProgram) Compute(step int, id string, msgs []bsp.Message, s bsp.Sende
 		}
 		sum += float64(f)
 	}
-	v.newRank = (1 - p.damping) + p.damping*sum
+	p.newRank[v] = (1 - p.app.Damping) + p.app.Damping*sum
 	return true, nil
 }
 
@@ -118,25 +110,29 @@ func (floatSumCombiner) Combine(a, b writable.Writable) writable.Writable {
 // value; tracked edge scores become new-rank/outdegree; frozen in-flow
 // constants carry over unchanged.
 func (p *prProgram) Model(prev *model.Model) (*model.Model, error) {
-	next := model.New()
-	prev.Range(func(key string, v writable.Writable) bool {
-		switch key[0] {
-		case 'r':
-			next.Set(key, writable.Float64(1-p.damping))
-		case 'f':
-			next.Set(key, v)
+	lay := p.app.layoutFor(prev, p.lay)
+	next := model.NewOn(lay.schema)
+	var floor writable.Writable = writable.Float64(1 - p.app.Damping)
+	for v := range lay.rank {
+		if _, tracked := prev.At(int(lay.rank[v])); tracked {
+			next.SetAt(int(lay.rank[v]), floor)
 		}
-		return true
-	})
-	for _, v := range p.verts {
-		if !v.hasRank {
+		if f, ok := prev.At(int(lay.inflow[v])); ok {
+			next.SetAt(int(lay.inflow[v]), f)
+		}
+	}
+	for _, vi := range p.verts {
+		_, v, _, _ := parseKey(vi.ID)
+		if _, hasRank := floatAt(prev, lay.rank[v]); !hasRank {
 			continue // rank outside this partition's model
 		}
-		next.Set(RankKey(v.src), writable.Float64(v.newRank))
-		outdeg := float64(len(v.out))
-		for i, dst := range v.out {
-			if v.tracked[i] {
-				next.Set(EdgeKey(v.src, dst), writable.Float64(v.newRank/outdeg))
+		next.SetAt(int(lay.rank[v]), writable.Float64(p.newRank[v]))
+		out := lay.out[v]
+		var score writable.Writable = writable.Float64(p.newRank[v] / float64(len(out))) // one box per vertex
+		for i := range out {
+			e := lay.edgeSlot(v, i)
+			if _, tracked := floatAt(prev, e); tracked {
+				next.SetAt(int(e), score)
 			}
 		}
 	}
@@ -175,24 +171,23 @@ func (a *App) MergeKeyWeighted(key string, values []writable.Writable, weights [
 // frozen in-flow constants through and leaves cross-edge scores stale;
 // Merge's post-processing — drop the 'f' keys, recompute every cross
 // edge from the merged source ranks — runs here instead.
-func (a *App) FinalizeMerge(merged, _ *model.Model) (*model.Model, error) {
+func (a *App) FinalizeMerge(merged, prev *model.Model) (*model.Model, error) {
 	if a.assign == nil {
 		return nil, fmt.Errorf("pagerank: FinalizeMerge before Partition")
 	}
-	var frozen []string
-	merged.Range(func(key string, _ writable.Writable) bool {
-		if key[0] == 'f' {
-			frozen = append(frozen, key)
+	// Rebuilt on prev's schema, which already holds the cross edges, so
+	// the merged model stays on the layout every other version is on.
+	out, lay := a.likePrev(prev)
+	merged.Range(func(key string, v writable.Writable) bool {
+		if key[0] != 'f' {
+			lay.set(out, key, v)
 		}
 		return true
 	})
-	for _, key := range frozen {
-		merged.Delete(key)
-	}
-	if err := a.refreshCrossScores(merged); err != nil {
+	if err := a.refreshCrossScores(out); err != nil {
 		return nil, err
 	}
-	return merged, nil
+	return out, nil
 }
 
 var _ core.VertexApp = (*App)(nil)

@@ -155,7 +155,7 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 	if err != nil {
 		return nil, err
 	}
-	next := model.New()
+	next := m.NewLike() // same rows, same halos: the previous version's schema
 	for _, rec := range out.Records {
 		next.Set(rec.Key, rec.Value)
 	}
@@ -221,8 +221,11 @@ func (a *App) Partition(in *mapred.Input, m *model.Model, p int) ([]core.SubProb
 
 // Merge implements core.PICApp: stitch the bands — the union of their
 // in-band rows, dropping halos.
-func (a *App) Merge(parts []*model.Model, _ *model.Model) (*model.Model, error) {
+func (a *App) Merge(parts []*model.Model, prev *model.Model) (*model.Model, error) {
 	merged := model.New()
+	if prev != nil {
+		merged = prev.NewLike() // the stitched image has the previous one's rows
+	}
 	for _, part := range parts {
 		var err error
 		part.Range(func(key string, v writable.Writable) bool {

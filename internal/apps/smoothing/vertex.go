@@ -136,7 +136,7 @@ func (p *smProgram) Compute(step int, id string, msgs []bsp.Message, s bsp.Sende
 // Model implements bsp.Modeler, mirroring Iteration's model assembly:
 // the smoothed rows, plus the frozen halo rows carried forward.
 func (p *smProgram) Model(prev *model.Model) (*model.Model, error) {
-	next := model.New()
+	next := prev.NewLike()
 	for _, v := range p.verts {
 		next.Set(RowKey(v.y), v.out)
 	}

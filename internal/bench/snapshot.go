@@ -329,6 +329,38 @@ func kernels() []kernel {
 				}
 			}
 		}},
+		{"model-iterate", func(b *testing.B) {
+			// One iteration's model work over an unchanged key set of
+			// PageRank's shape (many tiny float entries): a new version
+			// on the previous one's schema, every key filled, encoded
+			// into a reused buffer, then the convergence metric and the
+			// delta size against the previous version — the loop the
+			// columnar store makes free of sorts, hashes-per-key growth
+			// and allocations.
+			n := scaled(50_000, 5_000)
+			prev := model.New()
+			vals := make([]writable.Writable, n)
+			for i := 0; i < n; i++ {
+				prev.Set(fmt.Sprintf("e%08d:%08d", i/5, i), writable.Float64(float64(i)))
+				vals[i] = writable.Float64(float64(i) + 0.5)
+			}
+			keys := prev.Keys()
+			var buf []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next := prev.NewLike()
+				for j, k := range keys {
+					next.Set(k, vals[j])
+				}
+				buf = next.Encode(buf[:0])
+				// Every value moved by 0.5, so the delta is the whole
+				// model plus one op byte per key.
+				if d, size := model.MaxFloatDelta(prev, next), model.DeltaSize(prev, next); d != 0.5 || size != int64(len(buf)+n) {
+					b.Fatalf("delta %g over %d bytes, model %d bytes", d, size, len(buf))
+				}
+			}
+		}},
 	}
 }
 

@@ -59,7 +59,9 @@ type Sender interface {
 // reactivates the vertex. The run terminates when every vertex has
 // halted and no messages are in flight.
 //
-// Compute must be safe to call concurrently on distinct vertices.
+// Compute must be safe to call concurrently on distinct vertices. msgs
+// is the engine's buffer, valid for the duration of the call: keep the
+// values, not the slice.
 type Program interface {
 	Vertices() []VertexInfo
 	Compute(step int, id string, msgs []Message, s Sender) (halt bool, err error)

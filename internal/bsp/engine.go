@@ -417,11 +417,36 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 
 	cfg := e.cluster.Config()
 	halted := make([]bool, n)
-	inbox := make([][]Message, n)
 	outs := make([]sendBuf, n)
 	halts := make([]bool, n)
 	errs := make([]error, n)
 	active := make([]int, 0, n)
+
+	// Per-superstep scratch, allocated once per attempt and cleared, not
+	// remade, each step. The inboxes are double-buffered: the messages a
+	// step delivers fill nextInbox while Compute still reads inbox, and
+	// the two swap at the barrier.
+	type ckey struct {
+		srcNode int
+		dst     int
+		tag     string
+	}
+	type link struct{ s, d int }
+	var (
+		inbox     = make([][]Message, n)
+		nextInbox = make([][]Message, n)
+		wire      []wireMsg
+		byKey     map[ckey]int
+		nodeCost  = make(map[int]float64)
+		nodes     []int
+		tasks     []simcluster.Task
+		linkBytes = make(map[link]int64)
+		links     []link
+		flows     []simnet.Flow
+	)
+	if comb != nil {
+		byKey = make(map[ckey]int)
+	}
 
 	for step := 0; ; step++ {
 		active = active[:0]
@@ -455,8 +480,8 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 
 		// Price compute: node totals pinned to their homes (BSP cannot
 		// steal work from a vertex's node), scheduled on map slots.
-		nodeCost := make(map[int]float64)
-		var nodes []int
+		clear(nodeCost)
+		nodes = nodes[:0]
 		for _, i := range active {
 			var c float64
 			if hasCoster {
@@ -482,9 +507,9 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 			}
 		}
 		sort.Ints(nodes)
-		tasks := make([]simcluster.Task, len(nodes))
-		for t, nd := range nodes {
-			tasks[t] = simcluster.Task{Cost: nodeCost[nd], Preferred: nd}
+		tasks = tasks[:0]
+		for _, nd := range nodes {
+			tasks = append(tasks, simcluster.Task{Cost: nodeCost[nd], Preferred: nd})
 		}
 		_, makespan := e.cluster.Schedule(tasks, cfg.MapSlotsPerNode)
 		m.ComputePhase += makespan
@@ -493,16 +518,8 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 
 		// Gather sends in global vertex order, combining sender-side
 		// per (source node, destination, tag).
-		var wire []wireMsg
-		type ckey struct {
-			srcNode int
-			dst     int
-			tag     string
-		}
-		var byKey map[ckey]int
-		if comb != nil {
-			byKey = make(map[ckey]int)
-		}
+		wire = wire[:0]
+		clear(byKey)
 		totalSends := 0
 		for _, i := range active {
 			for _, om := range outs[i].msgs {
@@ -526,7 +543,9 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 		m.CombinedMessages += int64(len(wire))
 
 		// Deliver into next-superstep inboxes and account wire sizes.
-		nextInbox := make([][]Message, n)
+		for i := range nextInbox {
+			nextInbox[i] = nextInbox[i][:0]
+		}
 		var stepBytes int64
 		for w := range wire {
 			wm := &wire[w]
@@ -541,25 +560,24 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 		// shuffle uses.
 		var stepNet int64
 		if !o.Local && len(wire) > 0 {
-			type link struct{ s, d int }
-			acc := make(map[link]int64)
-			var order []link
+			clear(linkBytes)
+			links = links[:0]
 			for w := range wire {
 				dn := home[wire[w].dst]
 				if wire[w].srcNode == dn {
 					continue
 				}
 				l := link{wire[w].srcNode, dn}
-				if _, ok := acc[l]; !ok {
-					order = append(order, l)
+				if _, ok := linkBytes[l]; !ok {
+					links = append(links, l)
 				}
-				acc[l] += wire[w].size
+				linkBytes[l] += wire[w].size
 			}
-			if len(order) > 0 {
-				flows := make([]simnet.Flow, 0, len(order))
-				for _, l := range order {
-					flows = append(flows, simnet.Flow{Src: l.s, Dst: l.d, Bytes: acc[l]})
-					stepNet += acc[l]
+			if len(links) > 0 {
+				flows = flows[:0]
+				for _, l := range links {
+					flows = append(flows, simnet.Flow{Src: l.s, Dst: l.d, Bytes: linkBytes[l]})
+					stepNet += linkBytes[l]
 				}
 				before := fab.Counters()
 				d, resent, err := e.chargeVerified(flows, at, stepNet, m)
@@ -642,7 +660,7 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 		for _, i := range active {
 			halted[i] = halts[i]
 		}
-		inbox = nextInbox
+		inbox, nextInbox = nextInbox, inbox
 	}
 	return at, false, nil
 }

@@ -78,60 +78,47 @@ func combineModels(parts []*model.Model, average bool) (*model.Model, error) {
 		return nil, fmt.Errorf("core: merge of zero partial models")
 	}
 	out := model.New()
-	counts := map[string]int{}
-	for _, part := range parts {
-		var err error
-		part.Range(func(key string, v writable.Writable) bool {
-			prev, seen := out.Get(key)
-			if !seen {
-				out.Set(key, writable.Clone(v))
-				counts[key] = 1
-				return true
-			}
-			switch pv := prev.(type) {
-			case writable.Vector:
+	err := walkUnion(parts, func(key string, _ []int, vals []writable.Writable) error {
+		n := len(vals)
+		switch first := vals[0].(type) {
+		case writable.Vector:
+			acc := first.Clone()
+			for _, v := range vals[1:] {
 				nv, ok := v.(writable.Vector)
-				if !ok || len(nv) != len(pv) {
-					err = fmt.Errorf("core: merge key %q: incompatible vectors", key)
-					return false
+				if !ok || len(nv) != len(acc) {
+					return fmt.Errorf("core: merge key %q: incompatible vectors", key)
 				}
-				for i := range pv {
-					pv[i] += nv[i]
+				for i := range acc {
+					acc[i] += nv[i]
 				}
-				counts[key]++
-			case writable.Float64:
+			}
+			if average && n > 1 {
+				for i := range acc {
+					acc[i] /= float64(n)
+				}
+			}
+			out.Set(key, acc)
+		case writable.Float64:
+			acc := first
+			for _, v := range vals[1:] {
 				nv, ok := v.(writable.Float64)
 				if !ok {
-					err = fmt.Errorf("core: merge key %q: incompatible kinds", key)
-					return false
+					return fmt.Errorf("core: merge key %q: incompatible kinds", key)
 				}
-				out.Set(key, pv+nv)
-				counts[key]++
-			default:
-				// Non-numeric: first writer wins.
+				acc += nv
 			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !average {
-		return out, nil
-	}
-	for key, n := range counts {
-		if n <= 1 {
-			continue
-		}
-		v, _ := out.Get(key)
-		switch pv := v.(type) {
-		case writable.Vector:
-			for i := range pv {
-				pv[i] /= float64(n)
+			if average && n > 1 {
+				acc /= writable.Float64(n)
 			}
-		case writable.Float64:
-			out.Set(key, pv/writable.Float64(n))
+			out.Set(key, acc)
+		default:
+			// Non-numeric: first writer wins.
+			out.Set(key, writable.Clone(first))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -142,19 +129,15 @@ func combineModels(parts []*model.Model, average bool) (*model.Model, error) {
 // must produce disjoint models.
 func ConcatModels(parts []*model.Model) (*model.Model, error) {
 	out := model.New()
-	for _, part := range parts {
-		var err error
-		part.Range(func(key string, v writable.Writable) bool {
-			if _, dup := out.Get(key); dup {
-				err = fmt.Errorf("core: concat merge: duplicate key %q", key)
-				return false
-			}
-			out.Set(key, writable.Clone(v))
-			return true
-		})
-		if err != nil {
-			return nil, err
+	err := walkUnion(parts, func(key string, _ []int, vals []writable.Writable) error {
+		if len(vals) > 1 {
+			return fmt.Errorf("core: concat merge: duplicate key %q", key)
 		}
+		out.Set(key, writable.Clone(vals[0]))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

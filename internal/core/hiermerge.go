@@ -125,26 +125,27 @@ func hierarchicalMerge(rt *Runtime, appName string, wm WeightedKeyMerger,
 
 	// Rack-level pre-combine: per key, MergeKey over the members holding
 	// it (member order), remembering how many partials each combined
-	// value summarizes.
+	// value summarizes — rackCounts[ri][k] for the rack model's k-th key.
 	rackModels := make([]*model.Model, len(racks))
-	rackCounts := make([]map[string]int, len(racks))
+	rackCounts := make([][]int, len(racks))
 	for ri, rg := range racks {
-		rackKeys := keyUnion(parts, rg.members)
-		rm := model.NewWithCapacity(len(rackKeys))
-		counts := make(map[string]int, len(rackKeys))
-		for _, key := range rackKeys {
-			var vals []writable.Writable
-			for _, i := range rg.members {
-				if v, ok := parts[i].Get(key); ok {
-					vals = append(vals, v)
-				}
-			}
+		members := make([]*model.Model, len(rg.members))
+		for k, i := range rg.members {
+			members[k] = parts[i]
+		}
+		rm := model.New() // filled in key order: no hashing, no sort
+		var counts []int
+		err := walkUnion(members, func(key string, _ []int, vals []writable.Writable) error {
 			merged, err := wm.MergeKey(key, vals)
 			if err != nil {
-				return nil, traffic, fmt.Errorf("core: %s rack merge: %w", appName, err)
+				return fmt.Errorf("core: %s rack merge: %w", appName, err)
 			}
 			rm.Set(key, merged)
-			counts[key] = len(vals)
+			counts = append(counts, len(vals))
+			return nil
+		})
+		if err != nil {
+			return nil, traffic, err
 		}
 		rackModels[ri] = rm
 		rackCounts[ri] = counts
@@ -170,54 +171,79 @@ func hierarchicalMerge(rt *Runtime, appName string, wm WeightedKeyMerger,
 	for _, i := range staleIdx {
 		sources = append(sources, parts[i])
 	}
-	allKeys := keyUnion(sources, nil)
-	merged := model.NewWithCapacity(len(allKeys))
-	for _, key := range allKeys {
-		var vals []writable.Writable
-		var weights []int
-		for ri, rm := range rackModels {
-			if v, ok := rm.Get(key); ok {
-				vals = append(vals, v)
-				weights = append(weights, rackCounts[ri][key])
-			}
-		}
-		for _, i := range staleIdx {
-			if v, ok := parts[i].Get(key); ok {
-				vals = append(vals, v)
+	merged := model.New()
+	var weights []int
+	next := make([]int, len(rackModels)) // next unread entry of rackCounts[ri]
+	err := walkUnion(sources, func(key string, from []int, vals []writable.Writable) error {
+		weights = weights[:0]
+		for _, si := range from {
+			if si < len(rackModels) {
+				weights = append(weights, rackCounts[si][next[si]])
+				next[si]++
+			} else {
 				weights = append(weights, 1)
 			}
 		}
 		out, err := wm.MergeKeyWeighted(key, vals, weights)
 		if err != nil {
-			return nil, traffic, fmt.Errorf("core: %s weighted merge: %w", appName, err)
+			return fmt.Errorf("core: %s weighted merge: %w", appName, err)
 		}
 		merged.Set(key, out)
+		return nil
+	})
+	if err != nil {
+		return nil, traffic, err
 	}
 	return merged, traffic, nil
 }
 
-// keyUnion returns the sorted union of keys across the selected models
-// (all of them when idx is nil).
-func keyUnion(models []*model.Model, idx []int) []string {
-	seen := map[string]bool{}
-	var keys []string
-	add := func(m *model.Model) {
-		for _, k := range m.Keys() {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
+// walkUnion visits the union of the sources' keys in ascending order —
+// a k-way walk over their already sorted schemas, so nothing is hashed
+// or sorted — and calls fn with each key, the indices of the sources
+// holding it (ascending) and their values. Both slices are scratch,
+// reused from key to key: fn must not retain them.
+func walkUnion(srcs []*model.Model, fn func(key string, from []int, vals []writable.Writable) error) error {
+	type cursor struct {
+		m    *model.Model
+		keys []string // m's schema; the cursor rests on a present slot or at the end
+		slot int
+	}
+	settle := func(c *cursor) {
+		for c.slot < len(c.keys) {
+			if _, ok := c.m.At(c.slot); ok {
+				return
+			}
+			c.slot++
+		}
+	}
+	cur := make([]cursor, len(srcs))
+	for i, m := range srcs {
+		cur[i] = cursor{m: m, keys: m.Schema().Keys()}
+		settle(&cur[i])
+	}
+	from := make([]int, 0, len(srcs))
+	vals := make([]writable.Writable, 0, len(srcs))
+	for {
+		least, found := "", false
+		for i := range cur {
+			if c := &cur[i]; c.slot < len(c.keys) && (!found || c.keys[c.slot] < least) {
+				least, found = c.keys[c.slot], true
 			}
 		}
-	}
-	if idx == nil {
-		for _, m := range models {
-			add(m)
+		if !found {
+			return nil
 		}
-	} else {
-		for _, i := range idx {
-			add(models[i])
+		from, vals = from[:0], vals[:0]
+		for i := range cur {
+			if c := &cur[i]; c.slot < len(c.keys) && c.keys[c.slot] == least {
+				v, _ := c.m.At(c.slot)
+				from, vals = append(from, i), append(vals, v)
+				c.slot++
+				settle(c)
+			}
+		}
+		if err := fn(least, from, vals); err != nil {
+			return err
 		}
 	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,7 +1,7 @@
 package model
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 
 	"repro/internal/writable"
@@ -32,75 +32,31 @@ const (
 // next (op set, with the new value) and one tombstone per key of prev
 // missing from next (op delete), in ascending key order.
 func EncodeDelta(prev, next *Model, dst []byte) []byte {
-	pk, nk := prev.Keys(), next.Keys()
-	i, j := 0, 0
-	emit := func(key string, op byte, v writable.Writable) {
-		dst = binary.AppendUvarint(dst, uint64(len(key)))
-		dst = append(dst, key...)
-		dst = append(dst, op)
-		if op == deltaOpSet {
-			dst = writable.Encode(dst, v)
-		}
-	}
-	for i < len(pk) && j < len(nk) {
+	join(prev.sealed(), next.sealed(), func(key string, pv, nv writable.Writable) bool {
 		switch {
-		case pk[i] < nk[j]:
-			emit(pk[i], deltaOpDelete, nil)
-			i++
-		case pk[i] > nk[j]:
-			emit(nk[j], deltaOpSet, next.entries[nk[j]])
-			j++
-		default:
-			if !writable.Equal(prev.entries[pk[i]], next.entries[nk[j]]) {
-				emit(nk[j], deltaOpSet, next.entries[nk[j]])
-			}
-			i++
-			j++
+		case nv == nil:
+			dst = append(appendKey(dst, key), deltaOpDelete)
+		case pv == nil || !writable.Equal(pv, nv):
+			dst = writable.Encode(append(appendKey(dst, key), deltaOpSet), nv)
 		}
-	}
-	for ; i < len(pk); i++ {
-		emit(pk[i], deltaOpDelete, nil)
-	}
-	for ; j < len(nk); j++ {
-		emit(nk[j], deltaOpSet, next.entries[nk[j]])
-	}
+		return true
+	})
 	return dst
 }
 
 // DeltaSize reports len(EncodeDelta(prev, next, nil)) without building
 // the encoding — the byte count delta shipping charges per iteration.
 func DeltaSize(prev, next *Model) int64 {
-	pk, nk := prev.Keys(), next.Keys()
 	var n int64
-	i, j := 0, 0
-	set := func(key string, v writable.Writable) {
-		n += int64(uvarintLen(uint64(len(key))) + len(key) + 1 + writable.Size(v))
-	}
-	tomb := func(key string) {
-		n += int64(uvarintLen(uint64(len(key))) + len(key) + 1)
-	}
-	for i < len(pk) && j < len(nk) {
+	join(prev.sealed(), next.sealed(), func(key string, pv, nv writable.Writable) bool {
 		switch {
-		case pk[i] < nk[j]:
-			tomb(pk[i])
-			i++
-		case pk[i] > nk[j]:
-			set(nk[j], next.entries[nk[j]])
-			j++
-		default:
-			if !writable.Equal(prev.entries[pk[i]], next.entries[nk[j]]) {
-				set(nk[j], next.entries[nk[j]])
-			}
-			i++
-			j++
+		case nv == nil:
+			n += keySize(key) + 1
+		case pv == nil || !writable.Equal(pv, nv):
+			n += 1 + entrySize(key, nv)
 		}
-	}
-	for ; i < len(pk); i++ {
-		tomb(pk[i])
-	}
-	for ; j < len(nk); j++ {
-		set(nk[j], next.entries[nk[j]])
-	}
+		return true
+	})
 	return n
 }
 
@@ -111,37 +67,44 @@ func DeltaSize(prev, next *Model) int64 {
 // ApplyDeltaBytes(prev, EncodeDelta(prev, next, nil)).Equal(next).
 func ApplyDeltaBytes(prev *Model, src []byte) (*Model, error) {
 	out := prev.Clone()
-	lastKey, first := "", true
-	for len(src) > 0 {
-		klen, n := binary.Uvarint(src)
-		if n <= 0 || uint64(len(src)-n) < klen {
-			return nil, writable.ErrTruncated
+	t := out.t.Load()
+	// Delta keys ascend like the schema's, so one cursor resolves every
+	// key the schema holds without hashing it.
+	keys, slot := t.schema.keys, 0
+	var lastKey []byte
+	for first := true; len(src) > 0; first = false {
+		key, rest, err := readKey(src)
+		if err != nil {
+			return nil, err
 		}
-		if n != uvarintLen(klen) {
-			return nil, writable.ErrNonCanonical
-		}
-		key := string(src[n : n+int(klen)])
-		if !first && key <= lastKey {
+		if !first && bytes.Compare(key, lastKey) <= 0 {
 			return nil, fmt.Errorf("model: delta keys out of order (%q after %q)", key, lastKey)
 		}
-		lastKey, first = key, false
-		src = src[n+int(klen):]
-		if len(src) == 0 {
+		lastKey = key
+		if len(rest) == 0 {
 			return nil, writable.ErrTruncated
 		}
-		op := src[0]
-		src = src[1:]
+		op := rest[0]
+		src = rest[1:]
+		for slot < len(keys) && keys[slot] < string(key) {
+			slot++
+		}
+		inSchema := slot < len(keys) && keys[slot] == string(key)
 		switch op {
 		case deltaOpSet:
 			var v writable.Writable
-			var err error
-			v, src, err = writable.Decode(src)
-			if err != nil {
+			if v, src, err = writable.Decode(src); err != nil {
 				return nil, err
 			}
-			out.Set(key, v)
+			if inSchema {
+				t.put(slot, v)
+			} else {
+				out.Set(string(key), v)
+			}
 		case deltaOpDelete:
-			out.Delete(key)
+			if inSchema {
+				t.drop(slot)
+			}
 		default:
 			return nil, fmt.Errorf("model: unknown delta op 0x%02x for key %q", op, key)
 		}

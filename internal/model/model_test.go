@@ -283,59 +283,6 @@ func TestQuickCloneEquality(t *testing.T) {
 	}
 }
 
-func TestDiffCategorizesChanges(t *testing.T) {
-	prev := New()
-	prev.Set("same", writable.Float64(1))
-	prev.Set("changed", writable.Float64(2))
-	prev.Set("removed", writable.Float64(3))
-	next := New()
-	next.Set("same", writable.Float64(1))
-	next.Set("changed", writable.Float64(9))
-	next.Set("added", writable.Float64(4))
-
-	delta, stats := Diff(prev, next)
-	if stats.Added != 1 || stats.Removed != 1 || stats.Changed != 1 || stats.Unchanged != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if delta.Len() != 2 {
-		t.Fatalf("delta has %d entries", delta.Len())
-	}
-	if _, ok := delta.Get("same"); ok {
-		t.Fatal("unchanged key in delta")
-	}
-	if stats.DeltaBytes <= delta.Size() {
-		t.Fatalf("DeltaBytes %d missing tombstone overhead over %d", stats.DeltaBytes, delta.Size())
-	}
-}
-
-func TestApplyDeltaReconstructs(t *testing.T) {
-	prev := New()
-	prev.Set("a", writable.Float64(1))
-	prev.Set("b", writable.Float64(2))
-	next := prev.Clone()
-	next.Set("b", writable.Float64(7))
-	next.Set("c", writable.Vector{1, 2})
-
-	delta, _ := Diff(prev, next)
-	got := ApplyDelta(prev, delta)
-	if !got.Equal(next) {
-		t.Fatal("ApplyDelta did not reconstruct next")
-	}
-	// prev untouched.
-	if v, _ := prev.Float("b"); v != 2 {
-		t.Fatal("ApplyDelta mutated prev")
-	}
-}
-
-func TestDiffIdenticalModelsIsEmpty(t *testing.T) {
-	m := New()
-	m.Set("x", writable.Vector{1, 2, 3})
-	delta, stats := Diff(m, m)
-	if delta.Len() != 0 || stats.Changed != 0 || stats.DeltaBytes != 0 {
-		t.Fatalf("self-diff = %d entries, %+v", delta.Len(), stats)
-	}
-}
-
 func TestDecodeRejectsNonCanonicalKeyLength(t *testing.T) {
 	// Key length 1 encoded in two varint bytes.
 	if _, err := Decode([]byte{0x81, 0x00, 'k', 0x00}); err == nil {
