@@ -46,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -100,6 +101,15 @@ var experiments = []experiment{
 	{"abl-corruption", "silent-corruption ablation: IC/PIC × bit-error-rate sweep × detection on/off (checksums catch corrupt payloads, re-sends bridge, the scrubber repairs; silent runs degrade)", wrap(bench.AblationCorruption)},
 }
 
+// checkScale rejects a -scale value bench.SetScale would panic on (zero,
+// negative, NaN) or that names no dataset size (+Inf).
+func checkScale(s float64) error {
+	if !(s > 0) || math.IsInf(s, 1) {
+		return fmt.Errorf("-scale must be a positive finite number, got %v", s)
+	}
+	return nil
+}
+
 func main() {
 	// The suite is allocation-heavy (every map output is materialized) and
 	// latency-bound on real compute, so trade heap headroom for fewer GC
@@ -126,6 +136,10 @@ func main() {
 			fmt.Printf("%-16s %s\n", "watch "+w, "live run inspector: tails the run, prints health frames (-interval, -window, -out, -openmetrics)")
 		}
 		return
+	}
+	if err := checkScale(*scaleArg); err != nil {
+		fmt.Fprintln(os.Stderr, "picbench:", err)
+		os.Exit(2)
 	}
 	if *scaleArg != 1.0 {
 		bench.SetScale(*scaleArg)

@@ -361,6 +361,43 @@ func kernels() []kernel {
 				}
 			}
 		}},
+		{"run-grouped-distinct", func(b *testing.B) {
+			// run-grouped's opposite key shape, at the size of one
+			// PageRank local iteration: 6.5k records over 1.6k nine-byte
+			// rank keys in scattered order, a few float contributions
+			// each — the group step sorts real key bytes here instead of
+			// telling 25 keys apart.
+			const nRecords, nKeys = 6_500, 1_600
+			recs := make([]mapred.Record, nRecords)
+			for i := range recs {
+				recs[i] = mapred.Record{Key: fmt.Sprintf("r%08d", (i*7919)%nKeys), Value: writable.Float64(i)}
+			}
+			cluster := simcluster.New(simcluster.Small())
+			e := mapred.NewEngine(cluster)
+			job := &mapred.Job{
+				Name: "snapshot-grouped-distinct",
+				Mapper: mapred.MapperFunc(func(k string, v writable.Writable, _ *model.Model, emit mapred.Emitter) error {
+					emit.Emit(k, v)
+					return nil
+				}),
+				Reducer: mapred.ReducerFunc(func(k string, values []writable.Writable, _ *model.Model, emit mapred.Emitter) error {
+					var sum float64
+					for _, v := range values {
+						sum += float64(v.(writable.Float64))
+					}
+					emit.Emit(k, writable.Float64(sum))
+					return nil
+				}),
+			}
+			in := mapred.NewInput(recs, cluster, cluster.MapSlots())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.RunLocal(job, in, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 	}
 }
 

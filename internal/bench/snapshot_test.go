@@ -126,7 +126,7 @@ func TestCheckSnapshotRejectsBadInputs(t *testing.T) {
 }
 
 func TestKernelNamesStable(t *testing.T) {
-	want := []string{"run-grouped", "shuffle-accounting", "local-iteration", "sched-multitenant", "kmeans-be-iter", "per-iter-overhead", "degraded-merge", "stream-split-gen", "sparse-delta", "hier-merge", "scrub-repair", "bsp-superstep", "model-iterate"}
+	want := []string{"run-grouped", "shuffle-accounting", "local-iteration", "sched-multitenant", "kmeans-be-iter", "per-iter-overhead", "degraded-merge", "stream-split-gen", "sparse-delta", "hier-merge", "scrub-repair", "bsp-superstep", "model-iterate", "run-grouped-distinct"}
 	got := KernelNames()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("kernel set changed: %v (update BENCH_baseline.json and this test together)", got)

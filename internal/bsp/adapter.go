@@ -2,12 +2,10 @@ package bsp
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/mapred"
 	"repro/internal/model"
-	"repro/internal/writable"
 )
 
 // The partition-level adapter runs an unmodified mapred.Job as a BSP
@@ -101,37 +99,27 @@ func (p *jobProgram) Compute(step int, id string, msgs []Message, s Sender) (boo
 
 func (p *jobProgram) computeSplit(v int, s Sender) error {
 	split := &p.in.Splits[v]
-	em := &listEmitter{}
-	for _, rec := range split.Records {
-		if err := p.job.Mapper.Map(rec.Key, rec.Value, p.m, em); err != nil {
-			return err
-		}
+	emitted, err := mapred.RunMap(p.job.Mapper, split.Records, p.m)
+	if err != nil {
+		return err
 	}
 	// Map task cost mirrors mapred: input records + input bytes +
 	// pre-combine emitted bytes.
 	p.vcost[v] = float64(len(split.Records))*p.cost.ComputePerVertex +
 		float64(split.Bytes)*p.cost.ComputePerByte +
-		float64(recordBytes(em.recs))*p.cost.EmitPerByte
+		float64(mapred.RecordsSize(emitted))*p.cost.EmitPerByte
 	if p.nRed == 0 {
-		sortRecords(em.recs)
-		p.outs[v] = em.recs
+		p.outs[v] = emitted // in emission order, as a mapred map-only task's
 		return nil
 	}
-	buckets := make([][]mapred.Record, p.nRed)
-	for _, r := range em.recs {
-		j := p.part(r.Key, p.nRed)
-		buckets[j] = append(buckets[j], r)
+	// The partitions go on the wire as the mapred map pipeline leaves
+	// them: combined when the job has a combiner.
+	parts, err := mapred.PartitionAndCombine(p.job.Combiner, emitted, p.m, p.nRed, p.part)
+	if err != nil {
+		return err
 	}
-	for j, b := range buckets {
-		sortRecords(b)
-		if p.job.Combiner != nil {
-			cb, err := combineRecords(p.job.Combiner, b, p.m)
-			if err != nil {
-				return err
-			}
-			b = cb
-		}
-		for _, r := range b {
+	for j, part := range parts {
+		for _, r := range part {
 			s.Send(p.redIDs[j], r.Key, r.Value)
 		}
 	}
@@ -143,26 +131,13 @@ func (p *jobProgram) computeReduce(v int, msgs []Message) error {
 	for i, mg := range msgs {
 		recs[i] = mapred.Record{Key: mg.Tag, Value: mg.Value}
 	}
-	sortRecords(recs)
-	em := &listEmitter{}
-	var values []writable.Writable
-	for lo := 0; lo < len(recs); {
-		hi := lo + 1
-		for hi < len(recs) && recs[hi].Key == recs[lo].Key {
-			hi++
-		}
-		values = values[:0]
-		for _, r := range recs[lo:hi] {
-			values = append(values, r.Value)
-		}
-		if err := p.job.Reducer.Reduce(recs[lo].Key, values, p.m, em); err != nil {
-			return err
-		}
-		lo = hi
+	out, err := mapred.RunGrouped(p.job.Reducer, recs, p.m)
+	if err != nil {
+		return err
 	}
-	p.outs[v] = em.recs
+	p.outs[v] = out
 	p.vcost[v] = float64(len(msgs))*p.cost.ComputePerMessage +
-		float64(recordBytes(em.recs))*p.cost.EmitPerByte
+		float64(mapred.RecordsSize(out))*p.cost.EmitPerByte
 	return nil
 }
 
@@ -227,48 +202,4 @@ func RunJob(e *Engine, job *mapred.Job, in *mapred.Input, m *model.Model, opt *R
 	}
 	jp := res.Program.(*jobProgram)
 	return jp.output(res.Homes), res, nil
-}
-
-// listEmitter collects emissions in order (mapred's is unexported).
-type listEmitter struct {
-	recs []mapred.Record
-}
-
-func (l *listEmitter) Emit(key string, value writable.Writable) {
-	l.recs = append(l.recs, mapred.Record{Key: key, Value: value})
-}
-
-func recordBytes(recs []mapred.Record) int64 {
-	var n int64
-	for _, r := range recs {
-		n += r.Size()
-	}
-	return n
-}
-
-func sortRecords(recs []mapred.Record) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-}
-
-// combineRecords groups a sorted bucket by key and runs the combiner,
-// returning its emissions (which replace the bucket on the wire, as in
-// the mapred map pipeline).
-func combineRecords(c mapred.Reducer, recs []mapred.Record, m *model.Model) ([]mapred.Record, error) {
-	em := &listEmitter{}
-	var values []writable.Writable
-	for lo := 0; lo < len(recs); {
-		hi := lo + 1
-		for hi < len(recs) && recs[hi].Key == recs[lo].Key {
-			hi++
-		}
-		values = values[:0]
-		for _, r := range recs[lo:hi] {
-			values = append(values, r.Value)
-		}
-		if err := c.Reduce(recs[lo].Key, values, m, em); err != nil {
-			return nil, err
-		}
-		lo = hi
-	}
-	return em.recs, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/simcluster"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
-	"repro/internal/writable"
 )
 
 // Engine executes MapReduce jobs on a cluster view. The same engine type
@@ -509,11 +507,9 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 			return
 		}
 		em := getEmitter()
-		for _, rec := range split.Records {
-			if err := job.Mapper.Map(rec.Key, rec.Value, m, em); err != nil {
-				errs[i] = fmt.Errorf("job %q map task %d: %w", job.Name, i, err)
-				return
-			}
+		if err := em.mapAll(job.Mapper, split.Records, m); err != nil {
+			errs[i] = fmt.Errorf("job %q map task %d: %w", job.Name, i, err)
+			return
 		}
 		outBytes := RecordsSize(em.records)
 		mapOutBytes[i] = outBytes
@@ -528,37 +524,11 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 			mapOnlyOut[i] = em.records
 			return
 		}
-		// Partition in two passes — count, then fill exactly-sized
-		// slices — so per-partition buffers never re-grow.
-		idx := getPartIdx(len(em.records))
-		counts := getCounts(numReducers)
-		for j, r := range em.records {
-			p := partition(r.Key, numReducers)
-			idx[j] = int32(p)
-			counts[p]++
-		}
-		parts := make([][]Record, numReducers)
-		for p, c := range counts {
-			if c > 0 {
-				parts[p] = make([]Record, 0, c)
-			}
-		}
-		for j, r := range em.records {
-			p := idx[j]
-			parts[p] = append(parts[p], r)
-		}
-		putCounts(counts)
-		putPartIdx(idx)
+		parts, err := PartitionAndCombine(job.Combiner, em.records, m, numReducers, partition)
 		putEmitter(em)
-		if job.Combiner != nil {
-			for p := range parts {
-				combined, err := runGrouped(job.Combiner, parts[p], m)
-				if err != nil {
-					errs[i] = fmt.Errorf("job %q combine task %d: %w", job.Name, i, err)
-					return
-				}
-				parts[p] = combined
-			}
+		if err != nil {
+			errs[i] = fmt.Errorf("job %q combine task %d: %w", job.Name, i, err)
+			return
 		}
 		// Encoded sizes of the post-combine partitions, computed here
 		// exactly once; the reduce-in accumulation and the shuffle-flow
@@ -677,24 +647,13 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 		return out, metrics, nil
 	}
 
-	// ---- Reduce phase: gather, group, execute. Partition sizes come
-	// from the partSizes table filled during the map phase.
-	reduceIn := make([][]Record, numReducers)
-	for p := 0; p < numReducers; p++ {
-		total := 0
-		for i := 0; i < nSplits; i++ {
-			total += len(mapParts[i][p])
-		}
-		if total > 0 {
-			reduceIn[p] = make([]Record, 0, total)
-		}
-	}
+	// ---- Reduce phase: group and execute. Each reduce task reads its
+	// partitions where the map tasks left them; their sizes come from the
+	// partSizes table filled during the map phase.
 	for i := 0; i < nSplits; i++ {
 		for p := 0; p < numReducers; p++ {
-			recs := mapParts[i][p]
-			reduceIn[p] = append(reduceIn[p], recs...)
 			metrics.ShuffleBytes += partSizes[i][p]
-			metrics.ShuffleRecords += int64(len(recs))
+			metrics.ShuffleRecords += int64(len(mapParts[i][p]))
 		}
 	}
 
@@ -704,15 +663,25 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 	reduceValues := make([]int64, numReducers)
 	rerrs := make([]error, numReducers)
 	e.parallelFor(numReducers, func(p int) {
-		out, err := runGrouped(job.Reducer, reduceIn[p], m)
+		// The task's input is one run per map task, read where the map
+		// phase left it. Nothing is assumed about the runs' order (a
+		// re-keying combiner, or none, leaves them unsorted): the group
+		// step sorts whatever it is given.
+		s := getScratch()
+		defer s.release()
+		for i := 0; i < nSplits; i++ {
+			s.addRun(mapParts[i][p])
+		}
+		n := s.n
+		out, err := s.reduceRuns(job.Reducer, m)
 		if err != nil {
 			rerrs[p] = fmt.Errorf("job %q reduce task %d: %w", job.Name, p, err)
 			return
 		}
 		reduceOut[p] = out
 		reduceOutBytes[p] = RecordsSize(out)
-		reduceValues[p] = int64(len(reduceIn[p]))
-		reduceCosts[p] = cost.ReduceCostPerValue*float64(len(reduceIn[p])) +
+		reduceValues[p] = int64(n)
+		reduceCosts[p] = cost.ReduceCostPerValue*float64(n) +
 			cost.EmitCostPerByte*float64(reduceOutBytes[p])
 	})
 	for _, err := range rerrs {
@@ -936,165 +905,6 @@ func (e *Engine) transfer(flows []simnet.Flow) simtime.Duration {
 		return fabric.MaxMinTransferTime(flows)
 	}
 	return fabric.TransferTime(flows)
-}
-
-// sortRecordsByKey stably sorts recs by key in place. Stability keeps
-// within-key values in arrival order, so grouped execution over the
-// sorted slice visits exactly the (key, values) sequence the previous
-// map-based grouping produced.
-func sortRecordsByKey(recs []Record) {
-	if slices.IsSortedFunc(recs, compareRecordKeys) {
-		return
-	}
-	// Hash-assisted stable counting sort. Intermediate key sets are
-	// duplicate-heavy (25 centroid keys across 100k points is typical),
-	// where a general comparison sort pays Θ(n log n) string compares
-	// and, if stable, Θ(n log n) extra moves for in-place merging. Here
-	// each record is hashed once to its key's group, only the (few)
-	// distinct keys are comparison-sorted, and a single in-order scatter
-	// through a pooled buffer places every record: stable by
-	// construction, O(n + k log k) total.
-	groupOf := make(map[string]int32, 64)
-	keys := make([]string, 0, 64)
-	counts := make([]int32, 0, 64)
-	idx := getPartIdx(len(recs))
-	for j := range recs {
-		g, ok := groupOf[recs[j].Key]
-		if !ok {
-			g = int32(len(keys))
-			keys = append(keys, recs[j].Key)
-			counts = append(counts, 0)
-			groupOf[recs[j].Key] = g
-		}
-		idx[j] = g
-		counts[g]++
-	}
-	order := make([]int32, len(keys))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
-	// start[g] is group g's first output slot; it advances as the
-	// scatter fills the group.
-	start := make([]int32, len(keys))
-	var off int32
-	for _, g := range order {
-		start[g] = off
-		off += counts[g]
-	}
-	scratch := getRecScratch(len(recs))
-	for j := range recs {
-		g := idx[j]
-		scratch[start[g]] = recs[j]
-		start[g]++
-	}
-	copy(recs, scratch)
-	putPartIdx(idx)
-	putRecScratch(scratch)
-}
-
-func compareRecordKeys(a, b Record) int { return strings.Compare(a.Key, b.Key) }
-
-// reduceSorted applies r to each contiguous key group of the
-// already-sorted recs, emitting into em. The values slice handed to the
-// reducer is a scratch buffer reused across keys (see Reducer's
-// documented lifetime contract); the returned slice is the grown scratch
-// for the caller to reuse.
-func reduceSorted(r Reducer, recs []Record, m *model.Model, em Emitter, vals []writable.Writable) ([]writable.Writable, error) {
-	for lo := 0; lo < len(recs); {
-		hi := lo + 1
-		for hi < len(recs) && recs[hi].Key == recs[lo].Key {
-			hi++
-		}
-		vals = vals[:0]
-		for _, rec := range recs[lo:hi] {
-			vals = append(vals, rec.Value)
-		}
-		if err := r.Reduce(recs[lo].Key, vals, m, em); err != nil {
-			return vals, err
-		}
-		lo = hi
-	}
-	return vals, nil
-}
-
-// runGrouped groups records by key with an in-place stable sort and a
-// linear group scan, and applies the reducer, returning its emissions.
-// Keys are visited in sorted order and, within a key, values keep their
-// arrival order, so execution is deterministic. The input slice is
-// reordered in place.
-func runGrouped(r Reducer, recs []Record, m *model.Model) ([]Record, error) {
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	sortRecordsByKey(recs)
-	em := getEmitter()
-	vals, err := reduceSorted(r, recs, m, em, getVals())
-	putVals(vals)
-	if err != nil {
-		putEmitter(em)
-		return nil, err
-	}
-	out := append([]Record(nil), em.records...)
-	putEmitter(em)
-	return out, nil
-}
-
-// runGroupedParallel is runGrouped with key groups sharded across the
-// engine's worker pool: records are stably sorted by key once, the
-// contiguous key groups are cut into at most one contiguous shard per
-// worker (balanced by record count, never splitting a key), and shard
-// outputs are concatenated in key order. Output is therefore
-// byte-identical to the serial scan for any worker count.
-func (e *Engine) runGroupedParallel(r Reducer, recs []Record, m *model.Model) ([]Record, error) {
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || len(recs) == 0 {
-		return runGrouped(r, recs, m)
-	}
-	sortRecordsByKey(recs)
-	// Cut points are group starts nearest the ideal even splits.
-	cuts := make([]int, 1, workers+1)
-	next := 1
-	for i := 1; i < len(recs) && next < workers; i++ {
-		if recs[i].Key != recs[i-1].Key && i*workers >= next*len(recs) {
-			cuts = append(cuts, i)
-			next++
-		}
-	}
-	cuts = append(cuts, len(recs))
-	nShards := len(cuts) - 1
-	outs := make([]*listEmitter, nShards)
-	shErrs := make([]error, nShards)
-	e.parallelFor(nShards, func(s int) {
-		em := getEmitter()
-		vals, err := reduceSorted(r, recs[cuts[s]:cuts[s+1]], m, em, getVals())
-		putVals(vals)
-		if err != nil {
-			shErrs[s] = err
-		}
-		outs[s] = em
-	})
-	// Shards hold disjoint, ascending key ranges, so the first failing
-	// shard holds the lowest failing key — the same error a serial scan
-	// reports first.
-	for _, err := range shErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o.records)
-	}
-	out := make([]Record, 0, total)
-	for _, o := range outs {
-		out = append(out, o.records...)
-		putEmitter(o)
-	}
-	return out, nil
 }
 
 // parallelFor runs worker(i) for i in [0,n) on a bounded pool. Output

@@ -66,11 +66,9 @@ func (e *Engine) RunLocal(job *Job, in *Input, m *model.Model) (*Output, Metrics
 	e.parallelFor(nSplits, func(i int) {
 		split := in.Splits[i]
 		em := getEmitter()
-		for _, rec := range split.Records {
-			if err := job.Mapper.Map(rec.Key, rec.Value, m, em); err != nil {
-				errs[i] = fmt.Errorf("job %q local map %d: %w", job.Name, i, err)
-				return
-			}
+		if err := em.mapAll(job.Mapper, split.Records, m); err != nil {
+			errs[i] = fmt.Errorf("job %q local map %d: %w", job.Name, i, err)
+			return
 		}
 		mapOut[i] = em
 		mapCosts[i] = factor * cost.MapCostPerRecord * float64(len(split.Records))
@@ -88,21 +86,18 @@ func (e *Engine) RunLocal(job *Job, in *Input, m *model.Model) (*Output, Metrics
 	_, mapMakespan := e.cluster.Schedule(tasks, e.cluster.Config().MapSlotsPerNode)
 	metrics.MapPhase = mapMakespan
 
-	// Concatenate the per-split emissions into one exactly-sized slice
-	// and recycle the emitter buffers: splits are revisited every local
-	// iteration, so pooled buffers turn the map phase's dominant
-	// allocation into a steady-state copy.
 	nMapOut := 0
 	for i := range mapOut {
 		nMapOut += len(mapOut[i].records)
 	}
-	all := make([]Record, 0, nMapOut)
-	for i := range mapOut {
-		all = append(all, mapOut[i].records...)
-		putEmitter(mapOut[i])
-	}
 
 	if job.Reducer == nil {
+		// The concatenated emissions are the job's output.
+		all := make([]Record, 0, nMapOut)
+		for i := range mapOut {
+			all = append(all, mapOut[i].records...)
+			putEmitter(mapOut[i])
+		}
 		out := &Output{Records: all}
 		metrics.OutputRecords = int64(len(out.Records))
 		metrics.Duration = metrics.MapPhase
@@ -110,16 +105,27 @@ func (e *Engine) RunLocal(job *Job, in *Input, m *model.Model) (*Output, Metrics
 		return out, metrics, nil
 	}
 
-	// In-memory grouping and reduction: one reduce pass over all emitted
-	// pairs, with key groups sharded across the real worker pool.
-	outRecs, err := e.runGroupedParallel(job.Reducer, all, m)
+	// In-memory grouping and reduction: the per-split emissions go
+	// straight from their pooled emitter buffers into the pooled sorted
+	// buffer (splits are revisited every local iteration, so in steady
+	// state neither allocates), then one reduce pass runs over all
+	// emitted pairs with key groups sharded across the real worker pool.
+	s := getScratch()
+	for i := range mapOut {
+		s.addRun(mapOut[i].records)
+	}
+	outRecs, err := e.reduceSortedParallel(job.Reducer, s.sortedRuns(), m)
+	s.release()
+	for i := range mapOut {
+		putEmitter(mapOut[i])
+	}
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	reduceCost := factor * cost.ReduceCostPerValue * float64(len(all))
+	reduceCost := factor * cost.ReduceCostPerValue * float64(nMapOut)
 	slots := float64(e.cluster.MapSlots())
 	metrics.ReducePhase = simtime.Duration(reduceCost / (e.cluster.Config().ComputeRate * slots))
-	metrics.ReduceInputValues = int64(len(all))
+	metrics.ReduceInputValues = int64(nMapOut)
 
 	out := &Output{Records: outRecs}
 	metrics.OutputRecords = int64(len(outRecs))

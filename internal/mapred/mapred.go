@@ -158,6 +158,28 @@ func (e *listEmitter) Emit(key string, value writable.Writable) {
 	e.records = append(e.records, Record{Key: key, Value: value})
 }
 
+// mapAll applies mp to each of recs in order, collecting what it emits:
+// the body of every map task.
+func (e *listEmitter) mapAll(mp Mapper, recs []Record, m *model.Model) error {
+	for _, rec := range recs {
+		if err := mp.Map(rec.Key, rec.Value, m, e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunMap runs a map task's body outside the engine: it applies mp to
+// each of recs in order and returns everything it emitted, in emission
+// order.
+func RunMap(mp Mapper, recs []Record, m *model.Model) ([]Record, error) {
+	var em listEmitter
+	if err := em.mapAll(mp, recs, m); err != nil {
+		return nil, err
+	}
+	return em.records, nil
+}
+
 // emitterPool recycles listEmitter record buffers between map tasks.
 // Only buffers whose records have been copied out (or discarded) may be
 // returned; tasks whose emissions are handed off wholesale simply never
@@ -169,64 +191,4 @@ func getEmitter() *listEmitter { return emitterPool.Get().(*listEmitter) }
 func putEmitter(e *listEmitter) {
 	e.records = e.records[:0]
 	emitterPool.Put(e)
-}
-
-// partIdxPool recycles the per-task partition-index scratch used by the
-// two-pass partitioning in Engine.RunAt.
-var partIdxPool = sync.Pool{New: func() any { return []int32(nil) }}
-
-func getPartIdx(n int) []int32 {
-	idx := partIdxPool.Get().([]int32)
-	if cap(idx) < n {
-		idx = make([]int32, n)
-	}
-	return idx[:n]
-}
-
-func putPartIdx(idx []int32) { partIdxPool.Put(idx[:0]) } //nolint:staticcheck // slice header boxing is fine here
-
-// countsPool recycles the per-task partition-count scratch that sizes
-// the exactly-fitted per-partition buffers in Engine.RunAt.
-var countsPool = sync.Pool{New: func() any { return []int(nil) }}
-
-func getCounts(n int) []int {
-	c := countsPool.Get().([]int)
-	if cap(c) < n {
-		c = make([]int, n)
-	}
-	c = c[:n]
-	for i := range c {
-		c[i] = 0
-	}
-	return c
-}
-
-func putCounts(c []int) { countsPool.Put(c[:0]) } //nolint:staticcheck // slice header boxing is fine here
-
-// valsPool recycles the values scratch buffer reduceSorted hands to
-// reducers (which, per Reducer's contract, must not retain it).
-var valsPool = sync.Pool{New: func() any { return []writable.Writable(nil) }}
-
-func getVals() []writable.Writable { return valsPool.Get().([]writable.Writable) }
-
-func putVals(vals []writable.Writable) {
-	vals = vals[:cap(vals)]
-	clear(vals)            // drop value references so the pool doesn't pin them
-	valsPool.Put(vals[:0]) //nolint:staticcheck // slice header boxing is fine here
-}
-
-// recScratchPool recycles the scatter buffer used by sortRecordsByKey.
-var recScratchPool = sync.Pool{New: func() any { return []Record(nil) }}
-
-func getRecScratch(n int) []Record {
-	s := recScratchPool.Get().([]Record)
-	if cap(s) < n {
-		s = make([]Record, n)
-	}
-	return s[:n]
-}
-
-func putRecScratch(s []Record) {
-	clear(s)                  // drop key/value references so the pool doesn't pin them
-	recScratchPool.Put(s[:0]) //nolint:staticcheck // slice header boxing is fine here
 }

@@ -46,18 +46,45 @@ func benchJob() *Job {
 	}
 }
 
-// BenchmarkRunGrouped measures the sort-based grouping and reduce scan
-// in isolation. The input is re-shuffled (copied) every iteration so
-// the stable sort never hits its already-sorted fast path.
+// BenchmarkRunGrouped measures the group step and reduce scan in
+// isolation on the duplicate-heavy shape.
 func BenchmarkRunGrouped(b *testing.B) {
 	src := benchRecords(20_000, 25)
-	work := make([]Record, len(src))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(work, src)
-		if _, err := runGrouped(sumReducer, work, nil); err != nil {
+		if _, err := RunGrouped(sumReducer, src, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// distinctRecords builds a many-distinct-keys intermediate record set:
+// n records over k nine-byte rank keys in scattered order — what one
+// PageRank local iteration hands the group step (k/n ≈ 0.25).
+func distinctRecords(n, k int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{Key: fmt.Sprintf("r%08d", (i*7919)%k), Value: writable.Int64(int64(i))}
+	}
+	return recs
+}
+
+// BenchmarkRunGroupedDistinct is BenchmarkRunGrouped's opposite shape:
+// many distinct keys with few values each, at the size of a local
+// iteration (6.5k records) and at 40 records, where the counting passes'
+// fixed costs (a 256-counter reset and prefix sum each) show.
+func BenchmarkRunGroupedDistinct(b *testing.B) {
+	for _, tc := range []struct{ n, k int }{{6_500, 1_600}, {40, 30}} {
+		b.Run(fmt.Sprintf("n=%d", tc.n), func(b *testing.B) {
+			src := distinctRecords(tc.n, tc.k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunGrouped(sumReducer, src, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -163,30 +190,6 @@ func TestRunLocalDeterministicAcrossWorkerCounts(t *testing.T) {
 	o1, m1 := run(1)
 	o8, m8 := run(8)
 	requireSameRun(t, o1, o8, m1, m8)
-}
-
-// TestSortRecordsByKeyMatchesStableSort checks the counting sort against
-// the defining property: keys ascending, arrival order preserved within
-// a key.
-func TestSortRecordsByKeyMatchesStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(200)
-		recs := make([]Record, n)
-		for i := range recs {
-			// Value carries the arrival index so stability is checkable.
-			recs[i] = Record{Key: fmt.Sprintf("k%02d", rng.Intn(7)), Value: writable.Int64(int64(i))}
-		}
-		sortRecordsByKey(recs)
-		for i := 1; i < len(recs); i++ {
-			if recs[i-1].Key > recs[i].Key {
-				t.Fatalf("trial %d: keys out of order at %d: %q > %q", trial, i, recs[i-1].Key, recs[i].Key)
-			}
-			if recs[i-1].Key == recs[i].Key && recs[i-1].Value.(writable.Int64) > recs[i].Value.(writable.Int64) {
-				t.Fatalf("trial %d: stability violated within %q", trial, recs[i].Key)
-			}
-		}
-	}
 }
 
 func TestParallelForCoversEveryIndexOnce(t *testing.T) {
