@@ -21,6 +21,20 @@ import (
 	"repro/internal/trace"
 )
 
+// checkArgs rejects flag values the workload builders cannot use,
+// before any dataset is generated.
+func checkArgs(scheme string, partitions int) error {
+	switch scheme {
+	case "ic", "pic", "async", "both":
+	default:
+		return fmt.Errorf("-scheme %q: want ic, pic, async or both", scheme)
+	}
+	if partitions < 1 {
+		return fmt.Errorf("-partitions %d: PIC needs at least one sub-problem", partitions)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		appName    = flag.String("app", "kmeans", "application: kmeans|pagerank|neuralnet|linsolve|smoothing")
@@ -31,6 +45,10 @@ func main() {
 		showTrace  = flag.Bool("trace", false, "print the execution timeline (Gantt + events)")
 	)
 	flag.Parse()
+	if err := checkArgs(*scheme, *partitions); err != nil {
+		fmt.Fprintln(os.Stderr, "picrun:", err)
+		os.Exit(2)
+	}
 
 	var cluster simcluster.Config
 	switch *clusterArg {
@@ -98,10 +116,6 @@ func main() {
 		}
 		fmt.Printf("ASY: rounds/group %v + %2d top-off %6.1f simulated s\n",
 			res.RoundsPerGroup, res.TopOffIterations, float64(res.Duration))
-	}
-	if *scheme != "ic" && *scheme != "pic" && *scheme != "async" && *scheme != "both" {
-		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *scheme)
-		os.Exit(2)
 	}
 	if tracer != nil {
 		fmt.Println()

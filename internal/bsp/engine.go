@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/corrupt"
 	"repro/internal/mapred"
 	"repro/internal/model"
 	"repro/internal/simcluster"
@@ -182,64 +181,23 @@ func (e *Engine) Cluster() *simcluster.Cluster { return e.cluster }
 // Cost returns the active cost model.
 func (e *Engine) Cost() CostModel { return e.cost }
 
-// corruptResendCap bounds how many corrupt arrivals of one payload
-// transfer are re-sent before the superstep fails with a typed
-// *simnet.TransferError (kind corrupt).
-const corruptResendCap = 8
-
-// chargeVerified prices and records flows at time at; when integrity
-// checks are on and the cluster scripts bit-error windows, an arrival
-// that fails checksum verification is re-sent immediately (re-priced
-// at the advanced clock, which re-rolls the window) up to
-// corruptResendCap times. It returns the total elapsed time and the
-// bytes the corrupt arrivals carried; netBytes is the network traffic
-// of one attempt. With no corruption in play this is exactly
-// TransferTimeAt + Record.
-func (e *Engine) chargeVerified(flows []simnet.Flow, at simtime.Time, netBytes int64, m *Metrics) (simtime.Duration, int64, error) {
-	fab := e.cluster.Fabric()
-	cplan := e.cluster.CorruptionPlan()
-	check := e.IntegrityChecks && cplan.HasTransferEvents()
-	var total simtime.Duration
-	var resent int64
-	for attempt := 0; ; attempt++ {
-		now := at + total
-		d, err := fab.TransferTimeAt(flows, now)
-		if err != nil {
-			return 0, 0, err
-		}
-		if check {
-			if src, dst, hit := corruptFlowAt(cplan, flows, now); hit {
-				if attempt >= corruptResendCap {
-					return 0, 0, &simnet.TransferError{Kind: simnet.TransferCorrupt, Src: src, Dst: dst, At: now}
-				}
-				// The damaged payload crossed the fabric whole and
-				// crosses again.
-				fab.Record(flows)
-				total += d
-				resent += netBytes
-				m.CorruptResends++
-				m.CorruptResendBytes += netBytes
-				continue
-			}
-		}
-		fab.Record(flows)
-		return total + d, resent, nil
+// chargePayload charges one payload exchange (model distribution or a
+// superstep's messages) at time at through the cluster's shared
+// transfer path, folding checksum re-sends into m. BSP has no transfer
+// deadline, retry budget or backoff — the lockstep barrier leaves
+// nothing to overlap a wait with — so the policy carries only the
+// verification switch: a severed path fails the superstep at once with
+// the typed *simnet.TransferError, and a corrupt arrival is re-sent
+// immediately. It returns the elapsed time and the bytes the corrupt
+// arrivals carried.
+func (e *Engine) chargePayload(flows []simnet.Flow, at simtime.Time, m *Metrics) (simtime.Duration, int64, error) {
+	res, err := e.cluster.TransferAt(flows, at, simcluster.TransferPolicy{Verify: e.IntegrityChecks})
+	if err != nil {
+		return 0, 0, err
 	}
-}
-
-// corruptFlowAt asks the corruption plan whether any network flow is
-// hit by an active bit-error window at time at, returning the first
-// offending flow.
-func corruptFlowAt(p *corrupt.Plan, flows []simnet.Flow, at simtime.Time) (src, dst int, hit bool) {
-	for _, fl := range flows {
-		if fl.Src == fl.Dst || fl.Bytes == 0 {
-			continue
-		}
-		if _, h := p.TransferHit(fl.Src, fl.Dst, at); h {
-			return fl.Src, fl.Dst, true
-		}
-	}
-	return 0, 0, false
+	m.CorruptResends += res.CorruptRetries
+	m.CorruptResendBytes += res.CorruptRetryBytes
+	return res.Elapsed, res.CorruptRetryBytes, nil
 }
 
 // Run executes one BSP program to global halt. build constructs a
@@ -395,7 +353,7 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 			moved += per
 		}
 		if len(flows) > 0 {
-			d, resent, err := e.chargeVerified(flows, at, moved, m)
+			d, resent, err := e.chargePayload(flows, at, m)
 			if err != nil {
 				return at, false, fmt.Errorf("bsp: %s: model distribution: %w", o.Name, err)
 			}
@@ -580,7 +538,7 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 					stepNet += linkBytes[l]
 				}
 				before := fab.Counters()
-				d, resent, err := e.chargeVerified(flows, at, stepNet, m)
+				d, resent, err := e.chargePayload(flows, at, m)
 				if err != nil {
 					return at, false, fmt.Errorf("bsp: %s: superstep %d messages: %w", o.Name, step, err)
 				}
@@ -617,17 +575,17 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 				down = append(down, simnet.Flow{Src: coord, Dst: nd, Bytes: e.cost.BarrierTokenBytes})
 			}
 			if len(up) > 0 {
-				d1, err := fab.TransferTimeAt(up, at)
+				// Tokens are tiny control traffic: the zero policy, no
+				// verification.
+				gather, err := e.cluster.TransferAt(up, at, simcluster.TransferPolicy{})
 				if err != nil {
 					return at, false, fmt.Errorf("bsp: %s: superstep %d barrier: %w", o.Name, step, err)
 				}
-				fab.Record(up)
-				d2, err := fab.TransferTimeAt(down, at+d1)
+				release, err := e.cluster.TransferAt(down, at+gather.Elapsed, simcluster.TransferPolicy{})
 				if err != nil {
 					return at, false, fmt.Errorf("bsp: %s: superstep %d barrier release: %w", o.Name, step, err)
 				}
-				fab.Record(down)
-				at += d1 + d2
+				at += gather.Elapsed + release.Elapsed
 			}
 			at += e.cost.BarrierOverhead
 			m.BarrierPhase += at - bStart

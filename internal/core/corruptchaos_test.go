@@ -17,6 +17,12 @@ import (
 // corruption plan (and optionally network and failure plans) registered
 // on the cluster before the runtime snapshots it.
 func corruptChaosRuntime(cplan *corrupt.Plan, netplan *simnet.NetworkPlan, failplan *simcluster.FailurePlan) *Runtime {
+	return corruptChaosRuntimeOrdered(cplan, netplan, failplan, "nfc")
+}
+
+// corruptChaosRuntimeOrdered registers the plans in the given order, one
+// letter per plan: n(etwork), f(ailure), c(orruption).
+func corruptChaosRuntimeOrdered(cplan *corrupt.Plan, netplan *simnet.NetworkPlan, failplan *simcluster.FailurePlan, order string) *Runtime {
 	cluster := simcluster.New(simcluster.Config{
 		Nodes:              4,
 		RackSize:           2,
@@ -27,9 +33,16 @@ func corruptChaosRuntime(cplan *corrupt.Plan, netplan *simnet.NetworkPlan, failp
 		RackBandwidth:      4e6,
 		CoreBandwidth:      4e6,
 	})
-	cluster.SetNetworkPlan(netplan)
-	cluster.SetFailurePlan(failplan)
-	cluster.SetCorruptionPlan(cplan)
+	for _, which := range order {
+		switch which {
+		case 'n':
+			cluster.SetNetworkPlan(netplan)
+		case 'f':
+			cluster.SetFailurePlan(failplan)
+		case 'c':
+			cluster.SetCorruptionPlan(cplan)
+		}
+	}
 	return NewRuntime(cluster, dfs.Config{Replication: 3, BlockSize: 64 << 10})
 }
 
@@ -39,7 +52,11 @@ func corruptChaosRuntime(cplan *corrupt.Plan, netplan *simnet.NetworkPlan, failp
 func runCorruptChaosPIC(t *testing.T, cplan *corrupt.Plan, netplan *simnet.NetworkPlan,
 	failplan *simcluster.FailurePlan, workers int, detect bool) (*PICResult, *Runtime, *trace.Tracer) {
 	t.Helper()
-	rt := corruptChaosRuntime(cplan, netplan, failplan)
+	return runCorruptChaosPICOn(t, corruptChaosRuntime(cplan, netplan, failplan), workers, detect)
+}
+
+func runCorruptChaosPICOn(t *testing.T, rt *Runtime, workers int, detect bool) (*PICResult, *Runtime, *trace.Tracer) {
+	t.Helper()
 	tr := trace.New()
 	rt.SetTracer(tr)
 	rt.Engine().TransferTimeout = 1
@@ -327,5 +344,44 @@ func TestCorruptChaosThreeWayDeterminism(t *testing.T) {
 	}
 	if crashIdx > faultIdx {
 		t.Fatalf("net fault recorded before the simultaneous node crash (%d vs %d)", faultIdx, crashIdx)
+	}
+}
+
+// TestCorruptChaosRegistrationOrderIrrelevant replays a script whose
+// crash, net-fault onset and corruption events all share one instant
+// under every order the driver could have registered the three plans
+// in: the timeline's declared tie order (node, then net, then
+// corruption) must make all six replays byte-identical.
+func TestCorruptChaosRegistrationOrderIrrelevant(t *testing.T) {
+	const at = simtime.Time(0.4)
+	cplan := &corrupt.Plan{Events: []corrupt.Event{
+		{Kind: corrupt.KindBlockReplica, File: "input/points", Block: 0, Node: corrupt.PrimaryReplica, At: at, Seed: 71},
+		{Kind: corrupt.KindScrub, Budget: 1 << 30, At: at},
+		{Kind: corrupt.KindTransfer, Node: 2, Start: at, End: at + 3, Rate: 0.5, Seed: 72},
+	}}
+	netplan := &simnet.NetworkPlan{Faults: []simnet.NetFault{
+		{Kind: simnet.FaultPartition, Nodes: []int{3}, Start: at, End: at + 1},
+	}}
+	failplan := &simcluster.FailurePlan{Events: []simcluster.NodeEvent{{Node: 1, Time: at}}}
+
+	var want string
+	var wantRes *PICResult
+	for _, order := range []string{"nfc", "ncf", "fnc", "fcn", "cnf", "cfn"} {
+		rt := corruptChaosRuntimeOrdered(cplan, netplan, failplan, order)
+		res, _, tr := runCorruptChaosPICOn(t, rt, 0, true)
+		if countKind(tr, trace.KindNodeCrash) != 1 || countKind(tr, trace.KindNetFault) != 1 || countKind(tr, trace.KindScrub) != 1 {
+			t.Fatalf("order %s: the tied events did not all fire:\n%s", order, tr.Render())
+		}
+		if want == "" {
+			want, wantRes = tr.Render(), res
+			continue
+		}
+		if got := tr.Render(); got != want {
+			t.Fatalf("registration order %s changed the timeline:\n--- nfc ---\n%s--- %s ---\n%s", order, want, order, got)
+		}
+		if res.Metrics != wantRes.Metrics || res.Duration != wantRes.Duration ||
+			!reflect.DeepEqual(res.Model.Encode(nil), wantRes.Model.Encode(nil)) {
+			t.Fatalf("registration order %s changed the result", order)
+		}
 	}
 }

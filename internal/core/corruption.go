@@ -7,30 +7,11 @@ import (
 	"strings"
 
 	"repro/internal/corrupt"
+	"repro/internal/simcluster"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 	"repro/internal/trace"
 )
-
-// corruptTracker replays a cluster's corrupt.Plan against the runtime
-// clock, the third fault dimension next to failureTracker and
-// netTracker. One tracker is shared by a root runtime and all its
-// forks, so each scripted corruption fires exactly once — by whichever
-// runtime's clock first passes it. Transfer bit-error windows need no
-// processing here: the engines consult the plan per transfer attempt,
-// so only the point events (block flips, checkpoint damage, scrub
-// passes) have side effects at onset.
-type corruptTracker struct {
-	events []corrupt.Event // sorted by Time
-	next   int
-}
-
-func newCorruptTracker(plan *corrupt.Plan) *corruptTracker {
-	if plan == nil || len(plan.Events) == 0 {
-		return nil
-	}
-	return &corruptTracker{events: plan.Sorted()}
-}
 
 // integrityState is the shared end-to-end integrity bookkeeping of a
 // runtime and all its forks: whether detection is on, the content
@@ -70,15 +51,10 @@ func (rt *Runtime) IntegrityRollbacks() int {
 	return rt.integ.rollbacks
 }
 
-// processCorruptEvent applies one corruption event (the next one on
-// the plan). Injection itself is the adversary's move — free and
-// instantaneous — while detection and repair are charged when reads or
-// scrubs encounter the damage. syncFaults orders these against node
-// and network events.
-func (rt *Runtime) processCorruptEvent() {
-	ct := rt.corrupts
-	ev := ct.events[ct.next]
-	ct.next++
+// applyCorruptEvent applies one corruption event. Injection itself is
+// the adversary's move — free and instantaneous — while detection and
+// repair are charged when reads or scrubs encounter the damage.
+func (rt *Runtime) applyCorruptEvent(ev corrupt.Event) {
 	switch ev.Kind {
 	case corrupt.KindBlockReplica:
 		if rt.fs.CorruptReplica(ev.File, ev.Block, ev.Node, ev.Seed) && rt.obs != nil {
@@ -151,16 +127,16 @@ func (rt *Runtime) drainIntegrity(at simtime.Time) {
 			detected++
 			detectedBytes += ev.Bytes
 			rt.tracer.Record(trace.Event{
-				Kind: trace.KindCorruptionDetect,
-				Name: fmt.Sprintf("%q block %d: checksum mismatch on node %d, replica quarantined", ev.File, ev.Block, ev.Node),
+				Kind:  trace.KindCorruptionDetect,
+				Name:  fmt.Sprintf("%q block %d: checksum mismatch on node %d, replica quarantined", ev.File, ev.Block, ev.Node),
 				Start: at, End: at, Bytes: ev.Bytes, Lane: rt.lane, Parent: rt.span,
 			})
 		case "repair":
 			repaired++
 			repairedBytes += ev.Bytes
 			rt.tracer.Record(trace.Event{
-				Kind: trace.KindReReplication,
-				Name: fmt.Sprintf("%q block %d: re-replicated to node %d after corruption", ev.File, ev.Block, ev.Node),
+				Kind:  trace.KindReReplication,
+				Name:  fmt.Sprintf("%q block %d: re-replicated to node %d after corruption", ev.File, ev.Block, ev.Node),
 				Start: at, End: at, Bytes: ev.Bytes, Lane: rt.lane, Parent: rt.span,
 			})
 		}
@@ -189,11 +165,6 @@ type flowDamage struct {
 	seed uint64
 }
 
-// corruptResendCap bounds how many times one flow's corrupt arrival is
-// re-sent before ChargeFlows gives it up as undeliverable — the bulk
-// twin of the engines' per-transfer budget.
-const corruptResendCap = 8
-
 // ChargeFlows records the given transfers on the cluster fabric and
 // advances the clock by their bottleneck transfer time, returning the
 // total bytes that crossed node boundaries. The PIC driver uses it for
@@ -209,7 +180,7 @@ const corruptResendCap = 8
 //
 // Under a registered corrupt.Plan with detection on, arrivals inside a
 // bit-error window fail their checksum and are re-sent at the advanced
-// clock until they land clean (bounded by corruptResendCap); the
+// clock until they land clean (bounded by simcluster.CorruptResendCap); the
 // re-sent bytes are real traffic and appear in the returned count.
 func (rt *Runtime) ChargeFlows(flows []simnet.Flow) int64 {
 	moved, _ := rt.chargeFlowsVerified(flows)
@@ -223,28 +194,33 @@ func (rt *Runtime) ChargeFlows(flows []simnet.Flow) int64 {
 func (rt *Runtime) chargeFlowsVerified(flows []simnet.Flow) (int64, []flowDamage) {
 	start := rt.now()
 	fabric := rt.Cluster().Fabric()
-	// kept maps the charged slice back to the caller's indices once
-	// severed flows are filtered out.
-	kept := make([]int, 0, len(flows))
-	for i := range flows {
-		kept = append(kept, i)
-	}
-	if fabric.NetworkPlan() != nil {
-		deliverable := flows[:0:0]
-		keptIn := kept[:0]
-		dropped := 0
-		for i, fl := range flows {
-			if fabric.ReachableAt(fl.Src, fl.Dst, start) {
-				deliverable = append(deliverable, fl)
-				keptIn = append(keptIn, i)
-			} else {
-				dropped++
+	// kept maps the charged slice back to the caller's indices once a
+	// severed flow has been filtered out; nil means nothing was dropped
+	// and the indices coincide.
+	var kept []int
+	for i, fl := range flows {
+		if fabric.ReachableAt(fl.Src, fl.Dst, start) {
+			if kept != nil {
+				kept = append(kept, i)
+			}
+			continue
+		}
+		if kept == nil {
+			kept = make([]int, i, len(flows))
+			for k := range kept {
+				kept[k] = k
 			}
 		}
-		if dropped > 0 && rt.obs != nil {
-			rt.obs.Counter("net.dropped_flows").Add(float64(dropped))
+	}
+	if kept != nil {
+		if rt.obs != nil {
+			rt.obs.Counter("net.dropped_flows").Add(float64(len(flows) - len(kept)))
 		}
-		flows, kept = deliverable, keptIn
+		deliverable := make([]simnet.Flow, len(kept))
+		for k, i := range kept {
+			deliverable[k] = flows[i]
+		}
+		flows = deliverable
 	}
 	before := fabric.Counters().Total
 	tt, err := fabric.TransferTimeAt(flows, start)
@@ -294,23 +270,29 @@ func (rt *Runtime) resolveFlowCorruption(flows []simnet.Flow, kept []int, start 
 	if len(hit) == 0 {
 		return nil
 	}
-	if !rt.IntegrityChecks() {
-		// Silent damage: report every corrupt arrival against the
-		// caller's indices and say nothing anywhere else.
-		for k := range hit {
-			hit[k].idx = kept[hit[k].idx]
+	// callerIdx rewrites a damage list from indices into flows to the
+	// caller's indices (the same thing when nothing was dropped).
+	callerIdx := func(dmg []flowDamage) []flowDamage {
+		if kept != nil {
+			for k := range dmg {
+				dmg[k].idx = kept[dmg[k].idx]
+			}
 		}
-		return hit
+		return dmg
+	}
+	if !rt.IntegrityChecks() {
+		// Silent damage: report every corrupt arrival and say nothing
+		// anywhere else.
+		return callerIdx(hit)
 	}
 	fabric := rt.Cluster().Fabric()
-	useNetplan := fabric.NetworkPlan() != nil
 	detects := len(hit)
 	var resends int
 	var resentBytes int64
 	var failed []flowDamage
 	pending := hit
 	for attempt := 0; len(pending) > 0; attempt++ {
-		if attempt >= corruptResendCap {
+		if attempt >= simcluster.CorruptResendCap {
 			break
 		}
 		now := rt.now()
@@ -318,7 +300,7 @@ func (rt *Runtime) resolveFlowCorruption(flows []simnet.Flow, kept []int, start 
 		keptPending := pending[:0:0]
 		for _, d := range pending {
 			fl := flows[d.idx]
-			if useNetplan && !fabric.ReachableAt(fl.Src, fl.Dst, now) {
+			if !fabric.ReachableAt(fl.Src, fl.Dst, now) {
 				// The path was severed between the corrupt arrival and
 				// the re-send: the flow is undeliverable verified.
 				failed = append(failed, d)
@@ -358,56 +340,15 @@ func (rt *Runtime) resolveFlowCorruption(flows []simnet.Flow, kept []int, start 
 	rt.metrics.CorruptRetries += resends
 	rt.metrics.CorruptRetryBytes += resentBytes
 	rt.tracer.Record(trace.Event{
-		Kind: trace.KindCorruptionDetect,
-		Name: fmt.Sprintf("%d corrupt transfer arrivals, %d re-sent", detects, resends),
+		Kind:  trace.KindCorruptionDetect,
+		Name:  fmt.Sprintf("%d corrupt transfer arrivals, %d re-sent", detects, resends),
 		Start: start, End: rt.now(), Bytes: resentBytes, Lane: rt.lane, Parent: rt.span,
 	})
 	if rt.obs != nil {
 		rt.obs.Counter("integrity.transfer_detects").Add(float64(detects))
 		rt.obs.Counter("integrity.retried_bytes").Add(float64(resentBytes))
 	}
-	for k := range failed {
-		failed[k].idx = kept[failed[k].idx]
-	}
-	return failed
-}
-
-// blockUntilCorruptWindowEnd advances the clock to the corruption
-// plan's next bit-error window boundary ahead of now and reports the
-// wait; ok is false when no boundary lies ahead (the windows will
-// never change again, so waiting is pointless). The IC stepper uses it
-// when a transfer exhausted its checksum re-send budget — the
-// conventional driver's only recourse, like waiting out a network
-// fault.
-func (rt *Runtime) blockUntilCorruptWindowEnd() (simtime.Duration, bool) {
-	plan := rt.Cluster().CorruptionPlan()
-	if plan == nil {
-		return 0, false
-	}
-	now := rt.now()
-	next := simtime.Time(-1)
-	for i := range plan.Events {
-		ev := &plan.Events[i]
-		if ev.Kind != corrupt.KindTransfer {
-			continue
-		}
-		for _, edge := range [...]simtime.Time{ev.Start, ev.End} {
-			if edge > now && (next < 0 || edge < next) {
-				next = edge
-			}
-		}
-	}
-	if next < 0 {
-		return 0, false
-	}
-	start := rt.now()
-	wait := simtime.Duration(next - start)
-	rt.AdvanceTime(wait)
-	rt.tracer.Record(trace.Event{
-		Kind: trace.KindTransfer, Name: "blocked: waiting out bit-error window",
-		Start: start, End: rt.now(), Lane: rt.lane, Parent: rt.span,
-	})
-	return wait, true
+	return callerIdx(failed)
 }
 
 // blindModelDamage decides whether a job's model distribution at time

@@ -57,7 +57,10 @@ func TestDeltaCheckpointsRoundTripAndShrink(t *testing.T) {
 	if !ok {
 		t.Fatal("no latest pointer")
 	}
-	target, _ := deltaRT.FS().ReadData(ptr, 0)
+	target, _, err := deltaRT.FS().ReadDataChecked(ptr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.HasSuffix(string(target), ".delta") {
 		t.Fatalf("latest checkpoint %q is not a delta", target)
 	}

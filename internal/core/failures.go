@@ -9,39 +9,19 @@ import (
 	"repro/internal/trace"
 )
 
-// failureTracker replays a cluster's FailurePlan against the runtime
-// clock. One tracker is shared by a root runtime and all its forks (like
-// the DFS and fabric), so every crash and recovery is processed exactly
-// once — by whichever runtime's clock first passes the event — no matter
-// which sub-runtime is executing when it strikes.
-type failureTracker struct {
-	events []simcluster.NodeEvent // sorted by time
-	next   int
-	dead   map[int]bool
-}
-
-func newFailureTracker(plan *simcluster.FailurePlan) *failureTracker {
-	if plan == nil || len(plan.Events) == 0 {
-		return nil
-	}
-	return &failureTracker{events: plan.Sorted(), dead: map[int]bool{}}
-}
-
-// processNodeEvent applies one failure event (the next one on the
-// plan): a crash destroys the node's DFS replicas and triggers a
-// re-replication pass (charged as traffic, in metrics and on the trace;
-// the copies run in the background, so the driver clock does not block
-// on them), and a recovery returns the node to service with empty
-// disks. syncFaults orders these against network-fault onsets.
-func (rt *Runtime) processNodeEvent() {
-	ft := rt.fails
-	ev := ft.events[ft.next]
-	ft.next++
+// applyNodeEvent applies one failure event: a crash destroys the node's
+// DFS replicas and triggers a re-replication pass (charged as traffic,
+// in metrics and on the trace; the copies run in the background, so the
+// driver clock does not block on them), and a recovery returns the node
+// to service with empty disks. Crashing a dead node or recovering a
+// live one is a no-op.
+func (rt *Runtime) applyNodeEvent(ev simcluster.NodeEvent) {
+	dead := rt.faults.dead
 	if ev.Recover {
-		if !ft.dead[ev.Node] {
+		if !dead[ev.Node] {
 			return
 		}
-		delete(ft.dead, ev.Node)
+		delete(dead, ev.Node)
 		rt.fs.MarkAlive(ev.Node)
 		rt.tracer.Record(trace.Event{
 			Kind: trace.KindNodeRecover, Name: fmt.Sprintf("node %d", ev.Node),
@@ -52,10 +32,10 @@ func (rt *Runtime) processNodeEvent() {
 		rt.repairDFS(ev.Time)
 		return
 	}
-	if ft.dead[ev.Node] {
+	if dead[ev.Node] {
 		return
 	}
-	ft.dead[ev.Node] = true
+	dead[ev.Node] = true
 	rt.metrics.NodeCrashes++
 	rt.fs.MarkDead(ev.Node)
 	rt.tracer.Record(trace.Event{
@@ -86,26 +66,18 @@ func (rt *Runtime) repairDFS(at simtime.Time) {
 }
 
 // DeadNodes returns the nodes currently dead on the runtime's clock, in
-// sorted order.
+// sorted order (nil when none).
 func (rt *Runtime) DeadNodes() []int {
-	if rt.fails == nil {
-		return nil
-	}
-	out := make([]int, 0, len(rt.fails.dead))
-	for n := range rt.fails.dead {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
+	return newlyDead(rt, nil)
 }
 
-// deadSnapshot copies the current dead set.
+// deadSnapshot copies the current dead set (nil when empty).
 func (rt *Runtime) deadSnapshot() map[int]bool {
-	if rt.fails == nil {
+	if len(rt.faults.dead) == 0 {
 		return nil
 	}
-	out := make(map[int]bool, len(rt.fails.dead))
-	for n := range rt.fails.dead {
+	out := make(map[int]bool, len(rt.faults.dead))
+	for n := range rt.faults.dead {
 		out[n] = true
 	}
 	return out
@@ -114,11 +86,8 @@ func (rt *Runtime) deadSnapshot() map[int]bool {
 // newlyDead lists the nodes dead now that were not dead in before, in
 // sorted order.
 func newlyDead(rt *Runtime, before map[int]bool) []int {
-	if rt.fails == nil {
-		return nil
-	}
 	var out []int
-	for n := range rt.fails.dead {
+	for n := range rt.faults.dead {
 		if !before[n] {
 			out = append(out, n)
 		}
@@ -141,12 +110,13 @@ func viewTouches(view *simcluster.Cluster, nodes []int) bool {
 // returning the view unchanged when nothing in it is dead and nil when
 // nothing in it is alive.
 func (rt *Runtime) liveView(view *simcluster.Cluster) *simcluster.Cluster {
-	if rt.fails == nil || len(rt.fails.dead) == 0 {
+	dead := rt.faults.dead
+	if len(dead) == 0 {
 		return view
 	}
 	live := make([]int, 0, view.Size())
 	for _, n := range view.Nodes() {
-		if !rt.fails.dead[n] {
+		if !dead[n] {
 			live = append(live, n)
 		}
 	}
@@ -165,11 +135,12 @@ func (rt *Runtime) liveView(view *simcluster.Cluster) *simcluster.Cluster {
 // primary already).
 func (rt *Runtime) LiveModelHome() int {
 	home := rt.engine.ModelHome
-	if rt.fails == nil || !rt.fails.dead[home] {
+	dead := rt.faults.dead
+	if !dead[home] {
 		return home
 	}
 	for _, n := range rt.Cluster().Nodes() {
-		if !rt.fails.dead[n] {
+		if !dead[n] {
 			rt.engine.ModelHome = n
 			return n
 		}

@@ -5,79 +5,16 @@ import (
 	"sort"
 
 	"repro/internal/simnet"
-	"repro/internal/simtime"
 	"repro/internal/trace"
 )
 
-// netTracker replays a cluster's NetworkPlan against the runtime clock,
-// the network twin of failureTracker: one tracker is shared by a root
-// runtime and all its forks, so each fault window's onset is processed
-// exactly once — by whichever runtime's clock first passes it. Window
-// closings need no processing: transfers re-price themselves from the
-// plan's overlay at their own start time, so only onsets have side
-// effects (trace span, counters, and for a partition a DFS repair pass
-// on the reachable side).
-type netTracker struct {
-	faults []simnet.NetFault // sorted by Start
-	next   int
-}
-
-func newNetTracker(plan *simnet.NetworkPlan) *netTracker {
-	if plan == nil || len(plan.Faults) == 0 {
-		return nil
-	}
-	return &netTracker{faults: plan.Sorted()}
-}
-
-// syncFaults drains every failure, network and corruption event the
-// clock has passed, in global time order; at a tied instant a node
-// event processes before a network-fault onset, which processes before
-// a corruption event, so the same script replays identically no matter
-// which plan the driver registered first. Runtimes call it after every
-// clock advance. After the drain, any detection/repair activity the
-// DFS integrity layer accumulated (from verified reads anywhere) is
-// folded into the trace and counters.
-func (rt *Runtime) syncFaults() {
-	for {
-		ft, nt, ct := rt.fails, rt.net, rt.corrupts
-		now := rt.now()
-		fPending := ft != nil && ft.next < len(ft.events) && ft.events[ft.next].Time <= now
-		nPending := nt != nil && nt.next < len(nt.faults) && nt.faults[nt.next].Start <= now
-		cPending := ct != nil && ct.next < len(ct.events) && ct.events[ct.next].Time() <= now
-		var fT, nT, cT simtime.Time
-		if fPending {
-			fT = ft.events[ft.next].Time
-		}
-		if nPending {
-			nT = nt.faults[nt.next].Start
-		}
-		if cPending {
-			cT = ct.events[ct.next].Time()
-		}
-		switch {
-		case fPending && (!nPending || fT <= nT) && (!cPending || fT <= cT):
-			rt.processNodeEvent()
-		case nPending && (!cPending || nT <= cT):
-			rt.processNetFault()
-		case cPending:
-			rt.processCorruptEvent()
-		default:
-			rt.drainIntegrity(now)
-			return
-		}
-	}
-}
-
-// processNetFault applies one fault window's onset: the net-fault trace
+// applyNetFault applies one fault window's onset: the net-fault trace
 // span (recorded with the window's full extent), the net.faults
 // counter, and — for a partition — a re-replication pass on the model
 // home's side of the cut, so reads there keep a full complement of
 // reachable replicas (the far side heals on its own when the window
 // closes; any replicas it holds are retained, not forgotten).
-func (rt *Runtime) processNetFault() {
-	nt := rt.net
-	nf := nt.faults[nt.next]
-	nt.next++
+func (rt *Runtime) applyNetFault(nf simnet.NetFault) {
 	rt.tracer.Record(trace.Event{
 		Kind: trace.KindNetFault, Name: nf.Describe(),
 		Start: nf.Start, End: nf.End, Lane: rt.lane,
@@ -100,31 +37,6 @@ func (rt *Runtime) processNetFault() {
 		Kind: trace.KindReReplication, Name: fmt.Sprintf("%d blocks (around partition)", report.ReplicatedBlocks),
 		Start: nf.Start, End: nf.Start + d, Bytes: report.ReplicatedBytes, Lane: rt.lane,
 	})
-}
-
-// blockUntilNetTransition advances the clock to the network plan's next
-// fault-window boundary and reports the wait; ok is false when no plan
-// is registered or no boundary lies ahead (the overlay will never
-// change again, so waiting is pointless). The IC stepper uses it to
-// stall out a severed iteration — the conventional driver's only
-// recourse, per the paper's turbulence argument.
-func (rt *Runtime) blockUntilNetTransition() (simtime.Duration, bool) {
-	plan := rt.Cluster().NetworkPlan()
-	if plan == nil {
-		return 0, false
-	}
-	next, ok := plan.NextTransition(rt.now())
-	if !ok {
-		return 0, false
-	}
-	start := rt.now()
-	wait := simtime.Duration(next - start)
-	rt.AdvanceTime(wait)
-	rt.tracer.Record(trace.Event{
-		Kind: trace.KindTransfer, Name: "blocked: waiting out network fault",
-		Start: start, End: rt.now(), Lane: rt.lane, Parent: rt.span,
-	})
-	return wait, true
 }
 
 // UnreachableNodes returns the view nodes with no fabric path from the

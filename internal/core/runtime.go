@@ -62,16 +62,13 @@ type Runtime struct {
 	// the per-phase counters the engine records. Shared by forks.
 	obs *metrics.Registry
 
-	// fails replays the cluster's FailurePlan, net replays its
-	// NetworkPlan and corrupts replays its corrupt.Plan (nil when none
-	// is registered); all are shared by all forks of a runtime, and
-	// syncFaults drains them in global time order after every clock
+	// faults replays the cluster's FailurePlan, NetworkPlan and
+	// corrupt.Plan as one timeline (see faults.go); it is shared by all
+	// forks of a runtime, and syncFaults drains it after every clock
 	// advance. integ is the shared end-to-end integrity state (see
 	// corruption.go).
-	fails    *failureTracker
-	net      *netTracker
-	corrupts *corruptTracker
-	integ    *integrityState
+	faults *faultTimeline
+	integ  *integrityState
 
 	// backend selects the execution engine (mapred by default, BSP via
 	// SetBackend); bspEng is the lazily built BSP engine over this
@@ -89,19 +86,17 @@ type Runtime struct {
 }
 
 // NewRuntime creates a runtime over a full cluster view with a fresh
-// DFS using the given configuration. Register any FailurePlan or
-// NetworkPlan on the cluster before calling: the runtime snapshots
-// them here and processes their events as the simulated clock
-// advances.
+// DFS using the given configuration. Register any FailurePlan,
+// NetworkPlan or corrupt.Plan on the cluster before calling: the
+// runtime snapshots them here and processes their events as the
+// simulated clock advances.
 func NewRuntime(cluster *simcluster.Cluster, fsCfg dfs.Config) *Runtime {
 	rt := &Runtime{
-		engine:   mapred.NewEngine(cluster),
-		fs:       dfs.New(cluster, fsCfg),
-		fails:    newFailureTracker(cluster.FailurePlan()),
-		net:      newNetTracker(cluster.NetworkPlan()),
-		corrupts: newCorruptTracker(cluster.CorruptionPlan()),
-		integ:    &integrityState{checks: true, ckptSums: map[string]uint32{}},
-		family:   mapred.NewJobFamily("runtime", mapred.DefaultNodeCacheBytes),
+		engine: mapred.NewEngine(cluster),
+		fs:     dfs.New(cluster, fsCfg),
+		faults: newFaultTimeline(cluster),
+		integ:  &integrityState{checks: true, ckptSums: map[string]uint32{}},
+		family: mapred.NewJobFamily("runtime", mapred.DefaultNodeCacheBytes),
 	}
 	rt.engine.Family = rt.family
 	rt.engine.IntegrityChecks = true
@@ -553,22 +548,16 @@ func (rt *Runtime) RestoreModel(name string) (*model.Model, error) {
 	return nil, fmt.Errorf("core: %s: no verified checkpoint to roll back to: %w", name, err)
 }
 
-// readCheckpointData reads a checkpoint file on the charged read path:
-// verified (with replica failover and repair) when detection is on,
-// raw otherwise — a raw read of damaged blocks serves the damaged
-// bytes, exactly what a checksum-less storage stack would do.
+// readCheckpointData reads a checkpoint file on the charged read path.
+// The DFS verifies (with replica failover and repair) when detection is
+// on and serves raw otherwise — a raw read of damaged blocks returns
+// the damaged bytes, exactly what a checksum-less storage stack would
+// do.
 func (rt *Runtime) readCheckpointData(f *dfs.File) ([]byte, error) {
-	home := rt.LiveModelHome()
-	if rt.IntegrityChecks() {
-		data, d, err := rt.fs.ReadDataChecked(f, home)
-		rt.elapsed += d
-		rt.syncFaults()
-		return data, err
-	}
-	data, d := rt.fs.ReadData(f, home)
+	data, d, err := rt.fs.ReadDataChecked(f, rt.LiveModelHome())
 	rt.elapsed += d
 	rt.syncFaults()
-	return data, nil
+	return data, err
 }
 
 // decodeCheckpoint reads and decodes the checkpoint stored in target —
@@ -732,6 +721,6 @@ func (rt *Runtime) Fork(view *simcluster.Cluster, local bool) *Runtime {
 	// top-off all keep the same per-node caches warm.
 	e.Family = rt.engine.Family
 	return &Runtime{engine: e, fs: rt.fs, local: local, tracer: rt.tracer, base: rt.now(),
-		fails: rt.fails, net: rt.net, corrupts: rt.corrupts, integ: rt.integ,
+		faults: rt.faults, integ: rt.integ,
 		span: rt.span, obs: rt.obs, family: rt.family, backend: rt.backend}
 }

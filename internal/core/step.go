@@ -85,14 +85,14 @@ func (s *ICStepper) Step() (bool, error) {
 		// to the window's next boundary.
 		var te *simnet.TransferError
 		if errors.As(err, &te) {
-			wait, ok := simtime.Duration(0), false
+			next, ok := rt.Cluster().NetworkPlan().NextTransition(rt.now())
+			why := "network fault"
 			if te.Kind == simnet.TransferCorrupt {
-				wait, ok = rt.blockUntilCorruptWindowEnd()
-			} else {
-				wait, ok = rt.blockUntilNetTransition()
+				next, ok = rt.Cluster().CorruptionPlan().NextTransition(rt.now())
+				why = "bit-error window"
 			}
 			if ok {
-				s.res.Blocked += wait
+				s.res.Blocked += rt.blockUntil(next, why)
 				s.res.BlockedIterations++
 				return false, nil
 			}

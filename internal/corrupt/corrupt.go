@@ -214,6 +214,31 @@ func (p *Plan) HasTransferEvents() bool {
 	return false
 }
 
+// NextTransition returns the earliest bit-error window boundary (a
+// start or an end) strictly after t, and whether one exists — the twin
+// of simnet.NetworkPlan.NextTransition. A caller whose transfer
+// exhausted its re-send budget blocks until then: the windows are
+// constant in between, so nothing can change earlier.
+func (p *Plan) NextTransition(t simtime.Time) (simtime.Time, bool) {
+	var next simtime.Time
+	found := false
+	if p == nil {
+		return next, found
+	}
+	for i := range p.Events {
+		ev := &p.Events[i]
+		if ev.Kind != KindTransfer {
+			continue
+		}
+		for _, edge := range [...]simtime.Time{ev.Start, ev.End} {
+			if edge > t && (!found || edge < next) {
+				next, found = edge, true
+			}
+		}
+	}
+	return next, found
+}
+
 // TransferHit decides whether a transfer between src and dst priced at
 // time `at` is corrupted in flight. It returns a per-hit seed (for
 // payload perturbation downstream) and whether the transfer was hit.

@@ -218,8 +218,7 @@ func (fs *FS) Create(name string, size int64, writer int) (*File, simtime.Durati
 	}
 	fs.files[name] = f
 	fs.dropPatches(name, -1) // a rewrite supersedes the old incarnation's damage
-	d := fs.cluster.Fabric().Transfer(flows)
-	return f, d
+	return f, fs.charge(flows, 0, false)
 }
 
 // placeReplicas chooses replica nodes for one block following the HDFS
@@ -282,8 +281,8 @@ func (fs *FS) placeReplicas(writer int) []int {
 
 // CreateWithData writes a file with real contents: the same placement,
 // replication pipeline and traffic accounting as Create, plus the bytes
-// themselves, retrievable with Data or ReadData. This is how model
-// checkpoints are persisted.
+// themselves, retrievable with Data or ReadDataChecked. This is how
+// model checkpoints are persisted.
 func (fs *FS) CreateWithData(name string, data []byte, writer int) (*File, simtime.Duration) {
 	f, d := fs.Create(name, int64(len(data)), writer)
 	f.data = append([]byte(nil), data...)
@@ -298,178 +297,22 @@ func (fs *FS) CreateWithData(name string, data []byte, writer int) (*File, simti
 	return f, d
 }
 
-// ReadData charges a full read of the file by node reader (see Read)
-// and returns its contents. It returns nil contents for size-only
-// files. When corruption patches touch the serving replicas and
-// verification is off, the returned bytes carry the damage — use
-// ReadDataChecked to get a typed error instead.
-func (fs *FS) ReadData(f *File, reader int) ([]byte, simtime.Duration) {
-	if len(fs.patches) == 0 {
-		d := fs.Read(f, reader)
-		return f.data, d
-	}
-	plan, err := fs.planRead(f, reader, 0, false)
-	if err != nil {
-		panic(err) // every replica corrupt; checked callers use ReadDataChecked
-	}
-	flows, srcs := fs.commitRead(f, reader, plan, 0, false)
-	return fs.servedData(f, srcs), fs.cluster.Fabric().Transfer(flows)
-}
-
-// Read charges the traffic for node reader consuming the whole file,
-// block by block, from the closest replica (local beats intra-rack
-// beats cross-rack). It returns the transfer time; a fully local read
-// takes zero network time. With verification on, replicas that fail
-// their block checksum are charged, quarantined, repaired, and read
-// around; a block with no clean replica panics (checked callers use
-// ReadDataChecked).
-func (fs *FS) Read(f *File, reader int) simtime.Duration {
+// charge records flows on the fabric and returns their transfer time:
+// under the registered network plan's overlay at time at when
+// honourPlan is set, on the unfaulted fabric otherwise. Callers that
+// honour the plan have already routed around severed paths, so the
+// fabric cannot refuse the flows.
+func (fs *FS) charge(flows []simnet.Flow, at simtime.Time, honourPlan bool) simtime.Duration {
 	fabric := fs.cluster.Fabric()
-	if len(fs.patches) == 0 {
-		var flows []simnet.Flow
-		for _, b := range f.Blocks {
-			src := fs.closestReplica(b, reader)
-			if src == reader {
-				fs.counters.LocalRead += b.Size
-				continue
-			}
-			fs.counters.RemoteRead += b.Size
-			flows = append(flows, simnet.Flow{Src: src, Dst: reader, Bytes: b.Size})
-		}
+	if !honourPlan {
 		return fabric.Transfer(flows)
 	}
-	plan, err := fs.planRead(f, reader, 0, false)
-	if err != nil {
-		panic(err)
-	}
-	flows, _ := fs.commitRead(f, reader, plan, 0, false)
-	return fabric.Transfer(flows)
-}
-
-// ReadAt charges the traffic for node reader consuming the whole file
-// like Read, but honoring the fabric's registered NetworkPlan at time
-// at: each block is served by the cheapest replica still reachable
-// from the reader (reads fail over around outages and partitions), and
-// the read fails with a typed *simnet.TransferError when some block
-// has no reachable replica. With no plan registered it is exactly
-// Read. Brownouts on the surviving path stretch the returned duration.
-func (fs *FS) ReadAt(f *File, reader int, at simtime.Time) (simtime.Duration, error) {
-	fabric := fs.cluster.Fabric()
-	if fabric.NetworkPlan() == nil {
-		if len(fs.patches) == 0 {
-			return fs.Read(f, reader), nil
-		}
-		plan, err := fs.planRead(f, reader, at, false)
-		if err != nil {
-			return 0, err
-		}
-		flows, _ := fs.commitRead(f, reader, plan, at, false)
-		return fabric.Transfer(flows), nil
-	}
-	if len(fs.patches) == 0 {
-		var flows []simnet.Flow
-		var local, remote int64
-		for _, b := range f.Blocks {
-			src, ok := fs.closestReachableReplica(b, reader, at)
-			if !ok {
-				return 0, &simnet.TransferError{Kind: simnet.TransferUnreachable,
-					Src: b.Replicas[0], Dst: reader, At: at}
-			}
-			if src == reader {
-				local += b.Size
-				continue
-			}
-			remote += b.Size
-			flows = append(flows, simnet.Flow{Src: src, Dst: reader, Bytes: b.Size})
-		}
-		// Counters commit only once every block has a reachable source,
-		// so a failed read charges nothing.
-		fs.counters.LocalRead += local
-		fs.counters.RemoteRead += remote
-		fabric.Record(flows)
-		tt, err := fabric.TransferTimeAt(flows, at)
-		if err != nil {
-			// Unreachable flows were filtered above; the fabric cannot
-			// disagree.
-			panic(err)
-		}
-		return tt, nil
-	}
-	plan, err := fs.planRead(f, reader, at, true)
-	if err != nil {
-		return 0, err
-	}
-	flows, _ := fs.commitRead(f, reader, plan, at, true)
 	fabric.Record(flows)
-	tt, err := fabric.TransferTimeAt(flows, at)
+	d, err := fabric.TransferTimeAt(flows, at)
 	if err != nil {
 		panic(err)
 	}
-	return tt, nil
-}
-
-// ReadDataAt charges a full read like ReadAt and returns the stored
-// contents (nil for size-only files). Like ReadData, it serves corrupt
-// bytes silently when verification is off.
-func (fs *FS) ReadDataAt(f *File, reader int, at simtime.Time) ([]byte, simtime.Duration, error) {
-	if len(fs.patches) == 0 {
-		d, err := fs.ReadAt(f, reader, at)
-		if err != nil {
-			return nil, 0, err
-		}
-		return f.data, d, nil
-	}
-	return fs.ReadDataCheckedAt(f, reader, at)
-}
-
-// closestReachableReplica picks the cheapest replica of b the reader
-// can reach at time at, reporting false when the registered network
-// plan severs every one.
-func (fs *FS) closestReachableReplica(b Block, reader int, at simtime.Time) (int, bool) {
-	if len(b.Replicas) == 0 {
-		panic("dfs: block has no live replicas (lost to node failures); check Lost before reading")
-	}
-	fabric := fs.cluster.Fabric()
-	best, bestCost := -1, 3
-	for _, r := range b.Replicas {
-		if !fabric.ReachableAt(r, reader, at) {
-			continue
-		}
-		cost := 2
-		switch {
-		case r == reader:
-			cost = 0
-		case fabric.Rack(r) == fabric.Rack(reader):
-			cost = 1
-		}
-		if cost < bestCost {
-			best, bestCost = r, cost
-		}
-	}
-	return best, best >= 0
-}
-
-// closestReplica picks the cheapest replica of b for the reader.
-func (fs *FS) closestReplica(b Block, reader int) int {
-	if len(b.Replicas) == 0 {
-		panic("dfs: block has no live replicas (lost to node failures); check Lost before reading")
-	}
-	fabric := fs.cluster.Fabric()
-	best := b.Replicas[0]
-	bestCost := 2
-	for _, r := range b.Replicas {
-		cost := 2
-		switch {
-		case r == reader:
-			cost = 0
-		case fabric.Rack(r) == fabric.Rack(reader):
-			cost = 1
-		}
-		if cost < bestCost {
-			best, bestCost = r, cost
-		}
-	}
-	return best
+	return d
 }
 
 // liveNodes returns the view's nodes that are not marked dead, in
@@ -567,52 +410,12 @@ type RepairReport struct {
 // surviving replica to a live node not already holding it, mirroring the
 // namenode's re-replication queue. The copy traffic is charged on the
 // fabric and in Counters.ReReplication, and the returned duration is the
-// transfer time of the burst. The scan is deterministic (files in name
-// order, targets in rotation order), so simulations with failures stay
-// reproducible.
+// transfer time of the burst, priced on the unfaulted fabric. The scan
+// is deterministic (files in name order, targets in rotation order), so
+// simulations with failures stay reproducible.
 func (fs *FS) Repair() (RepairReport, simtime.Duration) {
-	var report RepairReport
-	live := make([]int, 0, len(fs.cluster.Nodes()))
-	for _, n := range fs.cluster.Nodes() {
-		if !fs.dead[n] {
-			live = append(live, n)
-		}
-	}
-	target := min(fs.cfg.Replication, len(live))
-
-	names := make([]string, 0, len(fs.files))
-	for name := range fs.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	var flows []simnet.Flow
-	for _, name := range names {
-		f := fs.files[name]
-		for bi := range f.Blocks {
-			b := &f.Blocks[bi]
-			if len(b.Replicas) == 0 {
-				report.LostBlocks++
-				continue
-			}
-			for len(b.Replicas) < target {
-				dst, ok := fs.repairTarget(b.Replicas, live)
-				if !ok {
-					break
-				}
-				src := b.Replicas[0]
-				if b.Size > 0 {
-					flows = append(flows, simnet.Flow{Src: src, Dst: dst, Bytes: b.Size})
-					fs.counters.ReReplication += b.Size
-					fs.reReplTo[dst] += b.Size
-					report.ReplicatedBytes += b.Size
-				}
-				report.ReplicatedBlocks++
-				b.Replicas = append(b.Replicas, dst)
-			}
-		}
-	}
-	return report, fs.cluster.Fabric().Transfer(flows)
+	report, flows := fs.repairAmong(func(int) bool { return true })
+	return report, fs.charge(flows, 0, false)
 }
 
 // RepairReachable is Repair as a namenode on node from's side of an
@@ -628,19 +431,29 @@ func (fs *FS) Repair() (RepairReport, simtime.Duration) {
 // a concurrent brownout stretches the returned duration.
 func (fs *FS) RepairReachable(from int, at simtime.Time) (RepairReport, simtime.Duration) {
 	fabric := fs.cluster.Fabric()
+	report, flows := fs.repairAmong(func(n int) bool { return fabric.ReachableAt(from, n, at) })
+	// Sources and targets are all reachable from `from`, which the tree
+	// topology makes mutually reachable.
+	return report, fs.charge(flows, at, true)
+}
+
+// repairAmong is the one re-replication scan: the candidate nodes are
+// the live view nodes that pass eligible, a block's holders are its
+// replicas among the candidates, and each block is topped up to
+// min(Replication, candidates) holders by copying from its first holder
+// to the next candidate in rotation order. It mutates replica lists and
+// counters and returns the copy flows for the caller to price.
+func (fs *FS) repairAmong(eligible func(node int) bool) (RepairReport, []simnet.Flow) {
 	var report RepairReport
-	reachable := make([]int, 0, len(fs.cluster.Nodes()))
-	inReach := map[int]bool{}
+	var cands []int
+	isCand := make([]bool, fs.cluster.Config().Nodes)
 	for _, n := range fs.cluster.Nodes() {
-		if !fs.dead[n] && fabric.ReachableAt(from, n, at) {
-			reachable = append(reachable, n)
-			inReach[n] = true
+		if !fs.dead[n] && eligible(n) {
+			cands = append(cands, n)
+			isCand[n] = true
 		}
 	}
-	if len(reachable) == 0 {
-		return report, 0
-	}
-	target := min(fs.cfg.Replication, len(reachable))
+	target := min(fs.cfg.Replication, len(cands))
 
 	names := make([]string, 0, len(fs.files))
 	for name := range fs.files {
@@ -657,22 +470,24 @@ func (fs *FS) RepairReachable(from int, at simtime.Time) (RepairReport, simtime.
 				report.LostBlocks++
 				continue
 			}
-			holders := make([]int, 0, len(b.Replicas))
+			src, holders := -1, 0
 			for _, r := range b.Replicas {
-				if inReach[r] {
-					holders = append(holders, r)
+				if isCand[r] {
+					if holders == 0 {
+						src = r
+					}
+					holders++
 				}
 			}
-			if len(holders) == 0 {
+			if holders == 0 {
 				report.UnreachableBlocks++
 				continue
 			}
-			for len(holders) < target {
-				dst, ok := fs.repairTarget(b.Replicas, reachable)
+			for ; holders < target; holders++ {
+				dst, ok := fs.repairTarget(b.Replicas, cands)
 				if !ok {
 					break
 				}
-				src := holders[0]
 				if b.Size > 0 {
 					flows = append(flows, simnet.Flow{Src: src, Dst: dst, Bytes: b.Size})
 					fs.counters.ReReplication += b.Size
@@ -681,18 +496,10 @@ func (fs *FS) RepairReachable(from int, at simtime.Time) (RepairReport, simtime.
 				}
 				report.ReplicatedBlocks++
 				b.Replicas = append(b.Replicas, dst)
-				holders = append(holders, dst)
 			}
 		}
 	}
-	fabric.Record(flows)
-	d, err := fabric.TransferTimeAt(flows, at)
-	if err != nil {
-		// Sources and targets are all reachable from `from`, which the
-		// tree topology makes mutually reachable.
-		panic(err)
-	}
-	return report, d
+	return report, flows
 }
 
 // repairTarget picks the next live node to receive a block copy: the

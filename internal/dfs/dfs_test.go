@@ -177,7 +177,10 @@ func TestReplicationOneNoTraffic(t *testing.T) {
 func TestLocalReadIsFree(t *testing.T) {
 	fs := newFS(t)
 	f, _ := fs.Create("f", 1000, 2)
-	d := fs.Read(f, 2)
+	_, d, err := fs.ReadDataChecked(f, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d != 0 {
 		t.Fatalf("local read took %v", d)
 	}
@@ -192,7 +195,10 @@ func TestRemoteReadChargesTraffic(t *testing.T) {
 	fs := New(cluster, Config{Replication: 1, BlockSize: 1000})
 	f, _ := fs.Create("f", 1000, 0)
 	before := cluster.Fabric().Counters().Total
-	d := fs.Read(f, 3)
+	_, d, err := fs.ReadDataChecked(f, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d <= 0 {
 		t.Fatal("remote read took no time")
 	}
@@ -208,9 +214,12 @@ func TestReadPrefersIntraRackReplica(t *testing.T) {
 	cluster := testCluster()
 	fs := New(cluster, Config{Replication: 3, BlockSize: 1000})
 	f, _ := fs.Create("f", 1000, 0) // replicas: 0, cross-rack, cross-rack-mate
-	b := f.Blocks[0]
 	// Reader 1 is in rack 0 with the primary but is not a replica.
-	src := fs.closestReplica(b, 1)
+	plan, err := fs.planRead(f, 1, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := plan[0].src
 	if cluster.Fabric().Rack(src) != cluster.Fabric().Rack(1) {
 		t.Fatalf("read from node %d (rack %d), want rack-local", src, cluster.Fabric().Rack(src))
 	}
@@ -301,9 +310,12 @@ func TestCreateWithDataRoundTrip(t *testing.T) {
 	if f.Size() != int64(len(payload)) {
 		t.Fatalf("Size = %d, want %d", f.Size(), len(payload))
 	}
-	got, _ := fs.ReadData(f, 3)
+	got, _, err := fs.ReadDataChecked(f, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if string(got) != string(payload) {
-		t.Fatalf("ReadData = %q", got)
+		t.Fatalf("ReadDataChecked = %q", got)
 	}
 	// The stored copy is independent of the caller's buffer.
 	payload[0] = 'X'
@@ -318,9 +330,12 @@ func TestSizeOnlyFilesHaveNoData(t *testing.T) {
 	if f.Data() != nil {
 		t.Fatal("size-only file has data")
 	}
-	got, _ := fs.ReadData(f, 1)
+	got, _, err := fs.ReadDataChecked(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got != nil {
-		t.Fatal("ReadData on size-only file returned bytes")
+		t.Fatal("ReadDataChecked on size-only file returned bytes")
 	}
 }
 

@@ -250,14 +250,14 @@ type blockRead struct {
 	poisoned []int
 }
 
-// planRead picks a serving replica for every block of f, failing over
-// past corrupt replicas when verification is on. With useAt, only
-// replicas reachable from the reader at time at are candidates and an
-// unreachable block returns a *simnet.TransferError; a block whose
-// every candidate is corrupt returns an *IntegrityError. Nothing is
-// charged or mutated here, so callers preserve the all-or-nothing
-// counter discipline of ReadAt.
-func (fs *FS) planRead(f *File, reader int, at simtime.Time, useAt bool) ([]blockRead, error) {
+// planRead picks a serving replica for every block of f — the only
+// place a replica is chosen — failing over past corrupt replicas when
+// verification is on. With honourPlan, only replicas reachable from the
+// reader at time at are candidates and an unreachable block returns a
+// *simnet.TransferError; a block whose every candidate is corrupt
+// returns an *IntegrityError. Nothing is charged or mutated here, so a
+// failed read charges nothing.
+func (fs *FS) planRead(f *File, reader int, at simtime.Time, honourPlan bool) ([]blockRead, error) {
 	fabric := fs.cluster.Fabric()
 	plan := make([]blockRead, len(f.Blocks))
 	for bi := range f.Blocks {
@@ -266,8 +266,7 @@ func (fs *FS) planRead(f *File, reader int, at simtime.Time, useAt bool) ([]bloc
 			panic("dfs: block has no live replicas (lost to node failures); check Lost before reading")
 		}
 		// Candidates in cost order (local, intra-rack, cross-rack),
-		// replica-list order within a cost tier — the same choice the
-		// unverified paths make for the first candidate.
+		// replica-list order within a cost tier.
 		var cands []int
 		for cost := 0; cost <= 2 && len(cands) < len(b.Replicas); cost++ {
 			for _, r := range b.Replicas {
@@ -278,7 +277,7 @@ func (fs *FS) planRead(f *File, reader int, at simtime.Time, useAt bool) ([]bloc
 				case fabric.Rack(r) == fabric.Rack(reader):
 					c = 1
 				}
-				if c == cost && (!useAt || fabric.ReachableAt(r, reader, at)) {
+				if c == cost && (!honourPlan || fabric.ReachableAt(r, reader, at)) {
 					cands = append(cands, r)
 				}
 			}
@@ -316,7 +315,7 @@ func (fs *FS) planRead(f *File, reader int, at simtime.Time, useAt bool) ([]bloc
 // replica, then checksum-driven repair of each quarantined copy from
 // the clean source. It returns the flow list and the serving replica
 // per block.
-func (fs *FS) commitRead(f *File, reader int, plan []blockRead, at simtime.Time, useAt bool) ([]simnet.Flow, []int) {
+func (fs *FS) commitRead(f *File, reader int, plan []blockRead, at simtime.Time, honourPlan bool) ([]simnet.Flow, []int) {
 	var flows []simnet.Flow
 	srcs := make([]int, len(plan))
 	for bi, br := range plan {
@@ -341,7 +340,7 @@ func (fs *FS) commitRead(f *File, reader int, plan []blockRead, at simtime.Time,
 		// Re-replicate what quarantine removed, from the replica that
 		// just verified clean.
 		for range br.poisoned {
-			flow, ok := fs.repairBlock(f, bi, br.src, at, useAt)
+			flow, ok := fs.repairBlock(f, bi, br.src, at, honourPlan)
 			if !ok {
 				continue
 			}
@@ -373,11 +372,11 @@ func (fs *FS) quarantine(f *File, bi, node int) {
 // rotation target, restoring the copy quarantine removed. It reports
 // false (and counts the block unrepaired) when no target exists or an
 // active network fault severs the copy path.
-func (fs *FS) repairBlock(f *File, bi, src int, at simtime.Time, useAt bool) (simnet.Flow, bool) {
+func (fs *FS) repairBlock(f *File, bi, src int, at simtime.Time, honourPlan bool) (simnet.Flow, bool) {
 	b := &f.Blocks[bi]
 	live := fs.liveNodes()
 	dst, ok := fs.repairTarget(b.Replicas, live)
-	if !ok || (useAt && !fs.cluster.Fabric().ReachableAt(src, dst, at)) {
+	if !ok || (honourPlan && !fs.cluster.Fabric().ReachableAt(src, dst, at)) {
 		fs.icounters.UnrepairedBlocks++
 		return simnet.Flow{}, false
 	}
@@ -390,42 +389,43 @@ func (fs *FS) repairBlock(f *File, bi, src int, at simtime.Time, useAt bool) (si
 	return simnet.Flow{Src: src, Dst: dst, Bytes: b.Size}, true
 }
 
-// ReadDataChecked charges a full read like ReadData but returns a
-// typed error instead of serving damage: replica checksum mismatches
-// fail over and repair as usual, and a block with no clean replica
-// returns an *IntegrityError with nothing charged. With verification
-// off it serves exactly what ReadData would — possibly corrupt bytes.
+// ReadDataChecked charges a full read of the file by node reader and
+// returns its contents (nil for size-only files). Each block is served
+// by the closest replica (local beats intra-rack beats cross-rack); a
+// fully local read takes zero network time. With verification on,
+// replicas that fail their block checksum are charged, quarantined,
+// repaired and read around, and a block with no clean replica returns
+// an *IntegrityError with nothing charged. With verification off the
+// read serves whatever the closest replica holds — possibly corrupt
+// bytes. The read is blind to the registered NetworkPlan: it is priced
+// on the unfaulted fabric.
 func (fs *FS) ReadDataChecked(f *File, reader int) ([]byte, simtime.Duration, error) {
-	plan, err := fs.planRead(f, reader, 0, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	flows, srcs := fs.commitRead(f, reader, plan, 0, false)
-	return fs.servedData(f, srcs), fs.cluster.Fabric().Transfer(flows), nil
+	return fs.read(f, reader, 0, false)
 }
 
-// ReadDataCheckedAt is ReadDataChecked honoring the registered
-// NetworkPlan at time at, combining replica failover around outages
-// (like ReadAt) with checksum failover.
+// ReadDataCheckedAt is ReadDataChecked honouring the registered
+// NetworkPlan at time at: each block is served by the cheapest replica
+// still reachable from the reader (reads fail over around outages and
+// partitions as well as around corrupt copies), a block with no
+// reachable replica fails the read with a typed *simnet.TransferError
+// and nothing charged, and brownouts on the surviving path stretch the
+// returned duration. With no plan registered, or none active at `at`,
+// it is exactly ReadDataChecked.
 func (fs *FS) ReadDataCheckedAt(f *File, reader int, at simtime.Time) ([]byte, simtime.Duration, error) {
-	fabric := fs.cluster.Fabric()
-	useAt := fabric.NetworkPlan() != nil
-	plan, err := fs.planRead(f, reader, at, useAt)
+	return fs.read(f, reader, at, true)
+}
+
+// read is the one read path: plan a serving replica per block, commit
+// the plan's traffic and repairs, price the flows.
+func (fs *FS) read(f *File, reader int, at simtime.Time, honourPlan bool) ([]byte, simtime.Duration, error) {
+	plan, err := fs.planRead(f, reader, at, honourPlan)
 	if err != nil {
 		return nil, 0, err
 	}
-	flows, srcs := fs.commitRead(f, reader, plan, at, useAt)
-	if !useAt {
-		return fs.servedData(f, srcs), fabric.Transfer(flows), nil
-	}
-	fabric.Record(flows)
-	tt, err := fabric.TransferTimeAt(flows, at)
-	if err != nil {
-		// planRead filtered unreachable candidates and repairBlock
-		// checked its path; the fabric cannot disagree.
-		panic(err)
-	}
-	return fs.servedData(f, srcs), tt, nil
+	flows, srcs := fs.commitRead(f, reader, plan, at, honourPlan)
+	// planRead filtered unreachable candidates and repairBlock checked
+	// its path, so the fabric cannot refuse the flows.
+	return fs.servedData(f, srcs), fs.charge(flows, at, honourPlan), nil
 }
 
 // ScrubReport summarizes one scrubber pass.
@@ -482,8 +482,6 @@ func (fs *FS) Scrub(budget int64, at simtime.Time) (ScrubReport, simtime.Duratio
 		return report, 0
 	}
 
-	fabric := fs.cluster.Fabric()
-	useAt := fabric.NetworkPlan() != nil
 	var flows []simnet.Flow
 	scanned := int64(0)
 	pos, bi := startN, startB
@@ -523,7 +521,7 @@ func (fs *FS) Scrub(budget int64, at simtime.Time) (ScrubReport, simtime.Duratio
 			for _, r := range bad {
 				fs.quarantine(f, bi, r)
 				report.DetectedBlocks++
-				flow, ok := fs.repairBlock(f, bi, cleanSrc, at, useAt)
+				flow, ok := fs.repairBlock(f, bi, cleanSrc, at, true)
 				if !ok {
 					continue
 				}
@@ -540,13 +538,5 @@ func (fs *FS) Scrub(budget int64, at simtime.Time) (ScrubReport, simtime.Duratio
 	}
 	fs.scrubFile, fs.scrubBlock = names[pos], bi
 
-	if useAt {
-		fabric.Record(flows)
-		d, err := fabric.TransferTimeAt(flows, at)
-		if err != nil {
-			panic(err)
-		}
-		return report, d
-	}
-	return report, fabric.Transfer(flows)
+	return report, fs.charge(flows, at, true)
 }

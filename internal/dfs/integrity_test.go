@@ -126,7 +126,10 @@ func TestDetectionOffServesPatchedBytesSilently(t *testing.T) {
 	primary := f.Blocks[0].Replicas[0]
 	fs.CorruptReplica("a", 0, primary, 7)
 
-	got, _ := fs.ReadData(f, primary)
+	got, _, err := fs.ReadDataChecked(f, primary)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if bytes.Equal(got, data) {
 		t.Fatal("detection-off read served clean bytes from a corrupt replica")
 	}
@@ -144,7 +147,7 @@ func TestDetectionOffServesPatchedBytesSilently(t *testing.T) {
 	}
 	// A different node reads from a clean replica and sees clean bytes.
 	other := f.Blocks[0].Replicas[1]
-	if got, _ := fs.ReadData(f, other); !bytes.Equal(got, data) {
+	if got, _, _ := fs.ReadDataChecked(f, other); !bytes.Equal(got, data) {
 		t.Fatal("clean replica served patched bytes")
 	}
 }
@@ -247,9 +250,10 @@ func TestZeroPlanReadsAreBytePerByteLegacy(t *testing.T) {
 	b.SetVerifyReads(false)
 	for _, fs := range []*FS{a, b} {
 		f, _ := fs.CreateWithData("m", dataOf(3000), 1)
-		fs.Read(f, 5)
-		fs.ReadData(f, 2)
-		if _, err := fs.ReadAt(f, 3, 10); err != nil {
+		if _, _, err := fs.ReadDataChecked(f, 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := fs.ReadDataCheckedAt(f, 3, 10); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/simcluster"
 	"repro/internal/simnet"
+	"repro/internal/simtime"
 )
 
 // netFS builds the standard 8-node FS with a network plan registered on
@@ -17,28 +18,43 @@ func netFS(plan *simnet.NetworkPlan, cfg Config) (*FS, *simcluster.Cluster) {
 }
 
 // TestReadAtMatchesReadOutsideWindows is the dfs half of the zero-fault
-// no-op guarantee: with the read starting outside every fault window,
-// ReadAt must pick the same replicas and charge the same duration and
-// counters as the legacy Read.
+// no-op guarantee: a file system whose network plan is idle at the read
+// time is indistinguishable from one with no plan at all — both reads,
+// time-aware and plan-blind, pick the same replicas and charge the same
+// duration, FS counters and fabric counters on either.
 func TestReadAtMatchesReadOutsideWindows(t *testing.T) {
 	plan := &simnet.NetworkPlan{Faults: []simnet.NetFault{
 		{Kind: simnet.FaultCore, Start: 50, End: 60},
 	}}
-	planned, _ := netFS(plan, Config{Replication: 3, BlockSize: 1000})
-	clean := newFS(t)
+	planned, pc := netFS(plan, Config{Replication: 3, BlockSize: 1000})
+	clean, cc := netFS(nil, Config{Replication: 3, BlockSize: 1000})
 	pf, _ := planned.Create("f", 2500, 0)
 	cf, _ := clean.Create("f", 2500, 0)
 
-	want := clean.Read(cf, 1)
-	got, err := planned.ReadAt(pf, 1, 0)
-	if err != nil {
-		t.Fatal(err)
+	_, want, err := clean.ReadDataChecked(cf, 1)
+	if err != nil || want <= 0 {
+		t.Fatalf("plan-less read = %v, %v", want, err)
 	}
-	if got != want {
-		t.Fatalf("ReadAt outside windows = %v, Read = %v (must be identical)", got, want)
+	// Both sides charge the same two reads, so their counters must end
+	// equal too.
+	reads := []struct {
+		name string
+		read func() ([]byte, simtime.Duration, error)
+	}{
+		{"no plan, ReadDataCheckedAt", func() ([]byte, simtime.Duration, error) { return clean.ReadDataCheckedAt(cf, 1, 0) }},
+		{"idle plan, ReadDataChecked", func() ([]byte, simtime.Duration, error) { return planned.ReadDataChecked(pf, 1) }},
+		{"idle plan, ReadDataCheckedAt", func() ([]byte, simtime.Duration, error) { return planned.ReadDataCheckedAt(pf, 1, 0) }},
+	}
+	for _, r := range reads {
+		if _, got, err := r.read(); err != nil || got != want {
+			t.Fatalf("%s = %v, %v; want the plan-less %v", r.name, got, err, want)
+		}
 	}
 	if planned.Counters() != clean.Counters() {
 		t.Fatalf("counters diverged: %+v vs %+v", planned.Counters(), clean.Counters())
+	}
+	if pc.Fabric().Counters() != cc.Fabric().Counters() {
+		t.Fatalf("fabric counters diverged: %+v vs %+v", pc.Fabric().Counters(), cc.Fabric().Counters())
 	}
 }
 
@@ -55,7 +71,7 @@ func TestReadAtFailsOverAcrossReplicas(t *testing.T) {
 	f, _ := fs.Create("f", 1000, 0)
 
 	before := c.Fabric().Counters()
-	if _, err := fs.ReadAt(f, 1, 5); err != nil {
+	if _, _, err := fs.ReadDataCheckedAt(f, 1, 5); err != nil {
 		t.Fatalf("read with a cross-rack replica in reach failed: %v", err)
 	}
 	during := c.Fabric().Counters()
@@ -64,7 +80,7 @@ func TestReadAtFailsOverAcrossReplicas(t *testing.T) {
 	}
 
 	// After the window the intra-rack replica serves again.
-	if _, err := fs.ReadAt(f, 1, 10); err != nil {
+	if _, _, err := fs.ReadDataCheckedAt(f, 1, 10); err != nil {
 		t.Fatal(err)
 	}
 	after := c.Fabric().Counters()
@@ -87,7 +103,7 @@ func TestReadAtAllReplicasSevered(t *testing.T) {
 	f, _ := fs.Create("f", 2000, 0) // replicas on 0 and rack 1; reader 1 holds none
 
 	before, netBefore := fs.Counters(), c.Fabric().Counters()
-	_, err := fs.ReadAt(f, 1, 5)
+	_, _, err := fs.ReadDataCheckedAt(f, 1, 5)
 	var te *simnet.TransferError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *simnet.TransferError", err)
@@ -101,7 +117,7 @@ func TestReadAtAllReplicasSevered(t *testing.T) {
 
 	// A replica holder still reads its own copy locally through the cut.
 	holder := f.Blocks[0].Replicas[0]
-	if _, err := fs.ReadAt(f, holder, 5); err != nil {
+	if _, _, err := fs.ReadDataCheckedAt(f, holder, 5); err != nil {
 		t.Fatalf("local read on a holder failed under the partition: %v", err)
 	}
 }

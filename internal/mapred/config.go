@@ -64,5 +64,9 @@ func (e *Engine) validateConfig() error {
 		return &ConfigError{"FairSharingNetwork",
 			"incompatible with a registered NetworkPlan; degraded transfers are priced by the bottleneck model"}
 	}
+	if e.FairSharingNetwork && e.IntegrityChecks && e.cluster.CorruptionPlan().HasTransferEvents() {
+		return &ConfigError{"FairSharingNetwork",
+			"incompatible with scripted transfer bit-error windows under IntegrityChecks; verified transfers are priced by the bottleneck model"}
+	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/corrupt"
 )
 
 // TestEngineConfigValidation drives every rejected knob value through
@@ -13,28 +15,36 @@ func TestEngineConfigValidation(t *testing.T) {
 	cases := []struct {
 		name   string
 		field  string
+		plan   *corrupt.Plan // registered on the cluster when non-nil
 		mutate func(e *Engine)
 	}{
-		{"model home outside view", "ModelHome",
+		{"model home outside view", "ModelHome", nil,
 			func(e *Engine) { e.ModelHome = 99 }},
-		{"negative model home", "ModelHome",
+		{"negative model home", "ModelHome", nil,
 			func(e *Engine) { e.ModelHome = -1 }},
-		{"no model sources", "ModelSources",
+		{"no model sources", "ModelSources", nil,
 			func(e *Engine) { e.ModelSources = 0 }},
-		{"negative fail period", "FailEveryNthMapTask",
+		{"negative fail period", "FailEveryNthMapTask", nil,
 			func(e *Engine) { e.FailEveryNthMapTask = -3 }},
-		{"negative straggle period", "StraggleEveryNthMapTask",
+		{"negative straggle period", "StraggleEveryNthMapTask", nil,
 			func(e *Engine) { e.StraggleEveryNthMapTask = -1 }},
-		{"negative straggler slowdown", "StragglerSlowdown",
+		{"negative straggler slowdown", "StragglerSlowdown", nil,
 			func(e *Engine) { e.StragglerSlowdown = -2 }},
-		{"straggler speedup", "StragglerSlowdown",
+		{"straggler speedup", "StragglerSlowdown", nil,
 			func(e *Engine) { e.StraggleEveryNthMapTask = 2; e.StragglerSlowdown = 0.5 }},
-		{"negative workers", "Workers",
+		{"negative workers", "Workers", nil,
 			func(e *Engine) { e.Workers = -1 }},
+		// Verified transfers are priced by the bottleneck model only, so
+		// max-min sharing cannot be honoured once bit-error windows make
+		// verification engage.
+		{"fair sharing under verified bit-error windows", "FairSharingNetwork",
+			&corrupt.Plan{Events: []corrupt.Event{{Kind: corrupt.KindTransfer, Node: 1, Start: 0, End: 1, Rate: 0.5, Seed: 1}}},
+			func(e *Engine) { e.FairSharingNetwork = true; e.IntegrityChecks = true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testCluster()
+			c.SetCorruptionPlan(tc.plan)
 			in := textInput(c, "a b", "c")
 			job := wordCountJob(false)
 

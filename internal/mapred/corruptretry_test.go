@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/corrupt"
+	"repro/internal/simcluster"
 	"repro/internal/simnet"
+	"repro/internal/simtime"
 )
 
 func corruptEngine(plan *corrupt.Plan) *Engine {
@@ -14,6 +16,16 @@ func corruptEngine(plan *corrupt.Plan) *Engine {
 	e := NewEngine(c)
 	e.IntegrityChecks = true
 	return e
+}
+
+// calmTransfer prices flows on an engine with no plan registered.
+func calmTransfer(t *testing.T, flows []simnet.Flow) simtime.Duration {
+	t.Helper()
+	res, err := corruptEngine(nil).transferAt(flows, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Elapsed
 }
 
 // TestTransferAtCorruptResendConservesBytes pins the byte accounting of
@@ -33,29 +45,28 @@ func TestTransferAtCorruptResendConservesBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.corruptRetries == 0 {
+	if res.CorruptRetries == 0 {
 		t.Fatal("a rate-1 window at the start caused no re-sends")
 	}
-	if res.corruptRetryBytes != int64(res.corruptRetries)*bytes {
-		t.Fatalf("corruptRetryBytes = %d after %d re-sends of %d bytes", res.corruptRetryBytes, res.corruptRetries, bytes)
+	if res.CorruptRetryBytes != int64(res.CorruptRetries)*bytes {
+		t.Fatalf("corruptRetryBytes = %d after %d re-sends of %d bytes", res.CorruptRetryBytes, res.CorruptRetries, bytes)
 	}
 	// Every re-send plus the clean final attempt crossed the fabric.
 	moved := e.cluster.Fabric().Counters().Total - before
-	if want := int64(res.corruptRetries+1) * bytes; moved != want {
+	if want := int64(res.CorruptRetries+1) * bytes; moved != want {
 		t.Fatalf("fabric recorded %d bytes, want %d", moved, want)
 	}
-	if res.retries != 0 || res.retryBytes != 0 {
+	if res.Retries != 0 || res.RetryBytes != 0 {
 		t.Fatalf("corrupt re-sends leaked into timeout-retry accounting: %+v", res)
 	}
-	clean := corruptEngine(nil)
-	if res.elapsed <= clean.transfer(flows) {
-		t.Fatalf("re-sends cost no time: %v", res.elapsed)
+	if res.Elapsed <= calmTransfer(t, flows) {
+		t.Fatalf("re-sends cost no time: %v", res.Elapsed)
 	}
 }
 
 // TestTransferAtCorruptBudgetExhausted drives the give-up path: inside
 // a window no re-send can escape, the engine stops after
-// corruptRetryCap re-sends with a typed corrupt transfer error, and the
+// CorruptResendCap re-sends with a typed corrupt transfer error, and the
 // final abandoned attempt records nothing.
 func TestTransferAtCorruptBudgetExhausted(t *testing.T) {
 	plan := &corrupt.Plan{Events: []corrupt.Event{
@@ -80,10 +91,10 @@ func TestTransferAtCorruptBudgetExhausted(t *testing.T) {
 	if te.Src != 1 || te.Dst != 0 {
 		t.Fatalf("TransferError endpoints = %d->%d, want 1->0", te.Src, te.Dst)
 	}
-	if res.corruptRetries != corruptRetryCap {
-		t.Fatalf("corruptRetries = %d, want the cap %d", res.corruptRetries, corruptRetryCap)
+	if res.CorruptRetries != simcluster.CorruptResendCap {
+		t.Fatalf("corruptRetries = %d, want the cap %d", res.CorruptRetries, simcluster.CorruptResendCap)
 	}
-	if moved := e.cluster.Fabric().Counters().Total - before; moved != int64(corruptRetryCap)*bytes {
+	if moved := e.cluster.Fabric().Counters().Total - before; moved != int64(simcluster.CorruptResendCap)*bytes {
 		t.Fatalf("fabric recorded %d bytes; the abandoned final attempt must record nothing", moved)
 	}
 }
@@ -104,7 +115,7 @@ func TestTransferAtCorruptPathsOffWhenUnarmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.corruptRetries != 0 || res.corruptRetryBytes != 0 {
+	if res.CorruptRetries != 0 || res.CorruptRetryBytes != 0 {
 		t.Fatalf("checks-off transfer counted re-sends: %+v", res)
 	}
 
@@ -116,8 +127,7 @@ func TestTransferAtCorruptPathsOffWhenUnarmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := corruptEngine(nil)
-	if want := clean.transfer(flows); res.elapsed != want || res2.elapsed != want {
-		t.Fatalf("unarmed transfers priced %v and %v, want the plan-free %v", res.elapsed, res2.elapsed, want)
+	if want := calmTransfer(t, flows); res.Elapsed != want || res2.Elapsed != want {
+		t.Fatalf("unarmed transfers priced %v and %v, want the plan-free %v", res.Elapsed, res2.Elapsed, want)
 	}
 }

@@ -56,23 +56,27 @@ type Engine struct {
 	// fair sharing (simnet.MaxMinTransferTime) instead of the
 	// optimally-scheduled bottleneck bound — the skeptical network
 	// model for robustness checks. Incompatible with a registered
-	// NetworkPlan (degraded transfers are priced by the bottleneck
-	// model only).
+	// NetworkPlan or scripted transfer bit-error windows (degraded and
+	// verified transfers are priced by the bottleneck model only).
 	FairSharingNetwork bool
 
-	// TransferTimeout is the deadline one transfer attempt may take
-	// before the engine abandons it (shuffle stall detection). Zero
-	// disables the deadline: an unreachable transfer then fails
-	// immediately and a slow one is waited out. Only consulted when
-	// the cluster carries a NetworkPlan.
+	// TransferTimeout, TransferRetries and RetryBackoff fill the
+	// simcluster.TransferPolicy every framework transfer is charged
+	// under (see transferAt). TransferTimeout is the deadline one
+	// attempt may take before the engine abandons it (shuffle stall
+	// detection). Zero disables the deadline: an unreachable transfer
+	// then fails immediately and a slow one is waited out. The deadline
+	// bounds every attempt, whether or not a fault plan is registered:
+	// a calm transfer slower than it is abandoned like a browned-out
+	// one.
 	TransferTimeout simtime.Duration
 	// TransferRetries is how many times a failed transfer attempt is
 	// retried with capped exponential backoff before the job surfaces
 	// a typed *simnet.TransferError. Requires TransferTimeout > 0.
 	TransferRetries int
 	// RetryBackoff is the base backoff charged between transfer
-	// attempts; attempt k waits RetryBackoff·2^k, capped at
-	// retryBackoffCap times the base. Zero selects 1s.
+	// attempts; attempt k waits RetryBackoff·2^k, capped at eight
+	// times the base. Zero selects 1s.
 	RetryBackoff simtime.Duration
 
 	// IntegrityChecks enables checksum verification of transfer
@@ -610,7 +614,7 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 		return nil, Metrics{}, fmt.Errorf("job %q input fetch: %w", job.Name, err)
 	}
 	chargeRetries(&metrics, inputRes, &metrics.NonLocalInputBytes)
-	metrics.MapPhase = max(mapMakespan, inputRes.elapsed)
+	metrics.MapPhase = max(mapMakespan, inputRes.Elapsed)
 
 	// ---- Model distribution: every node running a task needs the
 	// current model (Hadoop distributed cache: one copy per node).
@@ -759,8 +763,8 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 		return nil, Metrics{}, fmt.Errorf("job %q shuffle: %w", job.Name, err)
 	}
 	chargeRetries(&metrics, shuffleRes, &metrics.ShuffleNetworkBytes)
-	metrics.ShuffleCrossRackBytes += shuffleRes.retryCrossRack
-	metrics.ShufflePhase = shuffleRes.elapsed * simtime.Duration(1-cost.ShuffleOverlap)
+	metrics.ShuffleCrossRackBytes += shuffleRes.RetryCrossRack
+	metrics.ShufflePhase = shuffleRes.Elapsed * simtime.Duration(1-cost.ShuffleOverlap)
 
 	nOut := 0
 	for p := range reduceOut {
@@ -893,18 +897,7 @@ func (e *Engine) distributeModel(m *model.Model, nodes map[int]bool, partitioned
 		return 0, err
 	}
 	chargeRetries(metrics, res, &metrics.ModelBytes)
-	return res.elapsed, nil
-}
-
-// transfer records flows on the fabric and charges their time under the
-// engine's configured network model.
-func (e *Engine) transfer(flows []simnet.Flow) simtime.Duration {
-	fabric := e.cluster.Fabric()
-	fabric.Record(flows)
-	if e.FairSharingNetwork {
-		return fabric.MaxMinTransferTime(flows)
-	}
-	return fabric.TransferTime(flows)
+	return res.Elapsed, nil
 }
 
 // parallelFor runs worker(i) for i in [0,n) on a bounded pool. Output

@@ -1,178 +1,57 @@
 package mapred
 
 import (
-	"repro/internal/corrupt"
+	"repro/internal/simcluster"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 )
 
-// Degraded transfers. When the cluster's fabric carries a
-// simnet.NetworkPlan, every framework transfer is priced at its start
-// time under the plan's active overlay and may fail typed: too slow
-// for the engine's TransferTimeout, or with its path severed by an
-// outage or partition. The engine reacts like a Hadoop shuffle client:
-// abandon the attempt, back off exponentially (capped), and re-price
-// at the advanced clock — a fault window that has closed by then no
-// longer hurts. With no plan registered, none of this code runs and
-// transfers are charged exactly as before.
+// Framework transfers. Every transfer the engine charges — input
+// fetch, model distribution, shuffle — goes through
+// simcluster.Cluster.TransferAt, the one price → deadline → backoff →
+// checksum-verify → record loop, under a policy filled from the
+// engine's knobs. The engine reacts to a degraded fabric like a Hadoop
+// shuffle client: abandon the attempt, back off exponentially (capped),
+// and re-price at the advanced clock — a fault window that has closed
+// by then no longer hurts. On a calm fabric the same call is one price
+// and one Record.
 
 // defaultRetryBackoff is the base backoff when Engine.RetryBackoff is
 // zero: one simulated second, Hadoop's fetch-retry starting delay.
 const defaultRetryBackoff = simtime.Duration(1.0)
 
-// retryBackoffCap bounds the exponential backoff at this multiple of
-// the base, so a long fault window is polled rather than escaped.
-const retryBackoffCap = 8
-
-// corruptRetryCap bounds how many corrupt arrivals of one transfer are
-// re-sent before the engine gives up with a typed
-// *simnet.TransferError (kind corrupt). Independent of
-// Engine.TransferRetries: checksum re-sends must work even on engines
-// with no transfer deadline configured.
-const corruptRetryCap = 8
-
-// backoffDelay is the capped exponential wait before retry attempt
-// k (0-based).
-func backoffDelay(base simtime.Duration, attempt int) simtime.Duration {
-	d := base
-	for i := 0; i < attempt; i++ {
-		if d >= base*retryBackoffCap {
-			return base * retryBackoffCap
-		}
-		d *= 2
+// transferAt records flows on the fabric and charges their time from
+// the given start time. FairSharingNetwork engines price under
+// progressive max-min sharing instead; validateConfig guarantees no
+// network plan or bit-error window is registered then, so there is
+// nothing to retry or verify.
+func (e *Engine) transferAt(flows []simnet.Flow, at simtime.Time) (simcluster.TransferResult, error) {
+	if e.FairSharingNetwork {
+		fabric := e.cluster.Fabric()
+		fabric.Record(flows)
+		return simcluster.TransferResult{Elapsed: fabric.MaxMinTransferTime(flows)}, nil
 	}
-	return d
-}
-
-// transferResult describes one possibly-degraded transfer: the total
-// elapsed time (failed attempts, backoff waits and the successful
-// attempt), how many attempts failed and were retried, and the network
-// traffic the retried attempts carried before being abandoned.
-type transferResult struct {
-	elapsed        simtime.Duration
-	retries        int
-	retryBytes     int64
-	retryCrossRack int64
-	// corruptRetries / corruptRetryBytes count attempts that arrived
-	// whole but failed checksum verification and were re-sent.
-	corruptRetries    int
-	corruptRetryBytes int64
-}
-
-// transferAt records flows on the fabric and charges their time, like
-// transfer, but honoring the registered NetworkPlan from the given
-// start time. An attempt that would outlive TransferTimeout is
-// abandoned at the deadline — its bytes crossed the fabric before the
-// abort and are recorded, then re-sent — while an attempt whose path
-// is severed records nothing. Failed attempts are retried up to
-// TransferRetries times with capped exponential backoff; when retries
-// are exhausted (or disabled) the typed *simnet.TransferError of the
-// last attempt is returned, with nothing recorded for that final
-// attempt.
-func (e *Engine) transferAt(flows []simnet.Flow, at simtime.Time) (transferResult, error) {
-	fabric := e.cluster.Fabric()
-	cplan := e.cluster.CorruptionPlan()
-	// Checksum verification only engages when both the plan scripts
-	// bit-error windows and the engine checks payloads; otherwise
-	// corrupt arrivals are consumed silently (callers model the damage).
-	checkPayloads := e.IntegrityChecks && cplan.HasTransferEvents()
-	if fabric.NetworkPlan() == nil && !checkPayloads {
-		return transferResult{elapsed: e.transfer(flows)}, nil
-	}
-	var netBytes, crossRack int64
-	firstSrc, firstDst := -1, -1
-	for _, fl := range flows {
-		if fl.Src != fl.Dst && fl.Bytes > 0 {
-			if firstSrc < 0 {
-				firstSrc, firstDst = fl.Src, fl.Dst
-			}
-			netBytes += fl.Bytes
-			if fabric.Rack(fl.Src) != fabric.Rack(fl.Dst) {
-				crossRack += fl.Bytes
-			}
-		}
-	}
-	timeout := e.TransferTimeout
 	backoff := e.RetryBackoff
 	if backoff <= 0 {
 		backoff = defaultRetryBackoff
 	}
-	var res transferResult
-	corruptAttempts := 0
-	for attempt := 0; ; attempt++ {
-		now := at + res.elapsed
-		tt, err := fabric.TransferTimeAt(flows, now)
-		if err == nil && (timeout == 0 || tt <= timeout) {
-			if checkPayloads {
-				if src, dst, hit := corruptFlowAt(cplan, flows, now); hit {
-					if corruptAttempts >= corruptRetryCap {
-						// Give up like an exhausted retry budget: the
-						// final attempt records nothing.
-						return res, &simnet.TransferError{Kind: simnet.TransferCorrupt, Src: src, Dst: dst, At: now}
-					}
-					// The damaged payload crossed the fabric whole; the
-					// checksum failed on arrival, so it crosses again
-					// after a backoff. Re-pricing at the advanced clock
-					// re-rolls the bit-error window.
-					fabric.Record(flows)
-					res.corruptRetries++
-					res.corruptRetryBytes += netBytes
-					res.retryCrossRack += crossRack
-					res.elapsed += tt + backoffDelay(backoff, corruptAttempts)
-					corruptAttempts++
-					continue
-				}
-			}
-			fabric.Record(flows)
-			res.elapsed += tt
-			return res, nil
-		}
-		// With no deadline there is nothing to bound a retry loop, so
-		// an unreachable path fails immediately; validateConfig
-		// guarantees TransferRetries > 0 implies a deadline.
-		abandon := timeout == 0 || attempt >= e.TransferRetries
-		if err == nil {
-			err = &simnet.TransferError{Kind: simnet.TransferTimeout, Src: firstSrc, Dst: firstDst, At: now}
-			if !abandon {
-				// The attempt ran to its deadline: the payload crossed
-				// the fabric once and will cross again on the retry.
-				fabric.Record(flows)
-				res.retryBytes += netBytes
-				res.retryCrossRack += crossRack
-			}
-		}
-		if abandon {
-			return res, err
-		}
-		res.retries++
-		res.elapsed += timeout + backoffDelay(backoff, attempt)
-	}
+	return e.cluster.TransferAt(flows, at, simcluster.TransferPolicy{
+		Timeout: e.TransferTimeout,
+		Retries: e.TransferRetries,
+		Backoff: backoff,
+		Verify:  e.IntegrityChecks,
+	})
 }
 
 // chargeRetries folds one transfer's retry accounting into the job
 // metrics: the global retry counters plus the byte counter of the
 // phase that paid for the re-sent traffic.
-func chargeRetries(m *Metrics, res transferResult, phaseBytes *int64) {
-	m.TransferRetries += res.retries
-	m.RetryBytes += res.retryBytes
-	m.CorruptRetries += res.corruptRetries
-	m.CorruptRetryBytes += res.corruptRetryBytes
+func chargeRetries(m *Metrics, res simcluster.TransferResult, phaseBytes *int64) {
+	m.TransferRetries += res.Retries
+	m.RetryBytes += res.RetryBytes
+	m.CorruptRetries += res.CorruptRetries
+	m.CorruptRetryBytes += res.CorruptRetryBytes
 	if phaseBytes != nil {
-		*phaseBytes += res.retryBytes + res.corruptRetryBytes
+		*phaseBytes += res.RetryBytes + res.CorruptRetryBytes
 	}
-}
-
-// corruptFlowAt asks the corruption plan whether any network flow of
-// this attempt is hit by an active bit-error window at time at,
-// returning the first offending flow.
-func corruptFlowAt(p *corrupt.Plan, flows []simnet.Flow, at simtime.Time) (src, dst int, hit bool) {
-	for _, fl := range flows {
-		if fl.Src == fl.Dst || fl.Bytes == 0 {
-			continue
-		}
-		if _, h := p.TransferHit(fl.Src, fl.Dst, at); h {
-			return fl.Src, fl.Dst, true
-		}
-	}
-	return 0, 0, false
 }

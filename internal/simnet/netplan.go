@@ -266,23 +266,25 @@ func (e *TransferError) Error() string {
 type overlay struct {
 	node map[int]float64
 	rack map[int]float64
-	core float64 // 1 when unfaulted
+	core float64
 	cuts []map[int]bool
 }
 
-// overlayAt builds the overlay active at time t; ok is false when no
-// fault is active (callers then take the exact unfaulted path).
-func (f *Fabric) overlayAt(t simtime.Time) (overlay, bool) {
+// identityOverlay is the unfaulted picture: every factor is 1 and
+// nothing is cut.
+var identityOverlay = overlay{core: 1}
+
+// overlayAt builds the overlay active at time t: the identity when no
+// plan is registered or no fault window covers t.
+func (f *Fabric) overlayAt(t simtime.Time) overlay {
+	ov := identityOverlay
 	if f.netplan == nil {
-		return overlay{}, false
+		return ov
 	}
-	ov := overlay{core: 1}
-	any := false
 	for _, nf := range f.netplan.Faults {
 		if !nf.activeAt(t) {
 			continue
 		}
-		any = true
 		switch nf.Kind {
 		case FaultNodeLink:
 			if ov.node == nil {
@@ -304,21 +306,25 @@ func (f *Fabric) overlayAt(t simtime.Time) (overlay, bool) {
 			ov.cuts = append(ov.cuts, side)
 		}
 	}
-	return ov, any
+	return ov
 }
 
 // nodeFactor returns the capacity multiplier for node n's NIC.
-func (ov overlay) nodeFactor(n int) float64 {
-	if v, ok := ov.node[n]; ok {
-		return v
+func (ov *overlay) nodeFactor(n int) float64 {
+	if len(ov.node) != 0 {
+		if v, ok := ov.node[n]; ok {
+			return v
+		}
 	}
 	return 1
 }
 
 // rackFactor returns the capacity multiplier for rack r's uplink.
-func (ov overlay) rackFactor(r int) float64 {
-	if v, ok := ov.rack[r]; ok {
-		return v
+func (ov *overlay) rackFactor(r int) float64 {
+	if len(ov.rack) != 0 {
+		if v, ok := ov.rack[r]; ok {
+			return v
+		}
 	}
 	return 1
 }
@@ -326,7 +332,7 @@ func (ov overlay) rackFactor(r int) float64 {
 // severs reports whether the overlay makes src->dst unreachable: an
 // endpoint NIC is out, a traversed rack uplink or the core is out for
 // a cross-rack path, or a partition cut separates the endpoints.
-func (ov overlay) severs(src, dst, srcRack, dstRack int) bool {
+func (ov *overlay) severs(src, dst, srcRack, dstRack int) bool {
 	if ov.nodeFactor(src) == 0 || ov.nodeFactor(dst) == 0 {
 		return true
 	}
@@ -364,10 +370,7 @@ func (f *Fabric) ReachableAt(src, dst int, t simtime.Time) bool {
 	if src == dst {
 		return true
 	}
-	ov, any := f.overlayAt(t)
-	if !any {
-		return true
-	}
+	ov := f.overlayAt(t)
 	return !ov.severs(src, dst, f.Rack(src), f.Rack(dst))
 }
 
@@ -375,17 +378,11 @@ func (f *Fabric) ReachableAt(src, dst int, t simtime.Time) bool {
 // node `from` at time t under the registered network plan. The result
 // is nil when everything is reachable.
 func (f *Fabric) UnreachableFrom(from int, t simtime.Time) map[int]bool {
-	ov, any := f.overlayAt(t)
-	if !any {
-		return nil
-	}
+	ov := f.overlayAt(t)
 	fr := f.Rack(from)
 	var cut map[int]bool
 	for n := 0; n < f.cfg.Nodes; n++ {
-		if n == from {
-			continue
-		}
-		if ov.severs(from, n, fr, f.Rack(n)) {
+		if n != from && ov.severs(from, n, fr, f.Rack(n)) {
 			if cut == nil {
 				cut = map[int]bool{}
 			}
@@ -396,58 +393,16 @@ func (f *Fabric) UnreachableFrom(from int, t simtime.Time) map[int]bool {
 }
 
 // TransferTimeAt computes, without recording any traffic, how long the
-// given concurrent flows take when started at time t under the
-// registered network plan. When no fault window covers t it delegates
-// to TransferTime, so an idle or absent plan is float-identical to an
-// unfaulted fabric. If an active outage or partition severs any flow's
-// path it returns a typed *TransferError (unreachable) naming the
-// first offending flow; brownouts stretch the time instead. Faults are
-// evaluated piecewise-constant at t: a window opening or closing
-// mid-transfer does not re-price it.
+// given concurrent flows take when started at time t: price under the
+// overlay the registered network plan has active at t. An idle or
+// absent plan yields the identity overlay, so the result is
+// float-identical to TransferTime by construction. If an active outage
+// or partition severs any flow's path it returns a typed
+// *TransferError (unreachable) naming the first offending flow;
+// brownouts stretch the time instead. Faults are evaluated
+// piecewise-constant at t: a window opening or closing mid-transfer
+// does not re-price it.
 func (f *Fabric) TransferTimeAt(flows []Flow, t simtime.Time) (simtime.Duration, error) {
-	ov, any := f.overlayAt(t)
-	if !any {
-		return f.TransferTime(flows), nil
-	}
-	up := make(map[int]int64)
-	down := make(map[int]int64)
-	rackUp := make(map[int]int64)
-	rackDown := make(map[int]int64)
-	var core int64
-	for _, fl := range flows {
-		if fl.Bytes < 0 {
-			panic("simnet: negative flow size")
-		}
-		if fl.Src == fl.Dst || fl.Bytes == 0 {
-			continue
-		}
-		sr, dr := f.Rack(fl.Src), f.Rack(fl.Dst)
-		if ov.severs(fl.Src, fl.Dst, sr, dr) {
-			return 0, &TransferError{Kind: TransferUnreachable, Src: fl.Src, Dst: fl.Dst, At: t}
-		}
-		up[fl.Src] += fl.Bytes
-		down[fl.Dst] += fl.Bytes
-		if sr != dr {
-			core += fl.Bytes
-			rackUp[sr] += fl.Bytes
-			rackDown[dr] += fl.Bytes
-		}
-	}
-	// Identical to TransferTime, with each resource's capacity further
-	// scaled by its active brownout factor.
-	var worst simtime.Duration
-	for n, b := range up {
-		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.NodeBandwidth*residual(f.bgNodeUp[n])*ov.nodeFactor(n))))
-	}
-	for n, b := range down {
-		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.NodeBandwidth*residual(f.bgNodeDown[n])*ov.nodeFactor(n))))
-	}
-	for r, b := range rackUp {
-		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.RackBandwidth*residual(f.bgRackUp[r])*ov.rackFactor(r))))
-	}
-	for r, b := range rackDown {
-		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.RackBandwidth*residual(f.bgRackDown[r])*ov.rackFactor(r))))
-	}
-	worst = max(worst, simtime.Duration(float64(core)/(f.cfg.CoreBandwidth*residual(f.bgCore)*ov.core)))
-	return worst, nil
+	ov := f.overlayAt(t)
+	return f.price(flows, &ov, t)
 }

@@ -335,8 +335,23 @@ func (f *Fabric) CoreBusy() simtime.Duration { return f.util.Core }
 func (f *Fabric) ResetCounters() { f.counters = Counters{} }
 
 // TransferTime computes, without recording any traffic, how long the
-// given set of concurrent flows takes under the bottleneck model.
+// given set of concurrent flows takes under the bottleneck model on an
+// unfaulted fabric: price under the identity overlay, which severs
+// nothing.
 func (f *Fabric) TransferTime(flows []Flow) simtime.Duration {
+	d, _ := f.price(flows, &identityOverlay, 0)
+	return d
+}
+
+// price is the bottleneck model: the time for a set of concurrent flows
+// started at time t is the utilization of the most-loaded resource,
+// each resource serving with whatever capacity the registered co-tenant
+// loads and the overlay's brownout factors leave it. A flow whose path
+// the overlay severs fails the whole set with a typed *TransferError
+// (unreachable) naming it. Multiplying a capacity by a factor of
+// exactly 1 is exact in IEEE-754, so pricing under the identity overlay
+// is float-identical to pricing with no overlay at all.
+func (f *Fabric) price(flows []Flow, ov *overlay, t simtime.Time) (simtime.Duration, error) {
 	up := make(map[int]int64)   // node -> egress bytes
 	down := make(map[int]int64) // node -> ingress bytes
 	rackUp := make(map[int]int64)
@@ -349,32 +364,33 @@ func (f *Fabric) TransferTime(flows []Flow) simtime.Duration {
 		if fl.Src == fl.Dst || fl.Bytes == 0 {
 			continue
 		}
+		sr, dr := f.Rack(fl.Src), f.Rack(fl.Dst)
+		if ov.severs(fl.Src, fl.Dst, sr, dr) {
+			return 0, &TransferError{Kind: TransferUnreachable, Src: fl.Src, Dst: fl.Dst, At: t}
+		}
 		up[fl.Src] += fl.Bytes
 		down[fl.Dst] += fl.Bytes
-		sr, dr := f.Rack(fl.Src), f.Rack(fl.Dst)
 		if sr != dr {
 			core += fl.Bytes
 			rackUp[sr] += fl.Bytes
 			rackDown[dr] += fl.Bytes
 		}
 	}
-	// Each resource serves the transfer with whatever capacity the
-	// registered co-tenant loads leave it.
 	var worst simtime.Duration
 	for n, b := range up {
-		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.NodeBandwidth*residual(f.bgNodeUp[n]))))
+		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.NodeBandwidth*residual(f.bgNodeUp[n])*ov.nodeFactor(n))))
 	}
 	for n, b := range down {
-		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.NodeBandwidth*residual(f.bgNodeDown[n]))))
+		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.NodeBandwidth*residual(f.bgNodeDown[n])*ov.nodeFactor(n))))
 	}
 	for r, b := range rackUp {
-		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.RackBandwidth*residual(f.bgRackUp[r]))))
+		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.RackBandwidth*residual(f.bgRackUp[r])*ov.rackFactor(r))))
 	}
 	for r, b := range rackDown {
-		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.RackBandwidth*residual(f.bgRackDown[r]))))
+		worst = max(worst, simtime.Duration(float64(b)/(f.cfg.RackBandwidth*residual(f.bgRackDown[r])*ov.rackFactor(r))))
 	}
-	worst = max(worst, simtime.Duration(float64(core)/(f.cfg.CoreBandwidth*residual(f.bgCore))))
-	return worst
+	worst = max(worst, simtime.Duration(float64(core)/(f.cfg.CoreBandwidth*residual(f.bgCore)*ov.core)))
+	return worst, nil
 }
 
 // Transfer records the traffic of the given concurrent flows and returns
