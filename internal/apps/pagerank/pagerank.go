@@ -62,7 +62,6 @@ type App struct {
 	edgeOff    []int32                   // edgeOff[v]+i numbers out-edge i of v; len N+1
 	layouts    map[*model.Schema]*layout // slot tables per model schema
 	subSchemas []*model.Schema           // Partition's sub-model key sets under assign
-	vertexIDs  []string                  // the input records' keys, by vertex
 }
 
 // PartitionStrategy selects the graph partitioner for the best-effort

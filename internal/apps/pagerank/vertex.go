@@ -22,64 +22,61 @@ import (
 // order may differ, so backends agree to rounding, not byte-for-byte.
 func (a *App) VertexProgram(in *mapred.Input, m *model.Model) (bsp.Program, error) {
 	lay := a.layoutOf(m.Schema())
-	p := &prProgram{app: a, lay: lay, prev: m, newRank: make([]float64, a.graph.N)}
-	ids := a.recordKeys()
+	n := int(in.NumRecords())
+	p := &prProgram{app: a, lay: lay, prev: m,
+		verts:   make([]bsp.VertexInfo, 0, n),
+		vertex:  make([]int32, 0, n),
+		index:   make([]int32, a.graph.N),
+		newRank: make([]float64, n),
+	}
+	for v := range p.index {
+		p.index[v] = -1
+	}
 	for _, split := range in.Splits {
 		for _, rec := range split.Records {
 			src, _, err := a.adjacency(rec.Value)
 			if err != nil {
 				return nil, fmt.Errorf("%w (record %q)", err, rec.Key)
 			}
-			if rec.Key != ids[src] {
-				return nil, fmt.Errorf("pagerank: record %q is not vertex %d's (%q)", rec.Key, src, ids[src])
+			if p.index[src] >= 0 {
+				return nil, fmt.Errorf("pagerank: vertex %d has two records (%q and %q)", src, p.verts[p.index[src]].ID, rec.Key)
 			}
+			p.index[src] = int32(len(p.verts))
+			p.vertex = append(p.vertex, int32(src))
 			p.verts = append(p.verts, bsp.VertexInfo{ID: rec.Key, Home: split.Home})
 		}
 	}
 	return p, nil
 }
 
-// recordKeys returns the input records' keys by vertex — the BSP vertex
-// ids messages are addressed to — rendered once per app.
-func (a *App) recordKeys() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.vertexIDs == nil {
-		a.vertexIDs = make([]string, a.graph.N)
-		for v := range a.vertexIDs {
-			a.vertexIDs[v] = pad8Key('v', v)
-		}
-	}
-	return a.vertexIDs
-}
-
-// prProgram is one iteration's vertex program. Its per-vertex state is
-// the previous model itself, read through its layout; only the new ranks
-// are the program's own.
+// prProgram is one iteration's vertex program over the graph vertices
+// its input holds — all of them, or one partition's. Its per-vertex
+// state is the previous model itself, read through its layout; only the
+// new ranks are the program's own.
 type prProgram struct {
 	app     *App
 	lay     *layout
 	prev    *model.Model
 	verts   []bsp.VertexInfo
-	newRank []float64 // by vertex, set in superstep 1
+	vertex  []int32   // program vertex -> graph vertex
+	index   []int32   // graph vertex -> program vertex, -1 outside the input
+	newRank []float64 // by program vertex, set in superstep 1
 }
 
 // Vertices implements bsp.Program.
 func (p *prProgram) Vertices() []bsp.VertexInfo { return p.verts }
 
 // Compute implements bsp.Program.
-func (p *prProgram) Compute(step int, id string, msgs []bsp.Message, s bsp.Sender) (bool, error) {
-	kind, v, _, ok := parseKey(id)
-	if !ok || kind != 'v' || v >= len(p.newRank) {
-		return false, fmt.Errorf("pagerank: unknown vertex %q", id)
-	}
+func (p *prProgram) Compute(step, pv int, msgs []bsp.Message, s bsp.Sender) (bool, error) {
+	v := int(p.vertex[pv])
 	if step == 0 {
-		ids := p.app.vertexIDs
 		for i, dst := range p.lay.out[v] {
 			// Untracked edges are cross edges during local iterations;
-			// they enter through the frozen in-flow.
+			// they enter through the frozen in-flow. A tracked edge
+			// into a vertex the input lacks is sent to -1, which fails
+			// the run.
 			if score, tracked := floatAt(p.prev, p.lay.edgeSlot(v, i)); tracked {
-				s.Send(ids[dst], "", score)
+				s.Send(int(p.index[dst]), "", score)
 			}
 		}
 		return false, nil
@@ -88,11 +85,11 @@ func (p *prProgram) Compute(step int, id string, msgs []bsp.Message, s bsp.Sende
 	for _, msg := range msgs {
 		f, ok := msg.Value.(writable.Float64)
 		if !ok {
-			return false, fmt.Errorf("pagerank: vertex %q got non-float message", id)
+			return false, fmt.Errorf("pagerank: vertex %d got non-float message", v)
 		}
 		sum += float64(f)
 	}
-	p.newRank[v] = (1 - p.app.Damping) + p.app.Damping*sum
+	p.newRank[pv] = (1 - p.app.Damping) + p.app.Damping*sum
 	return true, nil
 }
 
@@ -121,14 +118,14 @@ func (p *prProgram) Model(prev *model.Model) (*model.Model, error) {
 			next.SetAt(int(lay.inflow[v]), f)
 		}
 	}
-	for _, vi := range p.verts {
-		_, v, _, _ := parseKey(vi.ID)
+	for pv, gv := range p.vertex {
+		v := int(gv)
 		if _, hasRank := floatAt(prev, lay.rank[v]); !hasRank {
 			continue // rank outside this partition's model
 		}
-		next.SetAt(int(lay.rank[v]), writable.Float64(p.newRank[v]))
+		next.SetAt(int(lay.rank[v]), writable.Float64(p.newRank[pv]))
 		out := lay.out[v]
-		var score writable.Writable = writable.Float64(p.newRank[v] / float64(len(out))) // one box per vertex
+		var score writable.Writable = writable.Float64(p.newRank[pv] / float64(len(out))) // one box per vertex
 		for i := range out {
 			e := lay.edgeSlot(v, i)
 			if _, tracked := floatAt(prev, e); tracked {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mapred"
 	"repro/internal/webgraph"
 	"repro/internal/writable"
 )
@@ -130,5 +132,21 @@ func TestMergeKeyIdentityAndValidation(t *testing.T) {
 	}
 	if got, err := app.MergeKeyWeighted(RankKey(1), []writable.Writable{v}, []int{3}); err != nil || got != v {
 		t.Fatalf("MergeKeyWeighted identity = %v, %v", got, err)
+	}
+}
+
+// TestVertexProgramRejectsRepeatedVertex: program vertices are found by
+// graph vertex number, so an input that holds a vertex twice — even
+// under two keys — is refused when the program is built.
+func TestVertexProgramRejectsRepeatedVertex(t *testing.T) {
+	g := webgraph.NearlyUncoupled(2, 30, 2, 0.1, 3)
+	rt := bspRuntime(1)
+	app := New(g, 0.85, 1e-9, 1)
+	recs := Records(g)
+	recs = append(recs, recs[7])
+	recs[len(recs)-1].Key = "again"
+	in := mapred.NewInput(recs, rt.Cluster(), 4)
+	if _, err := app.VertexProgram(in, InitialModel(g)); err == nil || !strings.Contains(err.Error(), "vertex 7 has two records") {
+		t.Fatalf("err = %v, want the repeated vertex named", err)
 	}
 }

@@ -19,7 +19,15 @@ import (
 // halt. The arithmetic is identical to the map-only sweep, so the two
 // backends produce byte-identical models.
 func (a *App) VertexProgram(in *mapred.Input, m *model.Model) (bsp.Program, error) {
-	p := &smProgram{mu: a.Mu, m: m, byID: make(map[string]*smVertex)}
+	n := int(in.NumRecords())
+	p := &smProgram{mu: a.Mu, m: m,
+		verts: make([]smVertex, 0, n),
+		infos: make([]bsp.VertexInfo, 0, n),
+		index: make([]int32, a.Height),
+	}
+	for y := range p.index {
+		p.index[y] = -1
+	}
 	for _, split := range in.Splits {
 		for _, rec := range split.Records {
 			val, ok := rec.Value.(writable.Vector)
@@ -27,13 +35,16 @@ func (a *App) VertexProgram(in *mapred.Input, m *model.Model) (bsp.Program, erro
 				return nil, fmt.Errorf("smoothing: record %q is not a row", rec.Key)
 			}
 			y := int(val[0])
+			if y < 0 || y >= a.Height || p.index[y] >= 0 {
+				return nil, fmt.Errorf("smoothing: record %q: row %d is outside the image or already has a record", rec.Key, y)
+			}
 			cur, ok := modelRow(m, y)
 			if !ok {
 				return nil, fmt.Errorf("smoothing: model missing row %d", y)
 			}
-			v := &smVertex{id: rec.Key, home: split.Home, y: y, orig: val[1:], cur: cur}
-			p.verts = append(p.verts, v)
-			p.byID[v.id] = v
+			p.index[y] = int32(len(p.verts))
+			p.verts = append(p.verts, smVertex{y: y, orig: val[1:], cur: cur})
+			p.infos = append(p.infos, bsp.VertexInfo{ID: rec.Key, Home: split.Home})
 		}
 	}
 	return p, nil
@@ -41,8 +52,6 @@ func (a *App) VertexProgram(in *mapred.Input, m *model.Model) (bsp.Program, erro
 
 // smVertex is the per-row state of one sweep's program.
 type smVertex struct {
-	id   string
-	home int
 	y    int
 	orig writable.Vector // original (noisy) pixels
 	cur  writable.Vector // current pixels, from the iteration's model
@@ -52,35 +61,32 @@ type smVertex struct {
 type smProgram struct {
 	mu    float64
 	m     *model.Model // the iteration's (sub-)model, for frozen halos
-	verts []*smVertex
-	byID  map[string]*smVertex
+	verts []smVertex
+	infos []bsp.VertexInfo
+	index []int32 // image row -> vertex, -1 for rows outside the input
 }
 
-// rowID is the vertex id of row y — the input record key format.
-func rowID(y int) string { return fmt.Sprintf("row%06d", y) }
-
 // Vertices implements bsp.Program.
-func (p *smProgram) Vertices() []bsp.VertexInfo {
-	infos := make([]bsp.VertexInfo, len(p.verts))
-	for i, v := range p.verts {
-		infos[i] = bsp.VertexInfo{ID: v.id, Home: v.home}
+func (p *smProgram) Vertices() []bsp.VertexInfo { return p.infos }
+
+// rowVertex returns the vertex of image row y, or -1.
+func (p *smProgram) rowVertex(y int) int {
+	if y < 0 || y >= len(p.index) {
+		return -1
 	}
-	return infos
+	return int(p.index[y])
 }
 
 // Compute implements bsp.Program. Tags name the direction as seen by
 // the receiver: a row sends itself downward as the receiver's "up" row.
-func (p *smProgram) Compute(step int, id string, msgs []bsp.Message, s bsp.Sender) (bool, error) {
-	v, ok := p.byID[id]
-	if !ok {
-		return false, fmt.Errorf("smoothing: unknown vertex %q", id)
-	}
+func (p *smProgram) Compute(step, i int, msgs []bsp.Message, s bsp.Sender) (bool, error) {
+	v := &p.verts[i]
 	if step == 0 {
-		if _, ok := p.byID[rowID(v.y+1)]; ok {
-			s.Send(rowID(v.y+1), "up", v.cur)
+		if below := p.rowVertex(v.y + 1); below >= 0 {
+			s.Send(below, "up", v.cur)
 		}
-		if _, ok := p.byID[rowID(v.y-1)]; ok {
-			s.Send(rowID(v.y-1), "down", v.cur)
+		if above := p.rowVertex(v.y - 1); above >= 0 {
+			s.Send(above, "down", v.cur)
 		}
 		return false, nil
 	}
@@ -88,7 +94,7 @@ func (p *smProgram) Compute(step int, id string, msgs []bsp.Message, s bsp.Sende
 	for _, msg := range msgs {
 		row, ok := msg.Value.(writable.Vector)
 		if !ok {
-			return false, fmt.Errorf("smoothing: vertex %q got non-row message %q", id, msg.Tag)
+			return false, fmt.Errorf("smoothing: row %d got non-row message %q", v.y, msg.Tag)
 		}
 		switch msg.Tag {
 		case "up":
@@ -96,7 +102,7 @@ func (p *smProgram) Compute(step int, id string, msgs []bsp.Message, s bsp.Sende
 		case "down":
 			down = row
 		default:
-			return false, fmt.Errorf("smoothing: vertex %q got unknown message tag %q", id, msg.Tag)
+			return false, fmt.Errorf("smoothing: row %d got unknown message tag %q", v.y, msg.Tag)
 		}
 	}
 	// Band boundaries have no neighbor vertex: read the frozen halo row
@@ -137,8 +143,8 @@ func (p *smProgram) Compute(step int, id string, msgs []bsp.Message, s bsp.Sende
 // the smoothed rows, plus the frozen halo rows carried forward.
 func (p *smProgram) Model(prev *model.Model) (*model.Model, error) {
 	next := prev.NewLike()
-	for _, v := range p.verts {
-		next.Set(RowKey(v.y), v.out)
+	for i := range p.verts {
+		next.Set(RowKey(p.verts[i].y), p.verts[i].out)
 	}
 	prev.Range(func(key string, v writable.Writable) bool {
 		if len(key) > 4 && key[:4] == "halo" {

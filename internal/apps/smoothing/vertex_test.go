@@ -3,6 +3,7 @@ package smoothing
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -114,5 +115,25 @@ func TestMergeKeyHaloAndRowValidation(t *testing.T) {
 	}
 	if _, err := app.MergeKeyWeighted(RowKey(3), []writable.Writable{row}, []int{0}); err == nil {
 		t.Fatal("MergeKeyWeighted accepted weight 0")
+	}
+}
+
+// TestVertexProgramRejectsBadRows: vertices are found by image row, so
+// a row outside the image or held twice is refused when the program is
+// built.
+func TestVertexProgramRejectsBadRows(t *testing.T) {
+	img := data.NoisyImage(5, 8, 6, 10)
+	app := New(8, 6, 0.5, 1e-9)
+	rt := bspRuntime(1)
+	for name, damage := range map[string]func(recs []mapred.Record){
+		"twice":   func(recs []mapred.Record) { recs[2].Value = recs[1].Value },
+		"outside": func(recs []mapred.Record) { recs[2].Value = append(writable.Vector{6}, img.Rows[2]...) },
+	} {
+		recs := Records(img)
+		damage(recs)
+		in := mapred.NewInput(recs, rt.Cluster(), 3)
+		if _, err := app.VertexProgram(in, InitialModel(img)); err == nil || !strings.Contains(err.Error(), `record "row000002"`) {
+			t.Errorf("%s: err = %v, want record row000002 refused", name, err)
+		}
 	}
 }

@@ -30,14 +30,13 @@ type jobProgram struct {
 	cost   CostModel
 	nSplit int
 	nRed   int
-	verts  []VertexInfo
-	vidx   map[string]int
-	redIDs []string
+	verts  []VertexInfo // split i at i, reducer j at nSplit+j
 	part   mapred.Partitioner
 	outs   [][]mapred.Record
 	vcost  []float64
 }
 
+// The ids are labels: they size the messages bound for a reducer.
 func splitVertexID(i int) string  { return "s" + strconv.Itoa(i) }
 func reduceVertexID(j int) string { return "r" + strconv.Itoa(j) }
 
@@ -59,18 +58,11 @@ func newJobProgram(job *mapred.Job, in *mapred.Input, m *model.Model, cost CostM
 		p.part = mapred.HashPartition
 	}
 	p.verts = make([]VertexInfo, 0, p.nSplit+p.nRed)
-	p.vidx = make(map[string]int, p.nSplit+p.nRed)
 	for i := range in.Splits {
-		id := splitVertexID(i)
-		p.vidx[id] = len(p.verts)
-		p.verts = append(p.verts, VertexInfo{ID: id, Home: in.Splits[i].Home})
+		p.verts = append(p.verts, VertexInfo{ID: splitVertexID(i), Home: in.Splits[i].Home})
 	}
-	p.redIDs = make([]string, p.nRed)
 	for j := 0; j < p.nRed; j++ {
-		id := reduceVertexID(j)
-		p.redIDs[j] = id
-		p.vidx[id] = len(p.verts)
-		p.verts = append(p.verts, VertexInfo{ID: id, Home: -1})
+		p.verts = append(p.verts, VertexInfo{ID: reduceVertexID(j), Home: -1})
 	}
 	p.outs = make([][]mapred.Record, len(p.verts))
 	p.vcost = make([]float64, len(p.verts))
@@ -79,12 +71,9 @@ func newJobProgram(job *mapred.Job, in *mapred.Input, m *model.Model, cost CostM
 
 func (p *jobProgram) Vertices() []VertexInfo { return p.verts }
 
-func (p *jobProgram) VertexCost(step int, id string) float64 {
-	return p.vcost[p.vidx[id]]
-}
+func (p *jobProgram) VertexCost(step, v int) float64 { return p.vcost[v] }
 
-func (p *jobProgram) Compute(step int, id string, msgs []Message, s Sender) (bool, error) {
-	v := p.vidx[id]
+func (p *jobProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
 	if v < p.nSplit {
 		if step != 0 {
 			return true, nil // split vertices only work in superstep 0
@@ -120,7 +109,7 @@ func (p *jobProgram) computeSplit(v int, s Sender) error {
 	}
 	for j, part := range parts {
 		for _, r := range part {
-			s.Send(p.redIDs[j], r.Key, r.Value)
+			s.Send(p.nSplit+j, r.Key, r.Value)
 		}
 	}
 	return nil

@@ -9,10 +9,16 @@
 //   - compute: per-node cost totals scheduled on the node's slots
 //     (locality-pinned — BSP work cannot be stolen from a vertex's home),
 //   - messages: aggregated per (source node, destination node) flows
-//     priced through Fabric.TransferTimeAt, riding the link/rack/core
-//     cost model and any active NetworkPlan overlay,
+//     priced through simcluster.Cluster.TransferAt, riding the
+//     link/rack/core cost model and any active NetworkPlan overlay,
 //   - barrier: token flows from every participating node to a
 //     coordinator and back, plus a fixed coordination overhead.
+//
+// Vertices are addressed by index: a vertex is its position in
+// Program.Vertices(), Compute is told which position it runs for, and
+// Send names its destination by position. VertexInfo.ID is a label — it
+// is what a message's destination costs on the wire and what errors
+// print — and is never looked up.
 //
 // The engine is deterministic: results, metrics and trace spans are
 // byte-identical across Workers settings and repeated runs. Compute is
@@ -23,11 +29,15 @@
 package bsp
 
 import (
+	"fmt"
+
 	"repro/internal/model"
 	"repro/internal/writable"
 )
 
-// VertexInfo names one vertex and the node that owns it. Home must be a
+// VertexInfo labels one vertex and names the node that owns it. ID must
+// be unique within the program; it sizes messages bound for the vertex
+// and names it in errors, and nothing is addressed by it. Home must be a
 // node id of the engine's cluster view, or -1 to let the engine assign
 // one (round-robin over live nodes). Dead homes are re-assigned
 // deterministically at run start.
@@ -43,28 +53,31 @@ type Message struct {
 	Value writable.Writable
 }
 
-// Sender accepts messages during Compute. Messages become visible to
-// their destination vertex in the next superstep. Send may only be
-// called from inside Compute, and only with destinations that are
-// vertices of the running program.
+// Sender accepts messages during Compute. to is the destination's index
+// in Program.Vertices(); the message becomes visible to that vertex in
+// the next superstep. A Sender is valid only for the duration of the
+// Compute call it was passed to. A destination outside the program's
+// vertex set is not delivered anywhere: the superstep fails with a
+// *ProgramError naming the sending vertex.
 type Sender interface {
-	Send(to, tag string, v writable.Writable)
+	Send(to int, tag string, v writable.Writable)
 }
 
 // Program is a vertex computation. Vertices is called once per run
-// attempt and must return a stable, duplicate-free vertex set. Compute
-// runs for every active vertex each superstep: a vertex is active in
-// superstep 0, and thereafter when it has incoming messages or did not
-// vote to halt. Returning halt=true votes to halt; an incoming message
-// reactivates the vertex. The run terminates when every vertex has
-// halted and no messages are in flight.
+// attempt and must return a stable, duplicate-free vertex set; the
+// engine reads it throughout the attempt. Compute runs for every active
+// vertex each superstep, v being the vertex's index in Vertices(): a
+// vertex is active in superstep 0, and thereafter when it has incoming
+// messages or did not vote to halt. Returning halt=true votes to halt;
+// an incoming message reactivates the vertex. The run terminates when
+// every vertex has halted and no messages are in flight.
 //
 // Compute must be safe to call concurrently on distinct vertices. msgs
 // is the engine's buffer, valid for the duration of the call: keep the
 // values, not the slice.
 type Program interface {
 	Vertices() []VertexInfo
-	Compute(step int, id string, msgs []Message, s Sender) (halt bool, err error)
+	Compute(step, v int, msgs []Message, s Sender) (halt bool, err error)
 }
 
 // Combiner merges two message values bound for the same destination
@@ -101,8 +114,34 @@ type Modeler interface {
 // formula. The mapred adapter uses this to reproduce map/reduce task
 // cost accounting.
 type VertexCoster interface {
-	VertexCost(step int, id string) float64
+	VertexCost(step, v int) float64
 }
+
+// ProgramError reports a run the program itself made impossible: a
+// duplicate vertex id, more vertices than the engine indexes, a send to
+// an index outside the vertex set, or an error returned by Compute (Err,
+// reachable through errors.Is and errors.As). Step is -1 and Vertex
+// empty where the failure belongs to no superstep or vertex.
+type ProgramError struct {
+	Job    string
+	Step   int
+	Vertex string // the vertex's ID
+	Reason string
+	Err    error
+}
+
+func (e *ProgramError) Error() string {
+	msg := "bsp: " + e.Job + ": "
+	if e.Step >= 0 {
+		msg += fmt.Sprintf("superstep %d vertex %s: ", e.Step, e.Vertex)
+	}
+	if e.Err != nil {
+		return msg + e.Err.Error()
+	}
+	return msg + e.Reason
+}
+
+func (e *ProgramError) Unwrap() error { return e.Err }
 
 // uvarintLen mirrors the wire framing used by writable and model for
 // message size accounting.

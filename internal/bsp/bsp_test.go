@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -57,18 +58,14 @@ func (p *ringProgram) Vertices() []VertexInfo {
 	return infos
 }
 
-func (p *ringProgram) Compute(step int, id string, msgs []Message, s Sender) (bool, error) {
-	i, err := strconv.Atoi(id[1:])
-	if err != nil {
-		return false, err
-	}
+func (p *ringProgram) Compute(step, i int, msgs []Message, s Sender) (bool, error) {
 	sum := 0.0
 	for _, m := range msgs {
 		sum += float64(m.Value.(writable.Float64))
 	}
 	p.recv[i] += sum
 	if step < p.laps {
-		s.Send(ringID((i+1)%p.n), "", writable.Float64(sum+float64(i)+1))
+		s.Send((i+1)%p.n, "", writable.Float64(sum+float64(i)+1))
 		return false, nil
 	}
 	return true, nil
@@ -85,7 +82,7 @@ func (p *haltProgram) Vertices() []VertexInfo {
 	return infos
 }
 
-func (p *haltProgram) Compute(step int, id string, msgs []Message, s Sender) (bool, error) {
+func (p *haltProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
 	return true, nil
 }
 
@@ -116,9 +113,9 @@ func (p *reactivateProgram) Vertices() []VertexInfo {
 	return []VertexInfo{{ID: "a", Home: 0}, {ID: "b", Home: 1}}
 }
 
-func (p *reactivateProgram) Compute(step int, id string, msgs []Message, s Sender) (bool, error) {
-	if step == 0 && id == "a" {
-		s.Send("b", "", writable.Float64(42))
+func (p *reactivateProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+	if step == 0 && v == 0 {
+		s.Send(1, "", writable.Float64(42))
 	}
 	for _, m := range msgs {
 		p.bGot += float64(m.Value.(writable.Float64))
@@ -162,9 +159,9 @@ func (p *fanProgram) Vertices() []VertexInfo {
 	return infos
 }
 
-func (p *fanProgram) Compute(step int, id string, msgs []Message, s Sender) (bool, error) {
-	if step == 0 && id != "sink" {
-		s.Send("sink", "acc", writable.Float64(1))
+func (p *fanProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+	if step == 0 && v != 0 { // vertex 0 is the sink
+		s.Send(0, "acc", writable.Float64(1))
 	}
 	for _, m := range msgs {
 		p.sinkSum += float64(m.Value.(writable.Float64))
@@ -334,8 +331,15 @@ func TestDuplicateVertexIDRejected(t *testing.T) {
 		p := newRing(2, 1, nil)
 		return &dupProgram{p}, nil
 	}, nil)
-	if err == nil || !strings.Contains(err.Error(), "duplicate vertex id") {
-		t.Fatalf("err = %v, want duplicate vertex id error", err)
+	var pe *ProgramError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *ProgramError", err)
+	}
+	if pe.Job != "bsp" || pe.Step != -1 || pe.Vertex != ringID(0) || pe.Err != nil {
+		t.Fatalf("ProgramError = %+v, want job bsp, no step, vertex %s", *pe, ringID(0))
+	}
+	if want := `bsp: bsp: duplicate vertex id "v0"`; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }
 
@@ -347,31 +351,49 @@ func (p *dupProgram) Vertices() []VertexInfo {
 	return infos
 }
 
-// strayProgram sends to a vertex that does not exist.
-type strayProgram struct{}
+// strayProgram sends to an index outside its one-vertex set.
+type strayProgram struct{ to int }
 
 func (p *strayProgram) Vertices() []VertexInfo {
 	return []VertexInfo{{ID: "only", Home: 0}}
 }
 
-func (p *strayProgram) Compute(step int, id string, msgs []Message, s Sender) (bool, error) {
-	s.Send("ghost", "", writable.Float64(1))
+func (p *strayProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+	s.Send(p.to, "", writable.Float64(1))
 	return true, nil
 }
 
 func TestSendToUnknownVertexRejected(t *testing.T) {
-	e := NewEngine(testCluster())
-	_, err := e.Run(func() (Program, error) { return &strayProgram{}, nil }, nil)
-	if err == nil || !strings.Contains(err.Error(), `send to unknown vertex "ghost"`) {
-		t.Fatalf("err = %v, want unknown-vertex error", err)
+	// One past the end, negative, and far outside: each is reported as
+	// the sender's error, never an index out of range.
+	for _, to := range []int{1, -1, 1 << 40} {
+		e := NewEngine(testCluster())
+		_, err := e.Run(func() (Program, error) { return &strayProgram{to: to}, nil }, &RunOptions{Name: "stray"})
+		var pe *ProgramError
+		if !errors.As(err, &pe) {
+			t.Fatalf("to=%d: err = %v, want *ProgramError", to, err)
+		}
+		if pe.Job != "stray" || pe.Step != 0 || pe.Vertex != "only" || pe.Err != nil {
+			t.Fatalf("to=%d: ProgramError = %+v, want job stray, step 0, vertex only", to, *pe)
+		}
+		if want := fmt.Sprintf("bsp: stray: superstep 0 vertex only: send to unknown vertex %d", to); err.Error() != want {
+			t.Fatalf("err = %q, want %q", err, want)
+		}
 	}
 }
 
 func TestComputeErrorNamesVertex(t *testing.T) {
 	e := NewEngine(testCluster())
 	_, err := e.Run(func() (Program, error) { return &failProgram{}, nil }, nil)
-	if err == nil || !strings.Contains(err.Error(), "vertex bad") || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want error naming vertex bad", err)
+	var pe *ProgramError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *ProgramError", err)
+	}
+	if pe.Job != "bsp" || pe.Step != 0 || pe.Vertex != "bad" || !errors.Is(err, errBoom) {
+		t.Fatalf("ProgramError = %+v, want job bsp, step 0, vertex bad, wrapping errBoom", *pe)
+	}
+	if want := "bsp: bsp: superstep 0 vertex bad: boom"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }
 
@@ -381,9 +403,11 @@ func (p *failProgram) Vertices() []VertexInfo {
 	return []VertexInfo{{ID: "ok", Home: 0}, {ID: "bad", Home: 1}}
 }
 
-func (p *failProgram) Compute(step int, id string, msgs []Message, s Sender) (bool, error) {
-	if id == "bad" {
-		return false, fmt.Errorf("boom")
+var errBoom = errors.New("boom")
+
+func (p *failProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+	if v == 1 {
+		return false, errBoom
 	}
 	return true, nil
 }

@@ -2,9 +2,7 @@ package bsp
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
+	"math"
 
 	"repro/internal/mapred"
 	"repro/internal/model"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 	"repro/internal/trace"
-	"repro/internal/writable"
 )
 
 // maxRestarts bounds crash-triggered restarts of one run; a failure
@@ -144,9 +141,15 @@ type Result struct {
 	End simtime.Time
 }
 
-// Engine executes BSP programs on a simulated cluster view. It is
-// stateless between runs apart from the cost model; one engine may be
-// shared across sequential runs on the same view.
+// Engine executes BSP programs on a simulated cluster view. It keeps
+// nothing between runs but the cost model; one engine may be shared
+// across sequential runs on the same view. What does outlive a run is
+// memory, not state: every attempt's send buffers, combine table,
+// inboxes and per-vertex and per-node tables are one scratch object
+// drawn from a process-wide pool (see scratch.go). An attempt sizes and
+// initializes every table it reads and the scratch is emptied of message
+// values before it returns to the pool, so a result cannot depend on
+// which scratch a run drew or on what ran before it.
 type Engine struct {
 	cluster *simcluster.Cluster
 	cost    CostModel
@@ -246,31 +249,6 @@ func (e *Engine) Run(build func() (Program, error), opt *RunOptions) (*Result, e
 	}
 }
 
-type outMsg struct {
-	to  string
-	tag string
-	val writable.Writable
-}
-
-// sendBuf is the per-vertex Sender; each compute worker writes only its
-// own vertex's buffer, so no locking is needed.
-type sendBuf struct {
-	msgs []outMsg
-}
-
-func (b *sendBuf) Send(to, tag string, v writable.Writable) {
-	b.msgs = append(b.msgs, outMsg{to: to, tag: tag, val: v})
-}
-
-// wireMsg is a (possibly combined) message annotated with its routing.
-type wireMsg struct {
-	srcNode int
-	dst     int // destination vertex index
-	tag     string
-	val     writable.Writable
-	size    int64
-}
-
 // runAttempt executes one attempt from superstep 0. It returns the
 // simulated end time, whether a node crash invalidated the attempt
 // (restart), and any hard error.
@@ -279,12 +257,15 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 	at := start
 	verts := prog.Vertices()
 	n := len(verts)
-	idx := make(map[string]int, n)
-	for i, v := range verts {
-		if _, dup := idx[v.ID]; dup {
-			return at, false, fmt.Errorf("bsp: %s: duplicate vertex id %q", o.Name, v.ID)
-		}
-		idx[v.ID] = i
+	if n > math.MaxInt32 {
+		return at, false, &ProgramError{Job: o.Name, Step: -1,
+			Reason: fmt.Sprintf("%d vertices, more than the engine indexes", n)}
+	}
+	s := getScratch()
+	defer s.release()
+	if dup, ok := s.duplicateID(verts); ok {
+		return at, false, &ProgramError{Job: o.Name, Step: -1, Vertex: dup,
+			Reason: fmt.Sprintf("duplicate vertex id %q", dup)}
 	}
 
 	// Resolve vertex homes against the failure plan: vertices on dead
@@ -299,24 +280,21 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 			dead = plan.DeadAt(at)
 		}
 	}
-	var live []int
-	for _, nd := range e.cluster.Nodes() {
-		if !dead[nd] {
-			live = append(live, nd)
-		}
-	}
+	live := s.setLive(e.cluster.Nodes(), dead)
 	if len(live) == 0 {
 		return at, false, fmt.Errorf("bsp: %s: no live nodes", o.Name)
 	}
+	s.startAttempt(n)
 	home := make([]int, n)
 	rehomed := 0
 	for i, v := range verts {
 		h := v.Home
-		if h < 0 || !e.cluster.Contains(h) || dead[h] {
+		if h < 0 || h >= len(s.slotOf) || s.slotOf[h] < 0 {
 			h = live[rehomed%len(live)]
 			rehomed++
 		}
 		home[i] = h
+		s.hslot[i] = s.slotOf[h]
 	}
 	res.Homes = home
 	if n == 0 {
@@ -330,30 +308,26 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 	// Delta shipping stays pure accounting via the job family, exactly
 	// as in mapred.
 	if o.Model != nil && !o.Local {
-		homeSet := make(map[int]bool, len(live))
-		for _, h := range home {
-			homeSet[h] = true
+		for _, h := range s.hslot {
+			s.nodeUsed[h] = true
 		}
-		dsts := make([]int, 0, len(homeSet))
-		for nd := range homeSet {
-			dsts = append(dsts, nd)
-		}
-		sort.Ints(dsts)
+		dsts := s.usedSlots()
 		per := o.Model.Size()
-		if o.PartitionedModel && len(dsts) > 0 {
+		if o.PartitionedModel {
 			per /= int64(len(dsts))
 		}
-		var flows []simnet.Flow
+		s.flows = s.flows[:0]
 		var moved int64
-		for _, nd := range dsts {
+		for _, h := range dsts {
+			nd := live[h]
 			if nd == o.ModelHome || per == 0 {
 				continue
 			}
-			flows = append(flows, simnet.Flow{Src: o.ModelHome, Dst: nd, Bytes: per})
+			s.flows = append(s.flows, simnet.Flow{Src: o.ModelHome, Dst: nd, Bytes: per})
 			moved += per
 		}
-		if len(flows) > 0 {
-			d, resent, err := e.chargePayload(flows, at, m)
+		if len(s.flows) > 0 {
+			d, resent, err := e.chargePayload(s.flows, at, m)
 			if err != nil {
 				return at, false, fmt.Errorf("bsp: %s: model distribution: %w", o.Name, err)
 			}
@@ -374,46 +348,9 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 	coster, hasCoster := prog.(VertexCoster)
 
 	cfg := e.cluster.Config()
-	halted := make([]bool, n)
-	outs := make([]sendBuf, n)
-	halts := make([]bool, n)
-	errs := make([]error, n)
-	active := make([]int, 0, n)
-
-	// Per-superstep scratch, allocated once per attempt and cleared, not
-	// remade, each step. The inboxes are double-buffered: the messages a
-	// step delivers fill nextInbox while Compute still reads inbox, and
-	// the two swap at the barrier.
-	type ckey struct {
-		srcNode int
-		dst     int
-		tag     string
-	}
-	type link struct{ s, d int }
-	var (
-		inbox     = make([][]Message, n)
-		nextInbox = make([][]Message, n)
-		wire      []wireMsg
-		byKey     map[ckey]int
-		nodeCost  = make(map[int]float64)
-		nodes     []int
-		tasks     []simcluster.Task
-		linkBytes = make(map[link]int64)
-		links     []link
-		flows     []simnet.Flow
-	)
-	if comb != nil {
-		byKey = make(map[ckey]int)
-	}
 
 	for step := 0; ; step++ {
-		active = active[:0]
-		for i := range verts {
-			if !halted[i] || len(inbox[i]) > 0 {
-				active = append(active, i)
-			}
-		}
-		if len(active) == 0 {
+		if !s.activate() {
 			break
 		}
 		if step >= o.MaxSupersteps {
@@ -421,132 +358,77 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 		}
 		stepStart := at
 
-		// Compute: concurrent over distinct vertices; per-vertex send
-		// buffers keep output independent of worker count.
-		for _, i := range active {
-			outs[i].msgs = outs[i].msgs[:0]
-		}
-		parallelFor(len(active), o.Workers, func(k int) {
-			i := active[k]
-			halts[i], errs[i] = prog.Compute(step, verts[i].ID, inbox[i], &outs[i])
-		})
-		for _, i := range active {
-			if errs[i] != nil {
-				return at, false, fmt.Errorf("bsp: %s: superstep %d vertex %s: %w", o.Name, step, verts[i].ID, errs[i])
+		// Compute: concurrent over contiguous chunks of the active list,
+		// one send buffer per chunk, so chunk order is vertex order for
+		// any worker count. The first failing vertex in that order is
+		// the one reported.
+		if c := s.compute(prog, step, o.Workers); c != nil {
+			perr := &ProgramError{Job: o.Name, Step: step, Vertex: verts[c.failed].ID, Err: c.err}
+			if c.err == nil {
+				perr.Reason = fmt.Sprintf("send to unknown vertex %d", c.stray)
 			}
+			return at, false, perr
 		}
 
 		// Price compute: node totals pinned to their homes (BSP cannot
 		// steal work from a vertex's node), scheduled on map slots.
-		clear(nodeCost)
-		nodes = nodes[:0]
-		for _, i := range active {
+		clear(s.nodeCost)
+		s.eachSender(func(i int, sends []outMsg) {
 			var c float64
 			if hasCoster {
-				c = coster.VertexCost(step, verts[i].ID)
+				c = coster.VertexCost(step, i)
 			} else {
 				var sent int64
-				for _, om := range outs[i].msgs {
-					sent += messageSize(om.to, om.tag, om.val)
+				for k := range sends {
+					om := &sends[k]
+					sent += messageSize(verts[om.to].ID, om.tag, om.val)
 				}
 				c = e.cost.ComputePerVertex +
-					e.cost.ComputePerMessage*float64(len(inbox[i])) +
+					e.cost.ComputePerMessage*float64(len(s.inbox.of(i))) +
 					e.cost.EmitPerByte*float64(sent)
 			}
 			if o.Local {
 				c *= e.cost.LocalComputeFactor
 			}
-			if _, ok := nodeCost[home[i]]; !ok {
-				nodes = append(nodes, home[i])
-			}
-			nodeCost[home[i]] += c
-			if halts[i] {
+			s.nodeUsed[s.hslot[i]] = true
+			s.nodeCost[s.hslot[i]] += c
+			if s.halts[i] {
 				m.HaltedVotes++
 			}
+		})
+		used := s.usedSlots()
+		s.tasks = s.tasks[:0]
+		for _, h := range used {
+			s.tasks = append(s.tasks, simcluster.Task{Cost: s.nodeCost[h], Preferred: live[h]})
 		}
-		sort.Ints(nodes)
-		tasks = tasks[:0]
-		for _, nd := range nodes {
-			tasks = append(tasks, simcluster.Task{Cost: nodeCost[nd], Preferred: nd})
-		}
-		_, makespan := e.cluster.Schedule(tasks, cfg.MapSlotsPerNode)
+		_, makespan := e.cluster.Schedule(s.tasks, cfg.MapSlotsPerNode)
 		m.ComputePhase += makespan
-		m.Vertices += int64(len(active))
+		m.Vertices += int64(len(s.active))
 		at += makespan
 
 		// Gather sends in global vertex order, combining sender-side
-		// per (source node, destination, tag).
-		wire = wire[:0]
-		clear(byKey)
-		totalSends := 0
-		for _, i := range active {
-			for _, om := range outs[i].msgs {
-				j, ok := idx[om.to]
-				if !ok {
-					return at, false, fmt.Errorf("bsp: %s: superstep %d vertex %s: send to unknown vertex %q", o.Name, step, verts[i].ID, om.to)
-				}
-				totalSends++
-				if comb != nil {
-					k := ckey{home[i], j, om.tag}
-					if w, dup := byKey[k]; dup {
-						wire[w].val = comb.Combine(wire[w].val, om.val)
-						continue
-					}
-					byKey[k] = len(wire)
-				}
-				wire = append(wire, wireMsg{srcNode: home[i], dst: j, tag: om.tag, val: om.val})
-			}
-		}
+		// per (source node, destination, tag), and deliver them into
+		// the next superstep's inboxes.
+		totalSends := s.gather(comb)
 		m.Messages += int64(totalSends)
-		m.CombinedMessages += int64(len(wire))
-
-		// Deliver into next-superstep inboxes and account wire sizes.
-		for i := range nextInbox {
-			nextInbox[i] = nextInbox[i][:0]
-		}
-		var stepBytes int64
-		for w := range wire {
-			wm := &wire[w]
-			wm.size = messageSize(verts[wm.dst].ID, wm.tag, wm.val)
-			stepBytes += wm.size
-			nextInbox[wm.dst] = append(nextInbox[wm.dst], Message{Tag: wm.tag, Value: wm.val})
-		}
+		m.CombinedMessages += int64(len(s.wire))
+		stepBytes := s.deliver(verts, !o.Local)
 		m.MessageBytes += stepBytes
 
 		// Price message traffic: one flow per (source node, destination
 		// node) link, first-use order — same aggregation a mapred
 		// shuffle uses.
-		var stepNet int64
-		if !o.Local && len(wire) > 0 {
-			clear(linkBytes)
-			links = links[:0]
-			for w := range wire {
-				dn := home[wire[w].dst]
-				if wire[w].srcNode == dn {
-					continue
-				}
-				l := link{wire[w].srcNode, dn}
-				if _, ok := linkBytes[l]; !ok {
-					links = append(links, l)
-				}
-				linkBytes[l] += wire[w].size
+		flows, stepNet := s.linkFlows()
+		if len(flows) > 0 {
+			before := fab.Counters()
+			d, resent, err := e.chargePayload(flows, at, m)
+			if err != nil {
+				return at, false, fmt.Errorf("bsp: %s: superstep %d messages: %w", o.Name, step, err)
 			}
-			if len(links) > 0 {
-				flows = flows[:0]
-				for _, l := range links {
-					flows = append(flows, simnet.Flow{Src: l.s, Dst: l.d, Bytes: linkBytes[l]})
-					stepNet += linkBytes[l]
-				}
-				before := fab.Counters()
-				d, resent, err := e.chargePayload(flows, at, m)
-				if err != nil {
-					return at, false, fmt.Errorf("bsp: %s: superstep %d messages: %w", o.Name, step, err)
-				}
-				m.MessagePhase += d
-				m.MessageNetworkBytes += stepNet + resent
-				m.MessageCrossRackBytes += fab.Counters().CrossRack - before.CrossRack
-				at += d
-			}
+			m.MessagePhase += d
+			m.MessageNetworkBytes += stepNet + resent
+			m.MessageCrossRackBytes += fab.Counters().CrossRack - before.CrossRack
+			at += d
 		}
 
 		if !o.Local {
@@ -566,22 +448,23 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 		if !o.Local {
 			bStart := at
 			coord := live[0]
-			var up, down []simnet.Flow
-			for _, nd := range nodes {
+			s.up, s.down = s.up[:0], s.down[:0]
+			for _, h := range used {
+				nd := live[h]
 				if nd == coord {
 					continue
 				}
-				up = append(up, simnet.Flow{Src: nd, Dst: coord, Bytes: e.cost.BarrierTokenBytes})
-				down = append(down, simnet.Flow{Src: coord, Dst: nd, Bytes: e.cost.BarrierTokenBytes})
+				s.up = append(s.up, simnet.Flow{Src: nd, Dst: coord, Bytes: e.cost.BarrierTokenBytes})
+				s.down = append(s.down, simnet.Flow{Src: coord, Dst: nd, Bytes: e.cost.BarrierTokenBytes})
 			}
-			if len(up) > 0 {
+			if len(s.up) > 0 {
 				// Tokens are tiny control traffic: the zero policy, no
 				// verification.
-				gather, err := e.cluster.TransferAt(up, at, simcluster.TransferPolicy{})
+				gather, err := e.cluster.TransferAt(s.up, at, simcluster.TransferPolicy{})
 				if err != nil {
 					return at, false, fmt.Errorf("bsp: %s: superstep %d barrier: %w", o.Name, step, err)
 				}
-				release, err := e.cluster.TransferAt(down, at+gather.Elapsed, simcluster.TransferPolicy{})
+				release, err := e.cluster.TransferAt(s.down, at+gather.Elapsed, simcluster.TransferPolicy{})
 				if err != nil {
 					return at, false, fmt.Errorf("bsp: %s: superstep %d barrier release: %w", o.Name, step, err)
 				}
@@ -615,10 +498,7 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 			}
 		}
 
-		for _, i := range active {
-			halted[i] = halts[i]
-		}
-		inbox, nextInbox = nextInbox, inbox
+		s.endStep()
 	}
 	return at, false, nil
 }
@@ -633,45 +513,4 @@ func deadChanged(a, b map[int]bool) bool {
 		}
 	}
 	return false
-}
-
-// parallelFor runs fn(0..n-1) on up to workers goroutines in contiguous
-// chunks. Output must not depend on execution order; determinism is the
-// caller's responsibility (each index writes disjoint state).
-func parallelFor(n, workers int, fn func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }

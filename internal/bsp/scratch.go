@@ -1,0 +1,430 @@
+package bsp
+
+import (
+	"hash/maphash"
+	"math/bits"
+	"runtime"
+	"slices"
+	"sync"
+
+	"repro/internal/simcluster"
+	"repro/internal/simnet"
+	"repro/internal/writable"
+)
+
+// The message plane: everything a run attempt needs to move messages
+// from Compute to the next superstep's inboxes, addressed by vertex
+// index and node slot, in flat buffers that outlive the run in a pool.
+//
+// A node's slot is its position in the attempt's ascending list of live
+// nodes, so per-node tables are arrays and slot order is node-id order.
+
+// outMsg is one send as Compute made it.
+type outMsg struct {
+	to  int32
+	tag string
+	val writable.Writable
+}
+
+// chunk is the Sender of one compute worker. It holds the sends of a
+// contiguous run [lo, hi) of the active list (empty for a chunk the
+// superstep does not use), in vertex order then send order;
+// scratch.sent says how many belong to each vertex. A worker stops at
+// its first failing vertex.
+type chunk struct {
+	n      int // the program's vertex count: destinations are [0, n)
+	lo, hi int
+	msgs   []outMsg
+
+	// failed is the vertex whose Compute returned err, or, with err
+	// nil, sent to the out-of-range index stray; -1 while none has.
+	failed  int
+	err     error
+	stray   int
+	strayed bool
+}
+
+func (c *chunk) Send(to int, tag string, v writable.Writable) {
+	if uint(to) >= uint(c.n) {
+		if !c.strayed {
+			c.strayed, c.stray = true, to
+		}
+		return
+	}
+	c.msgs = append(c.msgs, outMsg{to: int32(to), tag: tag, val: v})
+}
+
+// reset empties the chunk, leaving msgs zero beyond its length.
+func (c *chunk) reset() {
+	clear(c.msgs)
+	*c = chunk{msgs: c.msgs[:0], failed: -1}
+}
+
+// wireMsg is a (possibly combined) message annotated with its routing:
+// the slot of the node it leaves and the vertex it is bound for.
+type wireMsg struct {
+	src int32
+	dst int32
+	tag string
+	val writable.Writable
+}
+
+// inboxes is one superstep's delivered messages in CSR form: vertex i's
+// are msgs[off[i]:off[i+1]], in wire order.
+type inboxes struct {
+	msgs []Message
+	off  []int32 // n+2 long; the last element is scratch space of the fill
+}
+
+func (b *inboxes) of(i int) []Message {
+	lo, hi := b.off[i], b.off[i+1]
+	return b.msgs[lo:hi:hi]
+}
+
+// scratch is the working memory of one run attempt, pooled as one object
+// so a warm run allocates only what it returns. Nothing in it carries
+// meaning from one attempt to the next: every table is sized and
+// initialized by the attempt that reads it. Buffers that hold message
+// values, tags or errors are zero beyond their length at all times and
+// emptied on release, so the pool never pins program data.
+type scratch struct {
+	// Per attempt.
+	live   []int   // live node ids, ascending; position = slot
+	slotOf []int32 // node id -> slot, -1 for dead and foreign ids
+	hslot  []int32 // by vertex: its home's slot
+	halted []bool  // by vertex: voted to halt at its last Compute
+	halts  []bool  // by vertex: this superstep's vote
+	sent   []int32 // by vertex: sends this superstep
+
+	// Per superstep.
+	active []int32 // vertices to compute, ascending
+	chunks []chunk
+	wire   []wireMsg
+	table  []int32 // open-addressed; 0 is empty, w+1 names wire[w] (or vertex w)
+	inbox  inboxes // what Compute reads
+	next   inboxes // what deliver fills; the two swap at the barrier
+
+	nodeCost  []float64 // by slot
+	nodeUsed  []bool    // by slot; usedSlots consumes it
+	slots     []int32
+	linkBytes []int64 // by source slot * len(live) + destination slot
+	links     []int32 // linkBytes indices with traffic, first-use order
+	tasks     []simcluster.Task
+	flows     []simnet.Flow
+	up, down  []simnet.Flow
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func (s *scratch) release() {
+	for i := range s.chunks {
+		s.chunks[i].reset()
+	}
+	clear(s.wire)
+	s.wire = s.wire[:0]
+	clear(s.inbox.msgs)
+	s.inbox.msgs = s.inbox.msgs[:0]
+	clear(s.next.msgs)
+	s.next.msgs = s.next.msgs[:0]
+	scratchPool.Put(s)
+}
+
+// sized returns buf with length n and unspecified contents.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed returns buf with length n, all zero.
+func zeroed[T any](buf []T, n int) []T {
+	buf = sized(buf, n)
+	clear(buf)
+	return buf
+}
+
+// hashSeed keys the table's string hashes. Which slot a key lands in is
+// never observable: the table only answers "seen before, and where".
+var hashSeed = maphash.MakeSeed()
+
+// emptyTable returns the table zeroed and sized for up to n keys at a
+// load of at most one half, and the shift that maps a 64-bit hash to a
+// slot of it.
+func (s *scratch) emptyTable(n int) (tbl []int32, shift uint) {
+	size := 1 << bits.Len(uint(2*n))
+	s.table = zeroed(s.table, size)
+	return s.table, uint(64 - bits.Len(uint(size-1)))
+}
+
+// fib spreads a hash over the table by its high bits.
+const fib = 0x9E3779B97F4A7C15
+
+// duplicateID reports an id two vertices share.
+func (s *scratch) duplicateID(verts []VertexInfo) (string, bool) {
+	tbl, shift := s.emptyTable(len(verts))
+	mask := len(tbl) - 1
+	for i := range verts {
+		id := verts[i].ID
+		p := int(maphash.String(hashSeed, id) * fib >> shift)
+		for ; tbl[p] != 0; p = (p + 1) & mask {
+			if verts[tbl[p]-1].ID == id {
+				return id, true
+			}
+		}
+		tbl[p] = int32(i) + 1
+	}
+	return "", false
+}
+
+// setLive numbers the nodes of the view that are not dead and returns
+// them, ascending.
+func (s *scratch) setLive(nodes []int, dead map[int]bool) []int {
+	s.live = s.live[:0]
+	maxID := -1
+	if len(nodes) > 0 {
+		maxID = nodes[len(nodes)-1]
+	}
+	s.slotOf = sized(s.slotOf, maxID+1)
+	for i := range s.slotOf {
+		s.slotOf[i] = -1
+	}
+	for _, nd := range nodes {
+		if !dead[nd] {
+			s.slotOf[nd] = int32(len(s.live))
+			s.live = append(s.live, nd)
+		}
+	}
+	l := len(s.live)
+	s.nodeCost = sized(s.nodeCost, l)
+	s.nodeUsed = zeroed(s.nodeUsed, l)
+	s.linkBytes = zeroed(s.linkBytes, l*l)
+	s.links = s.links[:0]
+	return s.live
+}
+
+// usedSlots returns the slots marked in nodeUsed, ascending, and unmarks
+// them. The result is valid until the next call.
+func (s *scratch) usedSlots() []int32 {
+	s.slots = s.slots[:0]
+	for h, used := range s.nodeUsed {
+		if used {
+			s.slots = append(s.slots, int32(h))
+			s.nodeUsed[h] = false
+		}
+	}
+	return s.slots
+}
+
+// startAttempt readies the per-vertex state of an n-vertex program:
+// nobody has halted, every inbox is empty, homes are yet to be set.
+func (s *scratch) startAttempt(n int) {
+	s.hslot = sized(s.hslot, n)
+	s.halted = zeroed(s.halted, n)
+	s.halts = sized(s.halts, n)
+	s.sent = sized(s.sent, n)
+	s.inbox.off = zeroed(s.inbox.off, n+2)
+	s.next.off = sized(s.next.off, n+2)
+}
+
+// activate lists the vertices the coming superstep computes — those that
+// have not halted or have mail — and reports whether there are any.
+func (s *scratch) activate() bool {
+	s.active = s.active[:0]
+	off := s.inbox.off
+	for i, halted := range s.halted {
+		if !halted || off[i+1] > off[i] {
+			s.active = append(s.active, int32(i))
+		}
+	}
+	return len(s.active) > 0
+}
+
+// compute runs the superstep's Compute calls on up to workers goroutines
+// (GOMAXPROCS when workers <= 0), each over a contiguous chunk of the
+// non-empty active list with its own send buffer. It returns the chunk holding the
+// first failing vertex in vertex order, nil when every call succeeded.
+func (s *scratch) compute(prog Program, step, workers int) *chunk {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	na := len(s.active)
+	workers = min(workers, na)
+	per := (na + workers - 1) / workers
+	busy := (na + per - 1) / per
+	for len(s.chunks) < busy {
+		s.chunks = append(s.chunks, chunk{})
+	}
+	for i := range s.chunks {
+		c := &s.chunks[i]
+		c.reset()
+		if i < busy {
+			c.n, c.lo, c.hi = len(s.halted), i*per, min((i+1)*per, na)
+		}
+	}
+	if busy == 1 {
+		s.computeChunk(&s.chunks[0], prog, step)
+	} else {
+		var wg sync.WaitGroup
+		for i := range s.chunks[:busy] {
+			wg.Add(1)
+			go func(c *chunk) {
+				defer wg.Done()
+				s.computeChunk(c, prog, step)
+			}(&s.chunks[i])
+		}
+		wg.Wait()
+	}
+	for i := range s.chunks {
+		if c := &s.chunks[i]; c.failed >= 0 {
+			return c
+		}
+	}
+	return nil
+}
+
+func (s *scratch) computeChunk(c *chunk, prog Program, step int) {
+	for _, v := range s.active[c.lo:c.hi] {
+		i := int(v)
+		before := len(c.msgs)
+		halt, err := prog.Compute(step, i, s.inbox.of(i), c)
+		s.sent[i] = int32(len(c.msgs) - before)
+		s.halts[i] = halt
+		if err != nil || c.strayed {
+			c.failed, c.err = i, err
+			return
+		}
+	}
+}
+
+// eachSender calls fn for every vertex of the superstep in vertex order
+// with the sends it made.
+func (s *scratch) eachSender(fn func(i int, sends []outMsg)) {
+	for ci := range s.chunks {
+		c := &s.chunks[ci]
+		pos := 0
+		for _, v := range s.active[c.lo:c.hi] {
+			k := int(s.sent[v])
+			fn(int(v), c.msgs[pos:pos+k])
+			pos += k
+		}
+	}
+}
+
+// gather merges the superstep's sends into wire in global vertex order
+// then send order and returns how many there were. With a combiner, a
+// send whose (source node, destination, tag) is already on the wire is
+// folded into that entry — left to right in send order — so an entry
+// sits where its key first occurred.
+func (s *scratch) gather(comb Combiner) (sends int) {
+	for i := range s.chunks {
+		sends += len(s.chunks[i].msgs)
+	}
+	clear(s.wire)
+	wire := slices.Grow(s.wire[:0], sends)
+	// The table maps a key to its wire entry: the integer part of the
+	// key is hashed, the tag only when there is one, and the entry is
+	// compared in full on a hit.
+	var tbl []int32
+	var shift uint
+	if comb != nil {
+		tbl, shift = s.emptyTable(sends)
+	}
+	mask := len(tbl) - 1
+	s.eachSender(func(i int, out []outMsg) {
+		src := s.hslot[i]
+	send:
+		for k := range out {
+			om := &out[k]
+			if comb != nil {
+				h := uint64(src)<<32 | uint64(om.to)
+				if om.tag != "" {
+					h ^= maphash.String(hashSeed, om.tag)
+				}
+				p := int(h * fib >> shift)
+				for ; tbl[p] != 0; p = (p + 1) & mask {
+					if w := &wire[tbl[p]-1]; w.src == src && w.dst == om.to && w.tag == om.tag {
+						w.val = comb.Combine(w.val, om.val)
+						continue send
+					}
+				}
+				tbl[p] = int32(len(wire)) + 1
+			}
+			wire = append(wire, wireMsg{src: src, dst: om.to, tag: om.tag, val: om.val})
+		}
+	})
+	s.wire = wire
+	return sends
+}
+
+// deliver files the wire into the next superstep's inboxes by a counting
+// pass — each inbox in wire order — and returns the wire's size in
+// bytes. With network set it also totals the bytes of every (source
+// node, destination node) link that crosses nodes into linkBytes and
+// lists those links in first-use order.
+func (s *scratch) deliver(verts []VertexInfo, network bool) (bytes int64) {
+	for _, l := range s.links {
+		s.linkBytes[l] = 0
+	}
+	s.links = s.links[:0]
+	nl := int32(len(s.live))
+
+	// Counting into off[dst+2] makes off[dst+1], after the prefix sum,
+	// the cursor the scatter advances from dst's start to its end —
+	// which is dst+1's start, so off[:n+1] ends up the CSR offsets.
+	off := s.next.off
+	clear(off)
+	for w := range s.wire {
+		wm := &s.wire[w]
+		off[int(wm.dst)+2]++
+		size := messageSize(verts[wm.dst].ID, wm.tag, wm.val)
+		bytes += size
+		if dn := s.hslot[wm.dst]; network && dn != wm.src {
+			l := wm.src*nl + dn
+			if s.linkBytes[l] == 0 { // a message is never empty
+				s.links = append(s.links, l)
+			}
+			s.linkBytes[l] += size
+		}
+	}
+	for d := 2; d < len(off); d++ {
+		off[d] += off[d-1]
+	}
+	msgs := s.next.msgs
+	if len(s.wire) < len(msgs) {
+		clear(msgs[len(s.wire):])
+	}
+	msgs = sized(msgs, len(s.wire))
+	for w := range s.wire {
+		wm := &s.wire[w]
+		cur := &off[int(wm.dst)+1]
+		msgs[*cur] = Message{Tag: wm.tag, Value: wm.val}
+		*cur++
+	}
+	s.next.msgs = msgs
+	return bytes
+}
+
+// linkFlows returns the superstep's network traffic as deliver totalled
+// it: one flow per link, in first-use order, and their sum.
+func (s *scratch) linkFlows() (flows []simnet.Flow, bytes int64) {
+	s.flows = s.flows[:0]
+	nl := int32(len(s.live))
+	for _, l := range s.links {
+		b := s.linkBytes[l]
+		s.flows = append(s.flows, simnet.Flow{Src: s.live[l/nl], Dst: s.live[l%nl], Bytes: b})
+		bytes += b
+	}
+	return s.flows, bytes
+}
+
+// endStep crosses the barrier: votes take effect and the delivered
+// messages become the inboxes Compute reads.
+func (s *scratch) endStep() {
+	for _, v := range s.active {
+		s.halted[v] = s.halts[v]
+	}
+	s.inbox, s.next = s.next, s.inbox
+}
