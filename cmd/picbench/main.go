@@ -231,6 +231,7 @@ func runSnapshot(args []string) int {
 	checkPath := fs.String("check", "", "validate an existing snapshot file instead of measuring")
 	suite := fs.Bool("suite", false, "also run the full experiment suite once and record its wall time")
 	historyPath := fs.String("history", "", "append a dated trajectory entry (see BENCH_history.jsonl) to this file")
+	note := fs.String("note", "", "with -history: what makes this entry not like-for-like with the previous ones")
 	fs.Parse(args)
 	if *checkPath != "" {
 		data, err := os.ReadFile(*checkPath)
@@ -287,7 +288,7 @@ func runSnapshot(args []string) int {
 			fmt.Fprintf(os.Stderr, "bench-snapshot: %v\n", err)
 			return 1
 		}
-		err = snap.AppendHistory(f, time.Now().Format("2006-01-02"))
+		err = snap.AppendHistory(f, time.Now().Format("2006-01-02"), *note)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -15,6 +15,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/linalg"
@@ -50,13 +53,33 @@ func (a *App) Name() string { return "kmeans" }
 // CentroidKey returns the model key of centroid j.
 func CentroidKey(j int) string { return fmt.Sprintf("c%05d", j) }
 
-// Records converts points into input records.
+// Records converts points into input records keyed p0 … pN-1. The keys
+// are slices of one backing string, written once into an exactly-sized
+// buffer, so the only per-record allocation left is boxing the vector.
 func Records(points []linalg.Vector) []mapred.Record {
+	var keys strings.Builder
+	keys.Grow(keyBytes(len(points)))
 	recs := make([]mapred.Record, len(points))
+	var digits [20]byte
 	for i, p := range points {
-		recs[i] = mapred.Record{Key: fmt.Sprintf("p%d", i), Value: writable.Vector(p)}
+		off := keys.Len()
+		keys.WriteByte('p')
+		keys.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		recs[i] = mapred.Record{Key: keys.String()[off:], Value: writable.Vector(p)}
 	}
 	return recs
+}
+
+// keyBytes is the total length of the keys p0 … p(n-1).
+func keyBytes(n int) int {
+	total := 0
+	// The keys of one width are p<lo> … p<hi-1>: a decade each.
+	for lo, width := 0, 2; lo < n; width++ {
+		hi := min(n, max(10, 10*lo))
+		total += (hi - lo) * width
+		lo = hi
+	}
+	return total
 }
 
 // InitialModel builds a starting model from the first K points — since
@@ -97,6 +120,13 @@ type centroidSet struct {
 	// instead of len(keys) separate slices.
 	dims int
 	flat []float64
+	// maxDims is the longest centroid's length: what a point must cover
+	// for a ragged set's scan to stay in bounds.
+	maxDims int
+	// prune is the centre–centre geometry the memo-carrying assignment
+	// reads (assign.go); nil when the set is ragged or not all finite,
+	// which sends every point to the full scan.
+	prune *pruneTable
 }
 
 func centroidsOf(m *model.Model) *centroidSet {
@@ -108,19 +138,17 @@ func centroidsOf(m *model.Model) *centroidSet {
 		}
 		return true
 	})
-	for c, mu := range cs.mus {
-		if c == 0 {
-			cs.dims = len(mu)
-		} else if len(mu) != cs.dims {
-			cs.dims = -1
-			break
-		}
+	for _, mu := range cs.mus {
+		cs.maxDims = max(cs.maxDims, len(mu))
 	}
-	if cs.dims >= 0 && len(cs.mus) > 0 {
+	ragged := slices.ContainsFunc(cs.mus, func(mu writable.Vector) bool { return len(mu) != cs.maxDims })
+	if len(cs.mus) > 0 && !ragged {
+		cs.dims = cs.maxDims
 		cs.flat = make([]float64, 0, len(cs.mus)*cs.dims)
 		for _, mu := range cs.mus {
 			cs.flat = append(cs.flat, mu...)
 		}
+		cs.prune = newPruneTable(cs.flat, len(cs.mus), cs.dims)
 	}
 	return cs
 }
@@ -138,8 +166,17 @@ func (cs *centroidSet) nearestKey(p writable.Vector) string {
 }
 
 // nearestIndex is nearestKey returning the centroid's index (-1 when
-// the model has no centroids or every distance is NaN).
+// the model has no centroids or no distance is finite).
 func (cs *centroidSet) nearestIndex(p writable.Vector) int {
+	best, _ := cs.nearest(p)
+	return best
+}
+
+// nearest is the full scan: the index of the centroid with the least
+// computed squared distance to p — the lowest index on ties, never one
+// whose distance is NaN or +Inf — and that distance; -1 when there is
+// none. p must cover the set's dimension (maxDims when ragged).
+func (cs *centroidSet) nearest(p []float64) (int, float64) {
 	best := -1
 	bestDist := math.Inf(1)
 	switch {
@@ -150,43 +187,25 @@ func (cs *centroidSet) nearestIndex(p writable.Vector) int {
 		x, y, z := p[0], p[1], p[2]
 		flat := cs.flat
 		for j := 0; j+3 <= len(flat); j += 3 {
-			dx := x - flat[j]
-			dy := y - flat[j+1]
-			dz := z - flat[j+2]
-			d := dx * dx
-			d += dy * dy
-			d += dz * dz
-			if d < bestDist {
+			if d := sqDist3(x, y, z, flat[j:j+3]); d < bestDist {
 				best, bestDist = j/3, d
 			}
 		}
 	case cs.dims > 0:
 		dims := cs.dims
-		pp := p[:dims]
 		for j := 0; j*dims < len(cs.flat); j++ {
-			mu := cs.flat[j*dims : (j+1)*dims]
-			var d float64
-			for i, m := range mu {
-				diff := pp[i] - m
-				d += diff * diff
-			}
-			if d < bestDist {
+			if d := sqDist(p, cs.flat[j*dims:(j+1)*dims]); d < bestDist {
 				best, bestDist = j, d
 			}
 		}
 	default:
 		for c, mu := range cs.mus {
-			var d float64
-			for i := range mu {
-				diff := p[i] - mu[i]
-				d += diff * diff
-			}
-			if d < bestDist {
+			if d := sqDist(p, mu); d < bestDist {
 				best, bestDist = c, d
 			}
 		}
 	}
-	return best
+	return best, bestDist
 }
 
 // sumReducer aggregates (point..., count) accumulators component-wise;
@@ -235,20 +254,49 @@ type sumCollector struct{ acc writable.Vector }
 
 func (c *sumCollector) Emit(_ string, v writable.Writable) { c.acc = v.(writable.Vector) }
 
+// ShapeError reports an input record whose value cannot be measured
+// against the model's centroids: not a vector (PointDims -1), or a
+// vector whose length differs from the centroids' common dimension
+// (ModelDims; -1 for a ragged model the point is too short for).
+type ShapeError struct {
+	Key                  string
+	PointDims, ModelDims int
+}
+
+func (e *ShapeError) Error() string {
+	if e.PointDims < 0 {
+		return fmt.Sprintf("kmeans: record %q is not a vector", e.Key)
+	}
+	return fmt.Sprintf("kmeans: record %q has %d dimensions, model centroids have %d", e.Key, e.PointDims, e.ModelDims)
+}
+
 // iterMapper assigns each point to its nearest centroid. Beyond the
 // record-at-a-time Map, it implements the loop-aware capabilities
 // mapred.FusedMapper and mapred.LocalFuser: points are parsed once into
 // a packed array cached in the job family, and each iteration's
 // map+combine (or map+reduce) runs fused over it. Every fused path
 // accumulates in the exact floating-point order of the cold pipeline,
-// so outputs are byte-identical.
+// so outputs are byte-identical. That covers the assignment too: the
+// fused paths find each point's centroid through packedPoints.assign,
+// which skips the k-way scan only when remembered bounds prove the scan
+// would return the remembered index, and otherwise evaluates the same
+// distance expression Map's scan does (the argument is in assign.go) —
+// so whether a split's memo is present, cold, evicted or stale changes
+// how long an iteration takes and nothing else.
 type iterMapper struct{ cs *centroidSet }
 
 // Map implements mapred.Mapper — the cold path.
-func (mp *iterMapper) Map(_ string, v writable.Writable, _ *model.Model, emit mapred.Emitter) error {
-	p := v.(writable.Vector)
-	key := mp.cs.nearestKey(p)
-	if key == "" {
+func (mp *iterMapper) Map(key string, v writable.Writable, _ *model.Model, emit mapred.Emitter) error {
+	cs := mp.cs
+	p, ok := v.(writable.Vector)
+	switch {
+	case !ok:
+		return &ShapeError{Key: key, PointDims: -1, ModelDims: cs.dims}
+	case cs.dims >= 0 && len(p) != cs.dims, len(p) < cs.maxDims:
+		return &ShapeError{Key: key, PointDims: len(p), ModelDims: cs.dims}
+	}
+	centroid := cs.nearestKey(p)
+	if centroid == "" {
 		return fmt.Errorf("kmeans: model has no centroids")
 	}
 	// Build the (point..., count) accumulator in one exact-size
@@ -256,20 +304,9 @@ func (mp *iterMapper) Map(_ string, v writable.Writable, _ *model.Model, emit ma
 	acc := make(writable.Vector, len(p)+1)
 	copy(acc, p)
 	acc[len(p)] = 1
-	emit.Emit(key, acc)
+	emit.Emit(centroid, acc)
 	return nil
 }
-
-// packedPoints is the cacheable derived form of one split: its points
-// packed into a contiguous array, parsed out of the record encoding
-// once per job family instead of once per iteration.
-type packedPoints struct {
-	flat    []float64 // n × dims
-	n, dims int
-}
-
-// SizeBytes implements mapred.SplitDerived.
-func (d *packedPoints) SizeBytes() int64 { return int64(8 * len(d.flat)) }
 
 // NewDerived implements mapred.FusedMapper/LocalFuser. Splits that are
 // not uniform-dimension vectors decline fusion (nil): the cold path
@@ -307,27 +344,21 @@ func (mp *iterMapper) MapSplit(d mapred.SplitDerived, _ *model.Model, emit mapre
 	if k == 0 {
 		return 0, 0, fmt.Errorf("kmeans: model has no centroids")
 	}
+	if pp.dims != cs.dims {
+		// The cold path reports the mismatch as a ShapeError (or scans a
+		// ragged model).
+		return 0, 0, mapred.ErrFusedUnsupported
+	}
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	assign, ok := pp.assign(cs)
+	if !ok {
+		return 0, 0, fmt.Errorf("kmeans: model has no centroids")
+	}
 	width := pp.dims + 1
 	sums := make([]float64, k*width)
 	counts := make([]int64, k)
-	for i := 0; i < pp.n; i++ {
-		p := writable.Vector(pp.flat[i*pp.dims : (i+1)*pp.dims])
-		j := cs.nearestIndex(p)
-		if j < 0 {
-			return 0, 0, fmt.Errorf("kmeans: model has no centroids")
-		}
-		acc := sums[j*width : (j+1)*width]
-		if counts[j] == 0 {
-			copy(acc, p)
-			acc[pp.dims] = 1
-		} else {
-			for c, x := range p {
-				acc[c] += x
-			}
-			acc[pp.dims]++
-		}
-		counts[j]++
-	}
+	accumulate(sums, counts, pp, assign)
 	// Pre-combine accounting: the cold path emits one (key, point+count)
 	// record per point, so its intermediate bytes are Σ count_j·size_j.
 	scratch := make(writable.Vector, width)
@@ -342,13 +373,38 @@ func (mp *iterMapper) MapSplit(d mapred.SplitDerived, _ *model.Model, emit mapre
 	return int64(pp.n), preBytes, nil
 }
 
+// accumulate adds pp's points into their assigned centroids' (sum...,
+// count) rows in arrival order: a row starts as a copy of its first
+// point and adds the rest — sumReducer's values[0].Clone()-then-add
+// sequence.
+func accumulate(sums []float64, counts []int64, pp *packedPoints, assign []int32) {
+	dims := pp.dims
+	width := dims + 1
+	for r := 0; r < pp.n; r++ {
+		j := int(assign[r])
+		acc := sums[j*width : (j+1)*width]
+		p := pp.flat[r*dims : (r+1)*dims]
+		if counts[j] == 0 {
+			copy(acc, p)
+			acc[dims] = 1
+		} else {
+			for c, x := range p {
+				acc[c] += x
+			}
+			acc[dims]++
+		}
+		counts[j]++
+	}
+}
+
 // FuseLocal implements mapred.LocalFuser: the in-memory map+reduce of a
-// best-effort local iteration. Assignment (stage 1) is pure reads and
-// runs parallel; accumulation (stage 2) is serial in global arrival
-// order — the exact floating-point order the cold reducer sums in after
-// its stable sort. Shapes the cold path reports errors for (ragged
-// dimensions, NaN distances, empty model) decline fusion instead, so
-// the cold run produces its byte-identical diagnostics.
+// best-effort local iteration. Assignment (stage 1) touches only each
+// split's own points and memo and runs parallel; accumulation (stage 2)
+// is serial in global arrival order — the exact floating-point order
+// the cold reducer sums in after its stable sort. Shapes the cold path
+// reports errors for (ragged or mismatched dimensions, NaN distances,
+// empty model) decline fusion instead, so the cold run produces its
+// byte-identical diagnostics.
 func (mp *iterMapper) FuseLocal(ds []mapred.SplitDerived, _ *model.Model, par func(int, func(int)), emit mapred.Emitter) (int64, error) {
 	cs := mp.cs
 	k := len(cs.keys)
@@ -374,47 +430,26 @@ func (mp *iterMapper) FuseLocal(ds []mapred.SplitDerived, _ *model.Model, par fu
 	if dims < 0 {
 		return 0, nil
 	}
+	if dims != cs.dims {
+		return 0, mapred.ErrFusedUnsupported
+	}
 	assign := make([][]int32, len(pps))
-	bad := make([]bool, len(pps))
 	par(len(pps), func(i int) {
 		pp := pps[i]
-		idx := make([]int32, pp.n)
-		for r := 0; r < pp.n; r++ {
-			p := writable.Vector(pp.flat[r*pp.dims : (r+1)*pp.dims])
-			j := cs.nearestIndex(p)
-			if j < 0 {
-				bad[i] = true
-				return
-			}
-			idx[r] = int32(j)
+		pp.mu.Lock()
+		defer pp.mu.Unlock()
+		if idx, ok := pp.assign(cs); ok {
+			assign[i] = idx
 		}
-		assign[i] = idx
 	})
-	for _, b := range bad {
-		if b {
-			return 0, mapred.ErrFusedUnsupported
-		}
-	}
 	width := dims + 1
 	sums := make([]float64, k*width)
 	counts := make([]int64, k)
 	for i, pp := range pps {
-		idx := assign[i]
-		for r := 0; r < pp.n; r++ {
-			j := int(idx[r])
-			acc := sums[j*width : (j+1)*width]
-			p := pp.flat[r*dims : (r+1)*dims]
-			if counts[j] == 0 {
-				copy(acc, p)
-				acc[dims] = 1
-			} else {
-				for c, x := range p {
-					acc[c] += x
-				}
-				acc[dims]++
-			}
-			counts[j]++
+		if assign[i] == nil {
+			return 0, mapred.ErrFusedUnsupported
 		}
+		accumulate(sums, counts, pp, assign[i])
 	}
 	for j, c := range counts {
 		if c == 0 {
@@ -430,17 +465,20 @@ func (mp *iterMapper) FuseLocal(ds []mapred.SplitDerived, _ *model.Model, par fu
 	return total, nil
 }
 
-// Iteration implements core.App: one MapReduce job assigning points to
-// centroids and recomputing them.
-func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*model.Model, error) {
-	cs := centroidsOf(m)
-	job := &mapred.Job{
+// iterJob is one Lloyd iteration under model m as a MapReduce job.
+func iterJob(m *model.Model) *mapred.Job {
+	return &mapred.Job{
 		Name:     "kmeans-iter",
-		Mapper:   &iterMapper{cs: cs},
+		Mapper:   &iterMapper{cs: centroidsOf(m)},
 		Combiner: sumReducer{},
 		Reducer:  centroidReducer{},
 	}
-	out, err := rt.RunJob(job, in, m)
+}
+
+// Iteration implements core.App: one MapReduce job assigning points to
+// centroids and recomputing them.
+func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*model.Model, error) {
+	out, err := rt.RunJob(iterJob(m), in, m)
 	if err != nil {
 		return nil, err
 	}
@@ -654,13 +692,4 @@ func InitialModelPlusPlus(points []linalg.Vector, k int, seed int64) *model.Mode
 		m.Set(CentroidKey(j), writable.Vector(c).Clone())
 	}
 	return m
-}
-
-func sqDist(a, b linalg.Vector) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
 }

@@ -1,6 +1,8 @@
 package kmeans
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -422,5 +424,76 @@ func TestPlusPlusImprovesConvergence(t *testing.T) {
 	// ++ must be at least as good (it can tie when both find the optimum).
 	if qPlus > qNaive*1.05 {
 		t.Fatalf("++ seeding worse: %.3f vs %.3f", qPlus, qNaive)
+	}
+}
+
+// TestIterationShapeMismatchIsTypedError: a record that cannot be
+// measured against the model — shorter or longer than the centroids, or
+// not a vector at all — is a *ShapeError from Iteration, never a panic,
+// whether the loop cache is attached (the fused kernels decline and the
+// cold Map reports it) or not.
+func TestIterationShapeMismatchIsTypedError(t *testing.T) {
+	model3 := InitialModel([]linalg.Vector{{0, 0, 0}, {5, 5, 5}}, 2)
+	cases := []struct {
+		name      string
+		recs      []mapred.Record
+		pointDims int
+	}{
+		{"shorter", Records([]linalg.Vector{{1, 2}, {3, 4}, {5, 6}}), 2},
+		{"longer", Records([]linalg.Vector{{1, 2, 3, 4}, {5, 6, 7, 8}}), 4},
+		{"non-vector", []mapred.Record{{Key: "p0", Value: writable.Float64(1)}, {Key: "p1", Value: writable.Float64(2)}}, -1},
+		{"mixed", append(Records([]linalg.Vector{{1, 2, 3}}), mapred.Record{Key: "p1", Value: writable.Vector{1, 2}}), 2},
+	}
+	for _, tc := range cases {
+		for _, warm := range []bool{true, false} {
+			rt := testRuntime()
+			rt.SetLoopCache(warm)
+			in := mapred.NewInput(tc.recs, rt.Cluster(), 1)
+			check := func(path string, run *core.Runtime) {
+				_, err := New(2, 1e-3).Iteration(run, in, model3)
+				var se *ShapeError
+				if !errors.As(err, &se) {
+					t.Fatalf("%s warm=%v %s: got %v, want a *ShapeError", tc.name, warm, path, err)
+				}
+				if se.PointDims != tc.pointDims || se.ModelDims != 3 || se.Key == "" {
+					t.Fatalf("%s warm=%v %s: %+v", tc.name, warm, path, se)
+				}
+			}
+			check("framework", rt)
+			check("local", rt.Fork(rt.Cluster(), true))
+		}
+	}
+}
+
+func TestRecordsKeysUnchanged(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 11, 99, 100, 101, 1000, 12345} {
+		points := make([]linalg.Vector, n)
+		for i := range points {
+			points[i] = linalg.Vector{float64(i)}
+		}
+		recs := Records(points)
+		if len(recs) != n {
+			t.Fatalf("n=%d: %d records", n, len(recs))
+		}
+		// Boxing each vector into its record is one allocation a point;
+		// everything else — the record slice, the key bytes — is bounded.
+		if extra := testing.AllocsPerRun(5, func() { Records(points) }) - float64(n); extra > 4 {
+			t.Errorf("n=%d: %v allocations beyond one per record, want ≤ 4", n, extra)
+		}
+		total := 0
+		for _, r := range recs {
+			total += len(r.Key)
+		}
+		if got := keyBytes(n); got != total {
+			t.Errorf("n=%d: keyBytes = %d, keys total %d", n, got, total)
+		}
+		for i, r := range recs {
+			if want := fmt.Sprintf("p%d", i); r.Key != want {
+				t.Fatalf("n=%d: record %d keyed %q, want %q", n, i, r.Key, want)
+			}
+			if v := r.Value.(writable.Vector); len(v) != 1 || v[0] != float64(i) {
+				t.Fatalf("n=%d: record %d carries %v", n, i, v)
+			}
+		}
 	}
 }

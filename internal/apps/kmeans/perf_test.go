@@ -1,0 +1,127 @@
+package kmeans
+
+import (
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/data"
+	"repro/internal/linalg"
+	"repro/internal/model"
+	"repro/internal/writable"
+)
+
+// lloydStep is one step of Lloyd's algorithm from m over points,
+// assigning through the full scan: the model a run hands the assignment
+// kernel next, computed without it. Points with no finite distance to
+// any centroid are left out; centroids that attract none stay put.
+func lloydStep(points []linalg.Vector, m *model.Model) *model.Model {
+	cs := centroidsOf(m)
+	sums := make([]linalg.Vector, len(cs.keys))
+	counts := make([]float64, len(cs.keys))
+	for _, p := range points {
+		j := cs.nearestIndex(writable.Vector(p))
+		if j < 0 {
+			continue
+		}
+		if sums[j] == nil {
+			sums[j] = make(linalg.Vector, len(p))
+		}
+		for c, x := range p {
+			sums[j][c] += x
+		}
+		counts[j]++
+	}
+	next := m.Clone()
+	for j, sum := range sums {
+		if sum != nil {
+			for c := range sum {
+				sum[c] /= counts[j]
+			}
+			next.Set(cs.keys[j], writable.Vector(sum))
+		}
+	}
+	return next
+}
+
+// lloydTrajectory returns the first steps models of Lloyd's algorithm
+// from m over points, m itself first.
+func lloydTrajectory(points []linalg.Vector, m *model.Model, steps int) []*model.Model {
+	traj := make([]*model.Model, steps)
+	for i := range traj {
+		traj[i] = m
+		m = lloydStep(points, m)
+	}
+	return traj
+}
+
+// BenchmarkAssignPruned drives cold memo-carrying splits along a
+// recorded 12-step Lloyd trajectory at the kmeans_fig2 geometry (k = 25,
+// 3-D, 2 000-point splits) and reports what an assignment costs per
+// point on the first step (no memo: the plain scan plus writing the
+// memo), on steps 2–4 (large drifts) and on steps 5–12 (settling), next
+// to a plain nearestIndex loop over the same points, and how the
+// memoised point-visits were decided. A change that silently loses
+// pruning power moves the shares and the late-step cost.
+func BenchmarkAssignPruned(b *testing.B) {
+	const n, k, splitSize, steps = 100_000, 25, 2_000, 12
+	ps := data.GaussianMixture(11, n, k, 3, 100, 0.2*200/math.Cbrt(k)) // sigma as in kmeans_fig2
+	recs := Records(ps.Points)
+	sets := make([]*centroidSet, 0, steps)
+	for _, m := range lloydTrajectory(ps.Points, InitialModel(ps.Points, k), steps) {
+		sets = append(sets, centroidsOf(m))
+	}
+	phaseOf := [steps]int{0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2}
+	var phase [3]time.Duration // step 1, steps 2–4, steps 5–12
+	var full time.Duration
+	var decided assignMemo // counters only, summed over splits and ops
+	var mp iterMapper
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		var pps []*packedPoints
+		for off := 0; off < n; off += splitSize {
+			pps = append(pps, mp.NewDerived(recs[off:off+splitSize]).(*packedPoints))
+		}
+		runtime.GC() // the cycle the packing started would otherwise run inside the first timed loop
+		t0 := time.Now()
+		for _, pp := range pps {
+			for r := 0; r < pp.n; r++ {
+				sink += sets[0].nearestIndex(pp.flat[r*3 : r*3+3])
+			}
+		}
+		full += time.Since(t0)
+		for s, cs := range sets {
+			t0 := time.Now()
+			for _, pp := range pps {
+				idx, ok := pp.assign(cs)
+				if !ok {
+					b.Fatal("no finite distance")
+				}
+				sink += int(idx[0])
+			}
+			phase[phaseOf[s]] += time.Since(t0)
+		}
+		for _, pp := range pps {
+			decided.skipped += pp.memo.skipped
+			decided.reevaluated += pp.memo.reevaluated
+			decided.scanned += pp.memo.scanned
+			decided.scanDists += pp.memo.scanDists
+		}
+	}
+	if sink < 0 {
+		b.Fatal("unreachable")
+	}
+	perPoint := func(d time.Duration, stepsIn int) float64 {
+		return float64(d.Nanoseconds()) / float64(b.N*n*stepsIn)
+	}
+	b.ReportMetric(perPoint(full, 1), "fullscan-ns/point")
+	b.ReportMetric(perPoint(phase[0], 1), "step1-ns/point")
+	b.ReportMetric(perPoint(phase[1], 3), "steps2-4-ns/point")
+	b.ReportMetric(perPoint(phase[2], 8), "steps5-12-ns/point")
+	visits := float64(decided.skipped + decided.reevaluated + decided.scanned)
+	b.ReportMetric(float64(decided.skipped)/visits, "skip-share")
+	b.ReportMetric(float64(decided.reevaluated)/visits, "onedist-share")
+	b.ReportMetric(float64(decided.scanned)/visits, "scan-share")
+	b.ReportMetric(float64(decided.scanDists)/float64(decided.scanned), "dists/scan")
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps/kmeans"
 	"repro/internal/core"
 	"repro/internal/corrupt"
 	"repro/internal/dfs"
@@ -97,6 +98,21 @@ func groupedFixture() (*mapred.Engine, *mapred.Job, *mapred.Input) {
 	return e, job, mapred.NewInput(recs, cluster, cluster.MapSlots())
 }
 
+// kmeansBEIterWorkload is the one-round K-means PIC workload of the
+// kmeans-be-iter kernel. Its 50k input records are built here, once:
+// the kernel times the round, not the record generator.
+func kmeansBEIterWorkload(name string) *Workload {
+	w, ps := KMeansWorkload(name, simcluster.Small(), 50_000, 25, 3, 6, 3)
+	w.PICOpts.MaxBEIterations = 1
+	w.PICOpts.MaxLocalIterations = 10
+	w.PICOpts.MaxTopOffIterations = 1
+	recs := kmeans.Records(ps.Points)
+	w.MakeInput = func(c *simcluster.Cluster) *mapred.Input {
+		return mapred.NewInput(recs, c, c.MapSlots())
+	}
+	return w
+}
+
 // kernels returns the snapshot microbenchmarks. Their names are stable
 // identifiers: BENCH_baseline.json is validated against this list.
 func kernels() []kernel {
@@ -127,18 +143,28 @@ func kernels() []kernel {
 		}},
 		{"local-iteration", func(b *testing.B) {
 			// One Lloyd iteration of K-means through the runtime — the
-			// per-iteration cost every figure experiment multiplies.
+			// per-iteration cost every figure experiment multiplies. Each
+			// op iterates from the model the previous op produced, and the
+			// trajectory restarts from the initial model once it converges:
+			// iterating from one fixed model would time a loop-resident
+			// assignment memo at zero drift, where nothing is computed.
 			w, _ := KMeansWorkload("snapshot-kmeans-iter", simcluster.Small(), 50_000, 25, 3, 6, 3)
 			rt := w.NewRuntime()
 			app := w.MakeApp()
 			in := w.MakeInput(rt.Cluster())
-			m := w.MakeModel()
+			first := w.MakeModel()
+			m := first
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := app.Iteration(rt, in, m); err != nil {
+				next, err := app.Iteration(rt, in, m)
+				if err != nil {
 					b.Fatal(err)
 				}
+				if app.Converged(m, next) {
+					next = first
+				}
+				m = next
 			}
 		}},
 		{"sched-multitenant", func(b *testing.B) {
@@ -158,10 +184,7 @@ func kernels() []kernel {
 		{"kmeans-be-iter", func(b *testing.B) {
 			// One best-effort PIC round of K-means: partition, local
 			// convergence on every node group, merge.
-			w, _ := KMeansWorkload("snapshot-kmeans-be", simcluster.Small(), 50_000, 25, 3, 6, 3)
-			w.PICOpts.MaxBEIterations = 1
-			w.PICOpts.MaxLocalIterations = 10
-			w.PICOpts.MaxTopOffIterations = 1
+			w := kmeansBEIterWorkload("snapshot-kmeans-be")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -466,13 +489,18 @@ type HistoryEntry struct {
 	Scale            float64                  `json:"scale"`
 	SuiteWallSeconds float64                  `json:"suite_wall_seconds"`
 	Kernels          map[string]HistoryKernel `json:"kernels"`
+	// Note says what makes this entry not like-for-like with the ones
+	// before it (a kernel redefined, a different host), when something
+	// does.
+	Note string `json:"note,omitempty"`
 }
 
 // History condenses the snapshot into a trajectory entry under the
 // given date.
-func (s *Snapshot) History(date string) HistoryEntry {
+func (s *Snapshot) History(date, note string) HistoryEntry {
 	e := HistoryEntry{
 		Date:             date,
+		Note:             note,
 		GoVersion:        s.GoVersion,
 		Scale:            s.Scale,
 		SuiteWallSeconds: s.SuiteWallSeconds,
@@ -490,8 +518,8 @@ func (s *Snapshot) History(date string) HistoryEntry {
 
 // AppendHistory writes the snapshot's trajectory entry as one JSONL
 // line (the caller opens the history file in append mode).
-func (s *Snapshot) AppendHistory(w io.Writer, date string) error {
-	return json.NewEncoder(w).Encode(s.History(date))
+func (s *Snapshot) AppendHistory(w io.Writer, date, note string) error {
+	return json.NewEncoder(w).Encode(s.History(date, note))
 }
 
 // CheckSnapshot validates a serialized snapshot: it must parse, carry

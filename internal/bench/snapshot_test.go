@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/simcluster"
 	"repro/internal/simnet"
 )
 
@@ -15,10 +14,7 @@ import (
 // partition, local convergence on every node group, merge — the phase
 // the paper's speedups come from.
 func BenchmarkKMeansBEIter(b *testing.B) {
-	w, _ := KMeansWorkload("bench-kmeans-be", simcluster.Small(), 50_000, 25, 3, 6, 3)
-	w.PICOpts.MaxBEIterations = 1
-	w.PICOpts.MaxLocalIterations = 10
-	w.PICOpts.MaxTopOffIterations = 1
+	w := kmeansBEIterWorkload("bench-kmeans-be")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := w.RunPIC(nil); err != nil {

@@ -29,8 +29,13 @@ const DefaultNodeCacheBytes int64 = 512 << 20
 
 // SplitDerived is a cacheable structure a fused kernel derives from a
 // split's records once and reuses every iteration (parsed/packed
-// records, adjacency lists). Implementations are read-only after
-// construction: iterations run concurrently over them.
+// records, adjacency lists). What it derived from the records is
+// read-only after construction. Beside that it may carry memo state
+// written only by the single task that holds the split during a job;
+// results must not depend on whether it is present — the entry, memo
+// and all, is dropped without notice by capacity eviction, EvictNode,
+// Release and Invalidate, and the next touch starts from a fresh
+// NewDerived.
 type SplitDerived interface {
 	// SizeBytes reports the structure's resident size, charged against
 	// the owning node's cache budget on top of the split bytes it was
