@@ -3,7 +3,8 @@
 //
 //	picbench fig2 fig9 fig10 fig11 fig12a fig12b fig12c \
 //	         table1 table2 table3 \
-//	         abl-parts abl-coupling abl-localfactor abl-degenerate \
+//	         abl-parts abl-coupling abl-partitioner abl-localfactor \
+//	         abl-network abl-async abl-seeding abl-rate abl-degenerate \
 //	         abl-faults abl-netfaults abl-tenancy abl-loopaware abl-scale \
 //	         abl-backend abl-corruption
 //
@@ -73,25 +74,25 @@ func wrap[T renderer](fn func() (T, error)) func() (renderer, error) {
 }
 
 var experiments = []experiment{
-	{"fig2", "IC vs PIC wall time per application", wrap(bench.Fig2)},
-	{"fig9", "convergence trajectory over time", wrap(bench.Fig9)},
-	{"fig10", "BE/top-off phase breakdown", wrap(bench.Fig10)},
-	{"fig11", "speedup vs cluster size", wrap(bench.Fig11)},
-	{"fig12a", "K-means sensitivity sweep", wrap(bench.Fig12a)},
-	{"fig12b", "PageRank sensitivity sweep", wrap(bench.Fig12b)},
-	{"fig12c", "matrix-factorization sensitivity sweep", wrap(bench.Fig12c)},
-	{"table1", "workload and cluster inventory", wrap(bench.Table1)},
-	{"table2", "end-to-end results table", wrap(bench.Table2)},
-	{"table3", "network traffic accounting", wrap(bench.Table3)},
+	{"fig2", "K-means run time (best-effort + top-off) and traffic on the 64-node cluster", wrap(bench.Fig2)},
+	{"fig9", "speedups on the small (6-node) cluster: K-means, PageRank, linear solver", wrap(bench.Fig9)},
+	{"fig10", "speedups on the medium (64-node) cluster: K-means, neural net, image smoothing", wrap(bench.Fig10)},
+	{"fig11", "speedup vs cluster size (image smoothing, strong scaling)", wrap(bench.Fig11)},
+	{"fig12a", "neural network training: validation error vs time", wrap(bench.Fig12a)},
+	{"fig12b", "K-means: centroid displacement vs time", wrap(bench.Fig12b)},
+	{"fig12c", "linear equation solver: distance to the exact solution vs time", wrap(bench.Fig12c)},
+	{"table1", "K-means iterations: IC vs PIC's best-effort phase across dataset sizes", wrap(bench.Table1)},
+	{"table2", "K-means intermediate data and model-update volume, IC vs PIC", wrap(bench.Table2)},
+	{"table3", "quality of PIC's best-effort K-means model vs IC (Jagota index)", wrap(bench.Table3)},
 	{"abl-parts", "partition-count sweep", wrap(bench.AblationPartitionCount)},
 	{"abl-coupling", "graph coupling strength sweep", wrap(bench.AblationGraphCoupling)},
 	{"abl-partitioner", "partitioner quality comparison", wrap(bench.AblationPartitioner)},
-	{"abl-localfactor", "local-iteration budget sweep", wrap(bench.AblationLocalFactor)},
-	{"abl-network", "network cost-model comparison", wrap(bench.AblationNetworkModel)},
+	{"abl-localfactor", "in-memory/framework compute-ratio sweep", wrap(bench.AblationLocalFactor)},
+	{"abl-network", "network transfer model: bottleneck vs max-min fair sharing", wrap(bench.AblationNetworkModel)},
 	{"abl-async", "synchronous vs asynchronous merge", wrap(bench.AblationAsync)},
-	{"abl-seeding", "BE-phase seeding quality", wrap(bench.AblationSeeding)},
-	{"abl-rate", "convergence-rate comparison", wrap(bench.AblationConvergenceRate)},
-	{"abl-degenerate", "pathological partitioning stress", wrap(bench.AblationDegenerate)},
+	{"abl-seeding", "initial-model seeding: clumped, random, k-means++", wrap(bench.AblationSeeding)},
+	{"abl-rate", "best-effort convergence rate vs partitions (linear solver)", wrap(bench.AblationConvergenceRate)},
+	{"abl-degenerate", "degenerate PIC (1 partition) reproduces the IC solution", wrap(bench.AblationDegenerate)},
 	{"abl-faults", "node-failure ablation: a machine crashes (disk dies, DFS re-replicates, groups repair)", wrap(bench.AblationNodeFailure)},
 	{"abl-netfaults", "network-fault ablation: nodes stay up but core links fail (retries, quorum merges)", wrap(bench.AblationNetworkFault)},
 	{"abl-tenancy", "multi-tenant contention ablation", wrap(bench.AblationMultiTenant)},

@@ -298,6 +298,11 @@ func (a *App) Predict(m *model.Model, x linalg.Vector) int {
 	w1, _ := m.Vector(W1Key)
 	w2, _ := m.Vector(W2Key)
 	_, out := a.forward(w1, w2, x)
+	return argmax(out)
+}
+
+// argmax returns the index of the largest value, the lowest on ties.
+func argmax(out []float64) int {
 	best, bestV := 0, out[0]
 	for k, v := range out[1:] {
 		if v > bestV {
@@ -308,14 +313,20 @@ func (a *App) Predict(m *model.Model, x linalg.Vector) int {
 }
 
 // ModelError evaluates the misclassification rate of m on a validation
-// set — the paper's Figure 12(a) metric.
+// set — the paper's Figure 12(a) metric. It predicts exactly as Predict
+// does, but looks the weights up once and reuses one pair of activation
+// buffers across the whole set.
 func (a *App) ModelError(m *model.Model, vectors []linalg.Vector, labels []int) float64 {
 	if len(vectors) == 0 || len(vectors) != len(labels) {
 		panic("neuralnet: bad validation set")
 	}
+	w1, _ := m.Vector(W1Key)
+	w2, _ := m.Vector(W2Key)
+	hidden, out := make([]float64, a.Hidden), make([]float64, a.Out)
 	wrong := 0
 	for i, v := range vectors {
-		if a.Predict(m, v) != labels[i] {
+		a.forwardInto(w1, w2, v, hidden, out)
+		if argmax(out) != labels[i] {
 			wrong++
 		}
 	}

@@ -2,6 +2,7 @@ package neuralnet
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -256,5 +257,42 @@ func TestPICReachesICQualityOnOCR(t *testing.T) {
 	// Figure 12(a): PIC reaches virtually identical model error.
 	if picErr > icErr+0.08 {
 		t.Fatalf("PIC validation error %v much worse than IC %v", picErr, icErr)
+	}
+}
+
+// TestModelErrorMatchesPredictLoop pins ModelError's shared-buffer path
+// to the per-vector Predict loop it replaces: bit-equal rates on random
+// models and inputs, and an allocation count that does not grow with
+// the validation set.
+func TestModelErrorMatchesPredictLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	app := New(data.OCRDims, 16, data.OCRClasses, 0.6, 2e-4)
+	set := data.OCRVectors(3, 400, 0.12, 0.15)
+	for seed := int64(1); seed <= 8; seed++ {
+		m := app.InitialModel(seed)
+		for _, key := range []string{W1Key, W2Key} {
+			w, _ := m.Vector(key)
+			for i := range w {
+				w[i] *= 1 + 4*rng.Float64()
+			}
+		}
+		wrong := 0
+		for i, v := range set.Vectors {
+			if app.Predict(m, v) != set.Labels[i] {
+				wrong++
+			}
+		}
+		want := float64(wrong) / float64(len(set.Vectors))
+		if got := app.ModelError(m, set.Vectors, set.Labels); got != want {
+			t.Fatalf("seed %d: ModelError = %v, Predict loop = %v", seed, got, want)
+		}
+	}
+
+	m := app.InitialModel(1)
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() { app.ModelError(m, set.Vectors[:n], set.Labels[:n]) })
+	}
+	if few, many := allocs(4), allocs(len(set.Vectors)); many != few || many > 2 {
+		t.Fatalf("ModelError allocates %v objects for 4 vectors, %v for %d", few, many, len(set.Vectors))
 	}
 }

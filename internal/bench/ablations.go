@@ -9,7 +9,7 @@ import (
 	"repro/internal/apps/linsolve"
 	"repro/internal/apps/pagerank"
 	"repro/internal/core"
-	"repro/internal/mapred"
+	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/simcluster"
 	"repro/internal/webgraph"
@@ -40,8 +40,14 @@ func AblationPartitionCount() (*PartitionSweepResult, error) {
 	res := &PartitionSweepResult{Rows: make([]PartitionSweepRow, len(counts))}
 	if err := runCells(len(counts), func(i int) error {
 		p := counts[i]
-		w, _ := KMeansWorkload(fmt.Sprintf("kmeans-p%d", p), simcluster.Small(), scaled(300_000, 40_000), 25, 3, p, 3)
-		c, err := RunComparison(w)
+		var c *Comparison
+		var err error
+		if p == 6 {
+			c, err = smallKMeans()
+		} else {
+			w, _ := KMeansWorkload(fmt.Sprintf("kmeans-p%d", p), simcluster.Small(), scaled(300_000, 40_000), 25, 3, p, 3)
+			c, err = RunComparison(w)
+		}
 		if err != nil {
 			return err
 		}
@@ -188,26 +194,12 @@ func AblationPartitioner() (*PartitionerSweepResult, error) {
 	res := &PartitionerSweepResult{Rows: make([]PartitionerRow, len(strategies))}
 	if err := runCells(len(strategies), func(i int) error {
 		s := strategies[i]
-		strategy := s.strategy
-		w := &Workload{
-			Name:    "pagerank-" + s.name,
-			Cluster: simcluster.Small(),
-			MakeApp: func() core.PICApp {
-				a := pagerank.New(g, 0.85, 0.01, seed)
-				a.Strategy = strategy
-				return a
-			},
-			MakeInput: func(c *simcluster.Cluster) *mapred.Input {
-				return mapred.NewInput(pagerank.Records(g), c, c.MapSlots())
-			},
-			MakeModel: func() *model.Model { return pagerank.InitialModel(g) },
-			ICOpts:    core.ICOptions{MaxIterations: 60},
-			PICOpts: core.PICOptions{
-				Partitions:          partitions,
-				MaxBEIterations:     60,
-				MaxLocalIterations:  10,
-				MaxTopOffIterations: 60,
-			},
+		w, _ := PageRankWorkload("pagerank-"+s.name, simcluster.Small(), vertices, partitions, 0.05, seed)
+		locality := w.MakeApp
+		w.MakeApp = func() core.PICApp {
+			a := locality().(*pagerank.App)
+			a.Strategy = s.strategy
+			return a
 		}
 		c, err := RunComparison(w)
 		if err != nil {
@@ -259,11 +251,17 @@ func AblationLocalFactor() (*LocalFactorSweepResult, error) {
 	res := &LocalFactorSweepResult{Rows: make([]LocalFactorRow, len(factors))}
 	if err := runCells(len(factors), func(i int) error {
 		f := factors[i]
-		w, _ := KMeansWorkload(fmt.Sprintf("kmeans-lf%.3f", f), simcluster.Small(), scaled(300_000, 40_000), 25, 3, 6, 3)
 		cost := HadoopCost()
 		cost.LocalComputeFactor = f
-		w.Cost = cost
-		c, err := RunComparison(w)
+		var c *Comparison
+		var err error
+		if cost == HadoopCost() {
+			c, err = smallKMeans()
+		} else {
+			w, _ := KMeansWorkload(fmt.Sprintf("kmeans-lf%.3f", f), simcluster.Small(), scaled(300_000, 40_000), 25, 3, 6, 3)
+			w.Cost = cost
+			c, err = RunComparison(w)
+		}
 		if err != nil {
 			return err
 		}
@@ -310,10 +308,10 @@ func AblationDegenerate() (*DegenerateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := w.NewRuntime()
-	opts := w.PICOpts
-	opts.Partitions = 1
-	pic, err := core.RunPIC(rt, looseBEApp{w.MakeApp()}, w.MakeInput(rt.Cluster()), w.MakeModel(), opts)
+	loose := *w
+	loose.MakeApp = func() core.PICApp { return looseBEApp{w.MakeApp()} }
+	loose.PICOpts.Partitions = 1
+	pic, err := loose.RunPIC(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -361,28 +359,24 @@ func AblationNetworkModel() (*NetworkModelSweepResult, error) {
 	if err := runCells(len(modes), func(i int) error {
 		fair := modes[i]
 		name := "bottleneck"
+		var c *Comparison
+		var err error
 		if fair {
 			name = "max-min fair"
+			w, _ := KMeansWorkload("kmeans-net-"+name, simcluster.Small(), scaled(300_000, 40_000), 25, 3, 6, 3)
+			w.configure = func(rt *core.Runtime) { rt.Engine().FairSharingNetwork = true }
+			c, err = RunComparison(w)
+		} else {
+			c, err = smallKMeans()
 		}
-		w, _ := KMeansWorkload("kmeans-net-"+name, simcluster.Small(), scaled(300_000, 40_000), 25, 3, 6, 3)
-
-		rtIC := w.NewRuntime()
-		rtIC.Engine().FairSharingNetwork = fair
-		ic, err := core.RunIC(rtIC, w.MakeApp(), w.MakeInput(rtIC.Cluster()), w.MakeModel(), &w.ICOpts)
-		if err != nil {
-			return err
-		}
-		rtPIC := w.NewRuntime()
-		rtPIC.Engine().FairSharingNetwork = fair
-		pic, err := core.RunPIC(rtPIC, w.MakeApp(), w.MakeInput(rtPIC.Cluster()), w.MakeModel(), w.PICOpts)
 		if err != nil {
 			return err
 		}
 		res.Rows[i] = NetworkModelRow{
 			Model:   name,
-			ICTime:  float64(ic.Duration),
-			PICTime: float64(pic.Duration),
-			Speedup: float64(ic.Duration) / float64(pic.Duration),
+			ICTime:  float64(c.IC.Duration),
+			PICTime: float64(c.PIC.Duration),
+			Speedup: c.Speedup(),
 		}
 		return nil
 	}); err != nil {
@@ -433,34 +427,30 @@ func AblationAsync() (*AsyncSweepResult, error) {
 			suffix = " + stragglers"
 		}
 		w, _ := KMeansWorkload("kmeans-async"+suffix, simcluster.Small(), scaled(300_000, 40_000), 25, 3, 6, 3)
-		prep := func() *core.Runtime {
-			rt := w.NewRuntime()
-			if straggle {
+		var c *Comparison
+		var err error
+		if straggle {
+			w.configure = func(rt *core.Runtime) {
 				rt.Engine().StraggleEveryNthMapTask = 4
 				rt.Engine().StragglerSlowdown = 6
 			}
-			return rt
+			c, err = RunComparison(w)
+		} else {
+			c, err = smallKMeans()
 		}
-
-		rtIC := prep()
-		ic, err := core.RunIC(rtIC, w.MakeApp(), w.MakeInput(rtIC.Cluster()), w.MakeModel(), &w.ICOpts)
 		if err != nil {
 			return err
 		}
-		rtSync := prep()
-		sync, err := core.RunPIC(rtSync, w.MakeApp(), w.MakeInput(rtSync.Cluster()), w.MakeModel(), w.PICOpts)
-		if err != nil {
-			return err
-		}
-		rtAsync := prep()
-		async, err := core.RunPICAsync(rtAsync, w.MakeApp(), w.MakeInput(rtAsync.Cluster()), w.MakeModel(),
+		rt := w.NewRuntime()
+		async, err := core.RunPICAsync(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(),
 			core.AsyncOptions{Partitions: w.PICOpts.Partitions})
 		if err != nil {
 			return err
 		}
+		ic, sync := c.IC, c.PIC
 		res.Rows[2*i] = AsyncRow{Mode: "sync PIC" + suffix, BETime: float64(sync.BEDuration),
 			TopOffIters: sync.TopOffIterations, TotalTime: float64(sync.Duration),
-			Speedup: float64(ic.Duration) / float64(sync.Duration)}
+			Speedup: c.Speedup()}
 		res.Rows[2*i+1] = AsyncRow{Mode: "async PIC" + suffix, BETime: float64(async.BEDuration),
 			TopOffIters: async.TopOffIterations, TotalTime: float64(async.Duration),
 			Speedup: float64(ic.Duration) / float64(async.Duration)}
@@ -508,41 +498,18 @@ func AblationSeeding() (*SeedingSweepResult, error) {
 	res := &SeedingSweepResult{Rows: make([]SeedingRow, len(seedings))}
 	if err := runCells(len(seedings), func(i int) error {
 		seeding := seedings[i]
-		w, ps := KMeansWorkload("kmeans-seed-"+seeding, simcluster.Small(), scaled(300_000, 40_000), 25, 3, 6, 3)
-		points := ps.Points
-		switch seeding {
-		case "clumped":
-			// Adversarial start: the k seeds nearest to one point —
-			// the "bad initial model" end of §I's observation.
-			w.MakeModel = func() *model.Model {
-				type cand struct {
-					idx  int
-					dist float64
-				}
-				cands := make([]cand, len(points))
-				for i, p := range points {
-					var d float64
-					for j := range p {
-						diff := p[j] - points[0][j]
-						d += diff * diff
-					}
-					cands[i] = cand{i, d}
-				}
-				sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
-				seeds := make([]int, 25)
-				for i := range seeds {
-					seeds[i] = cands[i].idx
-				}
-				m := model.New()
-				for j, idx := range seeds {
-					m.Set(kmeans.CentroidKey(j), writableVector(points[idx]))
-				}
-				return m
+		var c *Comparison
+		var err error
+		if seeding == "random" {
+			c, err = smallKMeans()
+		} else {
+			w, ps := KMeansWorkload("kmeans-seed-"+seeding, simcluster.Small(), scaled(300_000, 40_000), 25, 3, 6, 3)
+			w.MakeModel = func() *model.Model { return clumpedModel(ps.Points, 25) }
+			if seeding == "k-means++" {
+				w.MakeModel = func() *model.Model { return kmeans.InitialModelPlusPlus(ps.Points, 25, 99) }
 			}
-		case "k-means++":
-			w.MakeModel = func() *model.Model { return kmeans.InitialModelPlusPlus(points, 25, 99) }
+			c, err = RunComparison(w)
 		}
-		c, err := RunComparison(w)
 		if err != nil {
 			return err
 		}
@@ -558,6 +525,30 @@ func AblationSeeding() (*SeedingSweepResult, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// clumpedModel is the adversarial start: the k seeds nearest to one
+// point — the "bad initial model" end of §I's observation.
+func clumpedModel(points []linalg.Vector, k int) *model.Model {
+	type cand struct {
+		idx  int
+		dist float64
+	}
+	cands := make([]cand, len(points))
+	for i, p := range points {
+		var d float64
+		for j := range p {
+			diff := p[j] - points[0][j]
+			d += diff * diff
+		}
+		cands[i] = cand{i, d}
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
+	m := model.New()
+	for j := 0; j < k; j++ {
+		m.Set(kmeans.CentroidKey(j), writableVector(points[cands[j].idx]))
+	}
+	return m
 }
 
 // writableVector deep-copies a point into a writable vector.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 
 	"repro/internal/core"
@@ -118,41 +119,25 @@ func runBackendOnce(app, scheme string, backend core.Backend, size, workers int)
 	if err != nil {
 		return nil, nil, err
 	}
-	rt := w.NewRuntime()
-	rt.Engine().Workers = workers
-	if err := rt.SetBackend(backend); err != nil {
+	reg := metrics.New()
+	var backendErr error
+	w.configure = func(rt *core.Runtime) {
+		rt.Engine().Workers = workers
+		backendErr = rt.SetBackend(backend)
+		rt.SetObservability(reg)
+	}
+
+	run, err := w.runScheme(scheme)
+	if err = cmp.Or(err, backendErr); err != nil {
 		return nil, nil, err
 	}
-	reg := metrics.New()
-	rt.SetObservability(reg)
-	in := w.MakeInput(rt.Cluster())
-
-	cell := &BackendCell{App: app, Scheme: scheme, Backend: string(backend)}
+	cell := &BackendCell{App: app, Scheme: scheme, Backend: string(backend),
+		Iterations: run.iterations, Duration: run.duration,
+		ExchangeSeconds: run.metrics.ShufflePhase, OverheadSeconds: run.metrics.OverheadPhase}
 	var fp bytes.Buffer
-	if scheme == "ic" {
-		res, err := core.RunIC(rt, w.MakeApp(), in, w.MakeModel(), &w.ICOpts)
-		if err != nil {
-			return nil, nil, err
-		}
-		cell.Iterations = res.Iterations
-		cell.Duration = res.Duration
-		cell.ExchangeSeconds = res.Metrics.ShufflePhase
-		cell.OverheadSeconds = res.Metrics.OverheadPhase
-		fp.Write(res.Model.Encode(nil))
-		fmt.Fprintf(&fp, "|%+v|%v", res.Metrics, res.Duration)
-	} else {
-		res, err := core.RunPIC(rt, w.MakeApp(), in, w.MakeModel(), w.PICOpts)
-		if err != nil {
-			return nil, nil, err
-		}
-		cell.Iterations = res.BEIterations + res.TopOffIterations
-		cell.Duration = res.Duration
-		cell.ExchangeSeconds = res.Metrics.ShufflePhase
-		cell.OverheadSeconds = res.Metrics.OverheadPhase
-		fp.Write(res.Model.Encode(nil))
-		fmt.Fprintf(&fp, "|%+v|%v", res.Metrics, res.Duration)
-	}
-	cell.Traffic = rt.Cluster().Fabric().Counters()
+	fp.Write(run.model.Encode(nil))
+	fmt.Fprintf(&fp, "|%+v|%v", run.metrics, run.duration)
+	cell.Traffic = run.rt.Cluster().Fabric().Counters()
 	snap := reg.Snapshot()
 	if m, ok := snap.Get("bsp.supersteps"); ok {
 		cell.Supersteps = int(m.Value)

@@ -12,10 +12,12 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/corrupt"
 	"repro/internal/dfs"
 	"repro/internal/mapred"
 	"repro/internal/model"
 	"repro/internal/simcluster"
+	"repro/internal/simnet"
 	"repro/internal/simtime"
 	"repro/internal/trace"
 )
@@ -48,8 +50,10 @@ func HadoopCost() mapred.CostModel {
 	}
 }
 
-// Workload bundles everything needed to run one application under both
-// schemes on fresh, identical runtimes.
+// Workload is the whole description of one experiment cell: everything
+// needed to run one application under both schemes on fresh, identical
+// runtimes. Variants of a cell are copies of its Workload with fields
+// changed, never a different way of building the runtime.
 type Workload struct {
 	// Name labels the workload in rendered tables.
 	Name string
@@ -70,6 +74,21 @@ type Workload struct {
 	// Tracer, when set, is attached to every runtime the workload
 	// creates, collecting the execution timeline.
 	Tracer *trace.Tracer
+
+	// failures, network and corruption are the cell's fault scripts,
+	// registered on the cluster before the runtime snapshots it (nil
+	// runs fault-free).
+	failures   *simcluster.FailurePlan
+	network    *simnet.NetworkPlan
+	corruption *corrupt.Plan
+	// inputBytes, when positive, stores the input dataset in the DFS as
+	// "input/<Name>" before the run, so faults have replicated state to
+	// destroy, poison or repair.
+	inputBytes int64
+	// configure, when set, applies the cell's remaining runtime settings
+	// (transfer deadlines, network model, stragglers, integrity arm,
+	// loop cache, backend, workers) after the defaults.
+	configure func(*core.Runtime)
 }
 
 // engineWorkers pins the real (not simulated) execution parallelism of
@@ -82,18 +101,40 @@ var engineWorkers atomic.Int64
 // built by a Workload. Zero restores the GOMAXPROCS default.
 func SetEngineWorkers(n int) { engineWorkers.Store(int64(n)) }
 
-// NewRuntime builds a fresh runtime for the workload's cluster.
+// NewRuntime builds a fresh runtime for the workload's cluster, with
+// the cell's fault scripts registered and its settings applied. It is
+// the harness's only runtime constructor.
 func (w *Workload) NewRuntime() *core.Runtime {
 	cluster := simcluster.New(w.Cluster)
+	cluster.SetFailurePlan(w.failures)
+	cluster.SetNetworkPlan(w.network)
+	cluster.SetCorruptionPlan(w.corruption)
 	rt := core.NewRuntime(cluster, dfs.DefaultConfig())
+	w.prepare(rt)
+	return rt
+}
+
+// prepare applies the workload's settings to a fresh runtime: cost
+// model, engine workers, tracer, DFS input file, then configure. The
+// scheduler builds its tenants' runtimes itself and hands them to
+// prepare already carrying its tracer, so a workload without a tracer
+// of its own leaves the runtime's in place.
+func (w *Workload) prepare(rt *core.Runtime) {
 	cost := w.Cost
 	if cost == (mapred.CostModel{}) {
 		cost = HadoopCost()
 	}
 	rt.Engine().SetCostModel(cost)
 	rt.Engine().Workers = int(engineWorkers.Load())
-	rt.SetTracer(w.Tracer)
-	return rt
+	if w.Tracer != nil {
+		rt.SetTracer(w.Tracer)
+	}
+	if w.inputBytes > 0 {
+		rt.FS().Create("input/"+w.Name, w.inputBytes, 0)
+	}
+	if w.configure != nil {
+		w.configure(rt)
+	}
 }
 
 // Comparison holds one IC-versus-PIC run of a workload.
@@ -111,27 +152,75 @@ func (c *Comparison) Speedup() float64 {
 // RunIC executes only the conventional scheme (with an optional
 // observer for trajectory experiments).
 func (w *Workload) RunIC(obs core.Observer) (*core.ICResult, error) {
-	rt := w.NewRuntime()
-	opts := w.ICOpts
-	opts.Observer = obs
-	return core.RunIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), &opts)
+	res, _, err := w.runIC(obs)
+	return res, err
 }
 
 // RunPIC executes only the PIC scheme.
 func (w *Workload) RunPIC(obs core.Observer) (*core.PICResult, error) {
+	res, _, err := w.runPIC(obs)
+	return res, err
+}
+
+// runIC is RunIC that also returns the finished runtime, for cells that
+// read its DFS, fabric or cache counters afterwards.
+func (w *Workload) runIC(obs core.Observer) (*core.ICResult, *core.Runtime, error) {
+	countRun(w.Name, "ic")
+	rt := w.NewRuntime()
+	opts := w.ICOpts
+	opts.Observer = obs
+	res, err := core.RunIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), &opts)
+	return res, rt, err
+}
+
+// runPIC is RunPIC that also returns the finished runtime.
+func (w *Workload) runPIC(obs core.Observer) (*core.PICResult, *core.Runtime, error) {
+	countRun(w.Name, "pic")
 	rt := w.NewRuntime()
 	opts := w.PICOpts
 	opts.Observer = obs
-	return core.RunPIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), opts)
+	res, err := core.RunPIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), opts)
+	return res, rt, err
+}
+
+// schemeRun is what the per-scheme ablations read off one run:
+// iterations (IC iterations, or PIC best-effort plus top-off rounds),
+// simulated duration, final model, driver metrics, and the finished
+// runtime.
+type schemeRun struct {
+	iterations int
+	duration   simtime.Duration
+	model      *model.Model
+	metrics    mapred.Metrics
+	rt         *core.Runtime
+}
+
+// runScheme runs w under scheme "ic" or "pic".
+func (w *Workload) runScheme(scheme string) (schemeRun, error) {
+	if scheme == "ic" {
+		res, rt, err := w.runIC(nil)
+		if err != nil {
+			return schemeRun{}, err
+		}
+		return schemeRun{res.Iterations, res.Duration, res.Model, res.Metrics, rt}, nil
+	}
+	res, rt, err := w.runPIC(nil)
+	if err != nil {
+		return schemeRun{}, err
+	}
+	return schemeRun{res.BEIterations + res.TopOffIterations, res.Duration, res.Model, res.Metrics, rt}, nil
 }
 
 // RunComparison executes the workload under both schemes.
-func RunComparison(w *Workload) (*Comparison, error) {
-	ic, err := w.RunIC(nil)
+func RunComparison(w *Workload) (*Comparison, error) { return observedComparison(w, nil, nil) }
+
+// observedComparison is RunComparison with an observer on each run.
+func observedComparison(w *Workload, icObs, picObs core.Observer) (*Comparison, error) {
+	ic, err := w.RunIC(icObs)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s baseline: %w", w.Name, err)
 	}
-	pic, err := w.RunPIC(nil)
+	pic, err := w.RunPIC(picObs)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s PIC: %w", w.Name, err)
 	}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/simtime"
 )
 
-// smallKMeans builds a fast workload for harness tests.
-func smallKMeans(t *testing.T) *Workload {
+// testKMeans builds a fast workload for harness tests.
+func testKMeans(t *testing.T) *Workload {
 	t.Helper()
 	w, _ := KMeansWorkload("kmeans-test", simcluster.Small(), 30_000, 8, 3, 6, 1)
 	return w
@@ -23,7 +23,7 @@ func TestHadoopCostValid(t *testing.T) {
 }
 
 func TestRunComparisonProducesBothResults(t *testing.T) {
-	c, err := RunComparison(smallKMeans(t))
+	c, err := RunComparison(testKMeans(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRunComparisonProducesBothResults(t *testing.T) {
 }
 
 func TestComparisonTrafficAccessors(t *testing.T) {
-	c, err := RunComparison(smallKMeans(t))
+	c, err := RunComparison(testKMeans(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestComparisonTrafficAccessors(t *testing.T) {
 }
 
 func TestWorkloadRunICWithObserver(t *testing.T) {
-	w := smallKMeans(t)
+	w := testKMeans(t)
 	n := 0
 	res, err := w.RunIC(func(core.Sample) { n++ })
 	if err != nil {
@@ -61,7 +61,7 @@ func TestWorkloadRunICWithObserver(t *testing.T) {
 }
 
 func TestWorkloadDefaultsCost(t *testing.T) {
-	w := smallKMeans(t)
+	w := testKMeans(t)
 	rt := w.NewRuntime()
 	if rt.Engine().CostModelValue() != HadoopCost() {
 		t.Fatal("workload without Cost did not default to HadoopCost")
@@ -221,7 +221,7 @@ func TestFig12TimeToReach(t *testing.T) {
 func TestPICBeatsICOnSmallWorkload(t *testing.T) {
 	// The headline claim at unit-test scale: PIC is faster and moves
 	// fewer recurring bytes.
-	c, err := RunComparison(smallKMeans(t))
+	c, err := RunComparison(testKMeans(t))
 	if err != nil {
 		t.Fatal(err)
 	}

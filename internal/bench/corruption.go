@@ -6,10 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corrupt"
-	"repro/internal/dfs"
-	"repro/internal/mapred"
 	"repro/internal/model"
-	"repro/internal/simcluster"
 	"repro/internal/simtime"
 )
 
@@ -78,11 +75,6 @@ type CorruptionSweepResult struct {
 	Rows      []CorruptionRow
 }
 
-// corruptionCluster is the testbed the corruption script acts on: the
-// same 12-node, 4-rack layout as the network-fault ablation, so
-// transfer windows sit on genuinely distinct endpoints.
-func corruptionCluster() simcluster.Config { return tenancyCluster() }
-
 // corruptionPlan scripts the sweep cell's corruption: back-to-back
 // bit-error windows rotating over the non-home nodes (full duty, so
 // every model distribution and gather rolls against the rate), one
@@ -123,26 +115,6 @@ func corruptionPlan(rate, period, horizon float64, input string, nodes int) *cor
 	return p
 }
 
-// corruptionRuntime builds a runtime with the corruption script
-// registered and the detection arm selected. The input dataset lives in
-// the DFS so the block-replica events have state to poison and the
-// scrubber has a namespace to walk.
-func corruptionRuntime(w *Workload, plan *corrupt.Plan, detect bool) *core.Runtime {
-	cluster := simcluster.New(w.Cluster)
-	cluster.SetCorruptionPlan(plan)
-	rt := core.NewRuntime(cluster, dfs.DefaultConfig())
-	cost := w.Cost
-	if cost == (mapred.CostModel{}) {
-		cost = HadoopCost()
-	}
-	rt.Engine().SetCostModel(cost)
-	rt.Engine().Workers = int(engineWorkers.Load())
-	rt.SetTracer(w.Tracer)
-	rt.FS().Create("input/"+w.Name, 64<<20, 0)
-	rt.SetIntegrityChecks(detect)
-	return rt
-}
-
 // modelDamage is the quality metric: the largest per-key delta between
 // the healthy reference model and the run's final model, clamped to a
 // finite sentinel when corruption blew a value up to Inf/NaN.
@@ -169,34 +141,22 @@ func modelDamage(ref, got *model.Model) float64 {
 func AblationCorruption() (*CorruptionSweepResult, error) {
 	points := scaled(300_000, 40_000)
 	const dims = 3
-	w, _ := KMeansWorkload("kmeans-corruption", corruptionCluster(), points, 25, dims, 6, 3)
+	w, _ := KMeansWorkload("kmeans-corruption", tenancyCluster(), points, 25, dims, 6, 3)
 	nodes := w.Cluster.Nodes
-
-	runIC := func(rt *core.Runtime, cap int) (*core.ICResult, error) {
-		opts := w.ICOpts
-		if cap > 0 {
-			opts.MaxIterations = cap
-		}
-		return core.RunIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), &opts)
-	}
-	runPIC := func(rt *core.Runtime, cap int) (*core.PICResult, error) {
-		opts := w.PICOpts
-		if cap > 0 {
-			opts.MaxTopOffIterations = cap
-		}
-		return core.RunPIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), opts)
-	}
+	// The input dataset lives in the DFS so the block-replica events have
+	// state to poison and the scrubber has a namespace to walk.
+	w.inputBytes = 64 << 20
 
 	// The healthy runs calibrate the schedule and serve as the quality
 	// reference: windows repeat every quarter of the healthy IC span,
 	// out to a horizon the detection-on runs cannot outlive, and each
 	// corrupted run's final model is compared against its own healthy
 	// counterpart.
-	icHealthy, err := runIC(corruptionRuntime(w, nil, true), 0)
+	icHealthy, err := w.RunIC(nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: corruption IC healthy: %w", err)
 	}
-	picHealthy, err := runPIC(corruptionRuntime(w, nil, true), 0)
+	picHealthy, err := w.RunPIC(nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: corruption PIC healthy: %w", err)
 	}
@@ -222,23 +182,25 @@ func AblationCorruption() (*CorruptionSweepResult, error) {
 	}
 	if err := runCells(len(res.Rows), func(cell int) error {
 		rate, detect := rates[cell/len(arms)], arms[cell%len(arms)]
-		plan := corruptionPlan(rate, period, horizon, "input/"+w.Name, nodes)
 		arm := "detect"
 		if !detect {
 			arm = "silent"
 		}
-		icRT := corruptionRuntime(w, plan, detect)
-		ic, err := runIC(icRT, iterCap)
+		cw := *w
+		cw.corruption = corruptionPlan(rate, period, horizon, "input/"+w.Name, nodes)
+		cw.configure = func(rt *core.Runtime) { rt.SetIntegrityChecks(detect) }
+		cw.ICOpts.MaxIterations = iterCap
+		cw.PICOpts.MaxTopOffIterations = iterCap
+		ic, icRT, err := cw.runIC(nil)
 		if err != nil {
 			return fmt.Errorf("bench: corruption IC at rate %.2f (%s): %w", rate, arm, err)
 		}
-		picRT := corruptionRuntime(w, plan, detect)
-		pic, err := runPIC(picRT, iterCap)
+		pic, picRT, err := cw.runPIC(nil)
 		if err != nil {
 			return fmt.Errorf("bench: corruption PIC at rate %.2f (%s): %w", rate, arm, err)
 		}
 		schedule := "none"
-		if plan != nil {
+		if cw.corruption != nil {
 			schedule = fmt.Sprintf("bit errors rate %.2f, %.1f s windows rotating nodes 1-%d; block poison + scrub each window",
 				rate, period, nodes-1)
 		}

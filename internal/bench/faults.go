@@ -3,9 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/dfs"
-	"repro/internal/mapred"
 	"repro/internal/simcluster"
 	"repro/internal/simtime"
 )
@@ -39,21 +36,6 @@ type FaultSweepResult struct {
 	SpeedupFault float64 // PIC-vs-IC speedup with the crash injected
 }
 
-// faultRuntime builds a runtime for w with an optional failure plan
-// registered on the cluster before the runtime snapshots it.
-func faultRuntime(w *Workload, plan *simcluster.FailurePlan) *core.Runtime {
-	cluster := simcluster.New(w.Cluster)
-	cluster.SetFailurePlan(plan)
-	rt := core.NewRuntime(cluster, dfs.DefaultConfig())
-	cost := w.Cost
-	if cost == (mapred.CostModel{}) {
-		cost = HadoopCost()
-	}
-	rt.Engine().SetCostModel(cost)
-	rt.SetTracer(w.Tracer)
-	return rt
-}
-
 // AblationNodeFailure runs K-means under both schemes on a healthy
 // cluster and then again with one node crashing partway through (and
 // recovering, empty, near the end of the healthy PIC run's span).
@@ -61,32 +43,19 @@ func AblationNodeFailure() (*FaultSweepResult, error) {
 	points := scaled(300_000, 40_000)
 	const dims = 3
 	w, _ := KMeansWorkload("kmeans-faults", simcluster.Small(), points, 25, dims, 6, 3)
-
 	// The input dataset lives in the DFS (as it would on a real cluster),
 	// so a crash always has replicated state to restore — even before the
 	// first model checkpoint is written.
-	newRuntime := func(plan *simcluster.FailurePlan) *core.Runtime {
-		rt := faultRuntime(w, plan)
-		rt.FS().Create("input/"+w.Name, int64(points)*dims*8, 0)
-		return rt
-	}
-
-	runIC := func(rt *core.Runtime) (*core.ICResult, error) {
-		opts := w.ICOpts
-		return core.RunIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), &opts)
-	}
-	runPIC := func(rt *core.Runtime) (*core.PICResult, error) {
-		return core.RunPIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), w.PICOpts)
-	}
+	w.inputBytes = int64(points) * dims * 8
 
 	// Healthy baselines — they also calibrate the crash time: the node
 	// dies a quarter of the way into the healthy PIC run, early enough
 	// to land inside every phase of both schemes.
-	icHealthy, err := runIC(newRuntime(nil))
+	icHealthy, err := w.RunIC(nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: faults IC healthy: %w", err)
 	}
-	picHealthy, err := runPIC(newRuntime(nil))
+	picHealthy, err := w.RunPIC(nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: faults PIC healthy: %w", err)
 	}
@@ -99,11 +68,13 @@ func AblationNodeFailure() (*FaultSweepResult, error) {
 		{Node: crashNode, Time: recoverAt, Recover: true},
 	}}
 
-	icFault, err := runIC(newRuntime(plan))
+	crashed := *w
+	crashed.failures = plan
+	icFault, err := crashed.RunIC(nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: faults IC crash: %w", err)
 	}
-	picFault, err := runPIC(newRuntime(plan))
+	picFault, err := crashed.RunPIC(nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: faults PIC crash: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/apps/linsolve"
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/simcluster"
 	"repro/internal/simtime"
@@ -72,58 +71,24 @@ func (r *Fig12Result) TimeToReach(level float64) (ic, pic simtime.Time) {
 	return find(r.IC), find(r.PIC)
 }
 
-func collect(metric func(s core.Sample) float64, out *Trajectory) core.Observer {
-	return func(s core.Sample) {
-		out.Points = append(out.Points, TrajectoryPoint{Time: s.Time, Value: metric(s)})
-	}
-}
-
 // Fig12a reproduces Figure 12(a): neural-network validation error
 // (misclassification rate) versus time for both schemes.
 func Fig12a() (*Fig12Result, error) {
-	w, app, _, valid := NeuralNetWorkload("neuralnet-fig12a", simcluster.Medium(), scaled(8_000, 1_000), 6, 7)
-	res := &Fig12Result{
-		Title:  "Figure 12(a) — neural network training: model error vs time",
-		Metric: "validation error",
-		IC:     Trajectory{Scheme: "IC"},
-		PIC:    Trajectory{Scheme: "PIC"},
-	}
-	metric := func(s core.Sample) float64 {
-		return app.ModelError(s.Model, valid.Vectors, valid.Labels)
-	}
-	if _, err := w.RunIC(collect(metric, &res.IC)); err != nil {
+	nn, err := neuralNet()
+	if err != nil {
 		return nil, err
 	}
-	if _, err := w.RunPIC(collect(metric, &res.PIC)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return nn.panel("Figure 12(a) — neural network training: model error vs time", "validation error"), nil
 }
 
 // Fig12b reproduces Figure 12(b): K-means centroid displacement from
 // iteration to iteration versus time.
 func Fig12b() (*Fig12Result, error) {
-	w, _ := KMeansWorkload("kmeans-fig12b", simcluster.Medium(), scaled(600_000, 30_000), 25, 3, 6, 2)
-	res := &Fig12Result{
-		Title:  "Figure 12(b) — K-means: centroid displacement vs time",
-		Metric: "max centroid displacement",
-	}
-	displacement := func(prev **model.Model) func(core.Sample) float64 {
-		return func(s core.Sample) float64 {
-			d := model.MaxVectorDelta(*prev, s.Model)
-			*prev = s.Model
-			return d
-		}
-	}
-	prevIC := w.MakeModel()
-	if _, err := w.RunIC(collect(displacement(&prevIC), &res.IC)); err != nil {
+	km, err := mediumKMeans()
+	if err != nil {
 		return nil, err
 	}
-	prevPIC := w.MakeModel()
-	if _, err := w.RunPIC(collect(displacement(&prevPIC), &res.PIC)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return km.panel("Figure 12(b) — K-means: centroid displacement vs time", "max centroid displacement"), nil
 }
 
 // Fig12c reproduces Figure 12(c): linear-solver distance to the unique
@@ -135,18 +100,11 @@ func Fig12c() (*Fig12Result, error) {
 		return nil, err
 	}
 	n := len(golden)
-	res := &Fig12Result{
-		Title:  "Figure 12(c) — linear equation solver: error vs time",
-		Metric: "distance to exact solution",
-	}
-	metric := func(s core.Sample) float64 {
-		return linsolve.Solution(s.Model, n).Sub(golden).Norm2()
-	}
-	if _, err := w.RunIC(collect(metric, &res.IC)); err != nil {
+	t, err := runTraced(w, func() func(*model.Model) float64 {
+		return func(m *model.Model) float64 { return linsolve.Solution(m, n).Sub(golden).Norm2() }
+	})
+	if err != nil {
 		return nil, err
 	}
-	if _, err := w.RunPIC(collect(metric, &res.PIC)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return t.panel("Figure 12(c) — linear equation solver: error vs time", "distance to exact solution"), nil
 }

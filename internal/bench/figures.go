@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/simcluster"
 	"repro/internal/simtime"
 )
@@ -28,11 +27,11 @@ type Fig2Result struct {
 // (e.g., a rack) can execute the sub-problem"), keeping per-partition
 // clusters statistically meaningful at the scaled-down data size.
 func Fig2() (*Fig2Result, error) {
-	w, _ := KMeansWorkload("kmeans-fig2", simcluster.Medium(), scaled(600_000, 30_000), 25, 3, 6, 2)
-	c, err := RunComparison(w)
+	km, err := mediumKMeans()
 	if err != nil {
 		return nil, err
 	}
+	c := km.Comparison
 	// The traffic panel uses the paper's counters: intermediate data
 	// (map output bytes, the Hadoop counter) plus model updates for
 	// the baseline; for PIC, the data the best-effort phase moves over
@@ -102,7 +101,12 @@ func (f *SpeedupFigure) Render() string {
 	return t.String()
 }
 
-func speedupRow(app string, c *Comparison) SpeedupRow {
+// comparisonRow runs w under both schemes as one bar of a speedup chart.
+func comparisonRow(app string, w *Workload) (SpeedupRow, error) {
+	c, err := RunComparison(w)
+	if err != nil {
+		return SpeedupRow{}, err
+	}
 	return SpeedupRow{
 		App:          app,
 		ICTime:       c.IC.Duration,
@@ -112,155 +116,93 @@ func speedupRow(app string, c *Comparison) SpeedupRow {
 		ICIterations: c.IC.Iterations,
 		BEIterations: c.PIC.BEIterations,
 		TopOffIters:  c.PIC.TopOffIterations,
+	}, nil
+}
+
+// speedupFigure runs one cell per bar and assembles the chart by index.
+func speedupFigure(title string, cells ...func() (SpeedupRow, error)) (*SpeedupFigure, error) {
+	fig := &SpeedupFigure{Title: title, Rows: make([]SpeedupRow, len(cells))}
+	if err := runCells(len(cells), func(i int) error {
+		var err error
+		fig.Rows[i], err = cells[i]()
+		return err
+	}); err != nil {
+		return nil, err
 	}
+	return fig, nil
 }
 
 // Fig9 reproduces Figure 9: K-means (5M→50k points, 100 clusters),
 // PageRank (1.8M→20k pages, 18 partitions) and the linear equation
 // solver (100 variables) on the small 6-node cluster.
 func Fig9() (*SpeedupFigure, error) {
-	fig := &SpeedupFigure{Title: "Figure 9 — speedups on the small (6-node) cluster"}
-	cells := []func() (SpeedupRow, error){
+	return speedupFigure("Figure 9 — speedups on the small (6-node) cluster",
 		func() (SpeedupRow, error) {
 			nKM := scaled(600_000, 30_000)
 			km, _ := KMeansWorkload("kmeans-fig9", simcluster.Small(), nKM, 25, 3, 6, 3)
-			c, err := RunComparison(km)
-			if err != nil {
-				return SpeedupRow{}, err
-			}
-			return speedupRow(fmt.Sprintf("K-means (%dk pts, 25 clusters)", nKM/1000), c), nil
+			return comparisonRow(fmt.Sprintf("K-means (%dk pts, 25 clusters)", nKM/1000), km)
 		},
 		func() (SpeedupRow, error) {
 			nPR := scaled(20_000, 2_000)
 			pr, _ := PageRankWorkload("pagerank-fig9", simcluster.Small(), nPR, 18, 0.05, 4)
-			c, err := RunComparison(pr)
-			if err != nil {
-				return SpeedupRow{}, err
-			}
-			return speedupRow(fmt.Sprintf("PageRank (%dk pages, 18 parts)", nPR/1000), c), nil
+			return comparisonRow(fmt.Sprintf("PageRank (%dk pages, 18 parts)", nPR/1000), pr)
 		},
 		func() (SpeedupRow, error) {
 			ls, _ := LinSolveWorkload("linsolve-fig9", simcluster.Small(), 100, 6, 5)
-			c, err := RunComparison(ls)
-			if err != nil {
-				return SpeedupRow{}, err
-			}
-			return speedupRow("Linear solver (100 vars)", c), nil
+			return comparisonRow("Linear solver (100 vars)", ls)
 		},
-	}
-	fig.Rows = make([]SpeedupRow, len(cells))
-	if err := runCells(len(cells), func(i int) error {
-		row, err := cells[i]()
-		fig.Rows[i] = row
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return fig, nil
+	)
 }
 
 // Fig10 reproduces Figure 10: K-means (10M→100k 3-D points), neural
 // network training (210k→8k OCR vectors) and image smoothing
 // (40 Mpixel→0.5 Mpixel) on the medium 64-node cluster.
 func Fig10() (*SpeedupFigure, error) {
-	fig := &SpeedupFigure{Title: "Figure 10 — speedups on the medium (64-node) cluster"}
-	cells := []func() (SpeedupRow, error){
+	return speedupFigure("Figure 10 — speedups on the medium (64-node) cluster",
 		func() (SpeedupRow, error) {
 			nKM := scaled(600_000, 30_000)
 			km, _ := KMeansWorkload("kmeans-fig10", simcluster.Medium(), nKM, 25, 3, 6, 6)
-			c, err := RunComparison(km)
+			return comparisonRow(fmt.Sprintf("K-means (%dk pts, 3-D)", nKM/1000), km)
+		},
+		func() (SpeedupRow, error) {
+			nn, err := neuralNet()
 			if err != nil {
 				return SpeedupRow{}, err
 			}
-			return speedupRow(fmt.Sprintf("K-means (%dk pts, 3-D)", nKM/1000), c), nil
+			return neuralNetQualityRow(nn.panel("", ""), nn.icFinalErr, nn.Comparison), nil
 		},
-		neuralNetQualityRow,
 		func() (SpeedupRow, error) {
 			sm, _ := SmoothingWorkload("smoothing-fig10", simcluster.Medium(), 1024, scaled(512, 64), 16, 8)
-			c, err := RunComparison(sm)
-			if err != nil {
-				return SpeedupRow{}, err
-			}
-			return speedupRow("Image smoothing (1024x512)", c), nil
+			return comparisonRow("Image smoothing (1024x512)", sm)
 		},
-	}
-	fig.Rows = make([]SpeedupRow, len(cells))
-	if err := runCells(len(cells), func(i int) error {
-		row, err := cells[i]()
-		fig.Rows[i] = row
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return fig, nil
+	)
 }
 
 // neuralNetQualityRow compares the schemes the way the paper's Figure
 // 12(a) reads: training has no natural fixed point within the epoch
-// budget, so PIC's time is measured to the moment its model first
-// matches the baseline's final validation error (the paper: "virtually
-// identical ... in less than a quarter of the time").
-func neuralNetQualityRow() (SpeedupRow, error) {
-	w, app, _, valid := NeuralNetWorkload("neuralnet-fig10", simcluster.Medium(), scaled(8_000, 1_000), 6, 7)
-
-	// First pass: the baseline's final validation error.
-	icFinal, err := w.RunIC(nil)
-	if err != nil {
-		return SpeedupRow{}, err
+// budget, so each scheme's time is the moment its model first matches
+// the baseline's final validation error icErr (the paper: "virtually
+// identical ... in less than a quarter of the time"), or its whole run
+// when it never does.
+func neuralNetQualityRow(fig *Fig12Result, icErr float64, c *Comparison) SpeedupRow {
+	icReached, picReached := fig.TimeToReach(icErr)
+	icTime, picTime := c.IC.Duration, c.PIC.Duration
+	if icReached >= 0 {
+		icTime = simtime.Duration(icReached)
 	}
-	icErr := app.ModelError(icFinal.Model, valid.Vectors, valid.Labels)
-
-	// Symmetric measurement: the time each scheme FIRST reaches that
-	// quality level.
-	timeToQuality := func(run func(core.Observer) (simtime.Duration, error)) (simtime.Duration, error) {
-		reached := simtime.Time(-1)
-		total, err := run(func(s core.Sample) {
-			if reached < 0 && app.ModelError(s.Model, valid.Vectors, valid.Labels) <= icErr {
-				reached = s.Time
-			}
-		})
-		if err != nil {
-			return 0, err
-		}
-		if reached < 0 {
-			return total, nil
-		}
-		return simtime.Duration(reached), nil
+	if picReached >= 0 {
+		picTime = simtime.Duration(picReached)
 	}
-	icTime, err := timeToQuality(func(obs core.Observer) (simtime.Duration, error) {
-		r, err := w.RunIC(obs)
-		if err != nil {
-			return 0, err
-		}
-		return r.Duration, nil
-	})
-	if err != nil {
-		return SpeedupRow{}, err
-	}
-	var pic *core.PICResult
-	picTime, err := timeToQuality(func(obs core.Observer) (simtime.Duration, error) {
-		var err error
-		pic, err = w.RunPIC(obs)
-		if err != nil {
-			return 0, err
-		}
-		return pic.Duration, nil
-	})
-	if err != nil {
-		return SpeedupRow{}, err
-	}
-	ic := icFinal
-	_ = icTime
 	return SpeedupRow{
 		App:          "Neural net (8k OCR, equal quality)",
 		ICTime:       icTime,
-		PICBestEff:   min(pic.BEDuration, picTime),
-		PICTopOff:    max(0, picTime-pic.BEDuration),
+		PICBestEff:   min(c.PIC.BEDuration, picTime),
+		PICTopOff:    max(0, picTime-c.PIC.BEDuration),
 		Speedup:      float64(icTime) / float64(picTime),
-		ICIterations: ic.Iterations,
-		BEIterations: pic.BEIterations,
-		TopOffIters:  pic.TopOffIterations,
-	}, nil
+		ICIterations: c.IC.Iterations,
+		BEIterations: c.PIC.BEIterations,
+		TopOffIters:  c.PIC.TopOffIterations,
+	}
 }
 
 // Fig11Point is one cluster size of the strong-scaling experiment.

@@ -56,38 +56,21 @@ type LoopAwareResult struct {
 // runLoopAwareCell executes one cell serially (cells time real wall
 // clock, so they must not contend with each other for cores).
 func runLoopAwareCell(w *Workload, scheme string, warm bool) (LoopAwareCell, error) {
-	rt := w.NewRuntime()
+	cw := *w
 	if !warm {
-		rt.SetLoopCache(false)
+		cw.configure = func(rt *core.Runtime) { rt.SetLoopCache(false) }
 	}
-	cell := LoopAwareCell{Scheme: scheme, Warm: warm}
 	start := time.Now()
-	switch scheme {
-	case "ic":
-		opts := w.ICOpts
-		res, err := core.RunIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), &opts)
-		if err != nil {
-			return cell, fmt.Errorf("bench: loop-aware %s cold=%v: %w", scheme, !warm, err)
-		}
-		cell.Iterations = res.Iterations
-		cell.Duration = res.Duration
-		cell.model = res.Model.Encode(nil)
-		cell.metrics = fmt.Sprintf("%+v", res.Metrics)
-	default:
-		res, err := core.RunPIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), w.PICOpts)
-		if err != nil {
-			return cell, fmt.Errorf("bench: loop-aware %s cold=%v: %w", scheme, !warm, err)
-		}
-		cell.Iterations = res.BEIterations + res.TopOffIterations
-		cell.Duration = res.Duration
-		cell.model = res.Model.Encode(nil)
-		cell.metrics = fmt.Sprintf("%+v", res.Metrics)
+	run, err := cw.runScheme(scheme)
+	if err != nil {
+		return LoopAwareCell{}, fmt.Errorf("bench: loop-aware %s cold=%v: %w", scheme, !warm, err)
 	}
-	cell.Wall = time.Since(start)
+	cell := LoopAwareCell{Scheme: scheme, Warm: warm,
+		Iterations: run.iterations, Duration: run.duration, Wall: time.Since(start),
+		Stats: run.rt.LoopCacheStats(), model: run.model.Encode(nil), metrics: fmt.Sprintf("%+v", run.metrics)}
 	if cell.Iterations > 0 {
 		cell.WallPerIter = cell.Wall / time.Duration(cell.Iterations)
 	}
-	cell.Stats = rt.LoopCacheStats()
 	return cell, nil
 }
 

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dfs"
-	"repro/internal/mapred"
-	"repro/internal/simcluster"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 )
@@ -51,11 +48,6 @@ type NetFaultSweepResult struct {
 	Rows            []NetFaultRow
 }
 
-// netFaultCluster is the multi-rack testbed the outages act on: the
-// same 12-node, 4-rack, thin-core layout as the tenancy ablation, so
-// cross-rack traffic genuinely depends on the core that fails.
-func netFaultCluster() simcluster.Config { return tenancyCluster() }
-
 // netFaultPlan scripts periodic rack-uplink outages: every period
 // seconds one rack's uplink goes dark for frac of the period, rotating
 // through racks 1–3 (never rack 0, where the driver's model home
@@ -84,30 +76,17 @@ func netFaultPlan(frac, period, horizon float64) *simnet.NetworkPlan {
 	return p
 }
 
-// netFaultRuntime builds a runtime with the plan registered and the
-// engine's degraded-transfer knobs set relative to the fault cadence,
-// so the sweep behaves identically at any -scale: attempts get a
-// deadline well under a window, and three retries with a short backoff
-// bridge brief dips while long outages exhaust them and force the
-// driver to block.
-func netFaultRuntime(w *Workload, plan *simnet.NetworkPlan, period float64) *core.Runtime {
-	cluster := simcluster.New(w.Cluster)
-	cluster.SetNetworkPlan(plan)
-	rt := core.NewRuntime(cluster, dfs.DefaultConfig())
-	cost := w.Cost
-	if cost == (mapred.CostModel{}) {
-		cost = HadoopCost()
+// netFaultKnobs sets the engine's degraded-transfer knobs relative to
+// the fault cadence, so the sweep behaves identically at any -scale:
+// attempts get a deadline well under a window, and three retries with
+// a short backoff bridge brief dips while long outages exhaust them and
+// force the driver to block.
+func netFaultKnobs(period float64) func(*core.Runtime) {
+	return func(rt *core.Runtime) {
+		rt.Engine().TransferTimeout = simtime.Duration(period / 3)
+		rt.Engine().TransferRetries = 3
+		rt.Engine().RetryBackoff = simtime.Duration(period / 24)
 	}
-	rt.Engine().SetCostModel(cost)
-	rt.Engine().Workers = int(engineWorkers.Load())
-	rt.Engine().TransferTimeout = simtime.Duration(period / 3)
-	rt.Engine().TransferRetries = 3
-	rt.Engine().RetryBackoff = simtime.Duration(period / 24)
-	rt.SetTracer(w.Tracer)
-	// The input dataset lives in the DFS, so a partition always has
-	// replicated state to repair around.
-	rt.FS().Create("input/"+w.Name, 64<<20, 0)
-	return rt
 }
 
 // AblationNetworkFault sweeps the duty fraction of periodic core
@@ -119,21 +98,17 @@ func netFaultRuntime(w *Workload, plan *simnet.NetworkPlan, period float64) *cor
 func AblationNetworkFault() (*NetFaultSweepResult, error) {
 	points := scaled(300_000, 40_000)
 	const dims = 3
-	w, _ := KMeansWorkload("kmeans-netfaults", netFaultCluster(), points, 25, dims, 6, 3)
-
-	runIC := func(rt *core.Runtime) (*core.ICResult, error) {
-		opts := w.ICOpts
-		return core.RunIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), &opts)
-	}
-	runPIC := func(rt *core.Runtime) (*core.PICResult, error) {
-		return core.RunPIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), w.PICOpts)
-	}
+	w, _ := KMeansWorkload("kmeans-netfaults", tenancyCluster(), points, 25, dims, 6, 3)
+	// The input dataset lives in the DFS, so a partition always has
+	// replicated state to repair around.
+	w.inputBytes = 64 << 20
 
 	// The healthy IC run calibrates the schedule: outages repeat every
 	// quarter of its span, out to a horizon no degraded run outlives.
-	// (The period argument is irrelevant under a nil plan — the engine
-	// takes its legacy transfer path — so any value calibrates.)
-	icHealthy, err := runIC(netFaultRuntime(w, nil, 1))
+	// (The period is irrelevant under a nil plan — the engine takes its
+	// legacy transfer path — so any value calibrates.)
+	w.configure = netFaultKnobs(1)
+	icHealthy, err := w.RunIC(nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: netfaults IC healthy: %w", err)
 	}
@@ -145,25 +120,27 @@ func AblationNetworkFault() (*NetFaultSweepResult, error) {
 	// The fault-free rows never consult these (no plan registered).
 	w.PICOpts.MergeQuorum = 4
 	w.PICOpts.MergeTimeout = simtime.Duration(period / 24)
+	w.configure = netFaultKnobs(period)
 
 	fracs := []float64{0, 0.15, 0.3, 0.45}
 	res := &NetFaultSweepResult{Period: period, Horizon: horizon,
 		Rows: make([]NetFaultRow, len(fracs))}
 	if err := runCells(len(fracs), func(i int) error {
 		frac := fracs[i]
-		plan := netFaultPlan(frac, period, horizon)
-		ic, err := runIC(netFaultRuntime(w, plan, period))
+		cell := *w
+		cell.network = netFaultPlan(frac, period, horizon)
+		ic, err := cell.RunIC(nil)
 		if err != nil {
 			return fmt.Errorf("bench: netfaults IC at %.2f: %w", frac, err)
 		}
-		pic, err := runPIC(netFaultRuntime(w, plan, period))
+		pic, err := cell.RunPIC(nil)
 		if err != nil {
 			return fmt.Errorf("bench: netfaults PIC at %.2f: %w", frac, err)
 		}
 		schedule := "none"
-		if plan != nil {
+		if cell.network != nil {
 			schedule = fmt.Sprintf("rack uplink down %.1f s every %.1f s × %d (racks 1-3 rotating)",
-				period*frac, period, len(plan.Faults))
+				period*frac, period, len(cell.network.Faults))
 		}
 		res.Rows[i] = NetFaultRow{
 			OutageFrac: frac,

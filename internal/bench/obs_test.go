@@ -39,7 +39,7 @@ type obsArtifacts struct {
 // obsChaosWorkload is the K-means problem the chaos tests run, on the
 // multi-rack testbed the fault plans act on.
 func obsChaosWorkload() *Workload {
-	w, _ := KMeansWorkload("kmeans-obschaos", netFaultCluster(), scaled(300_000, 40_000), 25, 3, 6, 3)
+	w, _ := KMeansWorkload("kmeans-obschaos", tenancyCluster(), scaled(300_000, 40_000), 25, 3, 6, 3)
 	return w
 }
 

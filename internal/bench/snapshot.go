@@ -98,21 +98,6 @@ func groupedFixture() (*mapred.Engine, *mapred.Job, *mapred.Input) {
 	return e, job, mapred.NewInput(recs, cluster, cluster.MapSlots())
 }
 
-// kmeansBEIterWorkload is the one-round K-means PIC workload of the
-// kmeans-be-iter kernel. Its 50k input records are built here, once:
-// the kernel times the round, not the record generator.
-func kmeansBEIterWorkload(name string) *Workload {
-	w, ps := KMeansWorkload(name, simcluster.Small(), 50_000, 25, 3, 6, 3)
-	w.PICOpts.MaxBEIterations = 1
-	w.PICOpts.MaxLocalIterations = 10
-	w.PICOpts.MaxTopOffIterations = 1
-	recs := kmeans.Records(ps.Points)
-	w.MakeInput = func(c *simcluster.Cluster) *mapred.Input {
-		return mapred.NewInput(recs, c, c.MapSlots())
-	}
-	return w
-}
-
 // kernels returns the snapshot microbenchmarks. Their names are stable
 // identifiers: BENCH_baseline.json is validated against this list.
 func kernels() []kernel {
@@ -183,8 +168,17 @@ func kernels() []kernel {
 		}},
 		{"kmeans-be-iter", func(b *testing.B) {
 			// One best-effort PIC round of K-means: partition, local
-			// convergence on every node group, merge.
-			w := kmeansBEIterWorkload("snapshot-kmeans-be")
+			// convergence on every node group, merge. The 50k input
+			// records are built once: the kernel times the round, not
+			// the record generator.
+			w, ps := KMeansWorkload("snapshot-kmeans-be", simcluster.Small(), 50_000, 25, 3, 6, 3)
+			w.PICOpts.MaxBEIterations = 1
+			w.PICOpts.MaxLocalIterations = 10
+			w.PICOpts.MaxTopOffIterations = 1
+			recs := kmeans.Records(ps.Points)
+			w.MakeInput = func(c *simcluster.Cluster) *mapred.Input {
+				return mapred.NewInput(recs, c, c.MapSlots())
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -221,20 +215,21 @@ func kernels() []kernel {
 			// path: a rack uplink is down for the whole run, so every
 			// transfer is priced under the fault overlay and the merge
 			// settles for a quorum with the cut groups' partials stale.
-			w, _ := KMeansWorkload("snapshot-degraded", netFaultCluster(), 50_000, 25, 3, 6, 3)
+			w, _ := KMeansWorkload("snapshot-degraded", tenancyCluster(), 50_000, 25, 3, 6, 3)
 			w.PICOpts.MaxBEIterations = 1
 			w.PICOpts.MaxLocalIterations = 10
 			w.PICOpts.MaxTopOffIterations = 1
 			w.PICOpts.MergeQuorum = 4
 			w.PICOpts.MergeTimeout = 5
-			plan := &simnet.NetworkPlan{Faults: []simnet.NetFault{
+			w.network = &simnet.NetworkPlan{Faults: []simnet.NetFault{
 				{Kind: simnet.FaultRackUplink, Rack: 2, Start: 0, End: 1e9, Factor: 0},
 			}}
+			w.inputBytes = 64 << 20
+			w.configure = netFaultKnobs(60)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rt := netFaultRuntime(w, plan, 60)
-				if _, err := core.RunPIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), w.PICOpts); err != nil {
+				if _, err := w.RunPIC(nil); err != nil {
 					b.Fatal(err)
 				}
 			}

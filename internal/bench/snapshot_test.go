@@ -5,58 +5,14 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/simnet"
 )
 
-// BenchmarkKMeansBEIter measures one best-effort PIC round of K-means —
-// partition, local convergence on every node group, merge — the phase
-// the paper's speedups come from.
-func BenchmarkKMeansBEIter(b *testing.B) {
-	w := kmeansBEIterWorkload("bench-kmeans-be")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunPIC(nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSchedMultiTenant measures one multi-tenant scheduler run — a
-// PIC job contending with a synthetic co-tenant on one shared cluster —
-// mirroring the sched-multitenant snapshot kernel for CI's single-pass
-// bench smoke.
-func BenchmarkSchedMultiTenant(b *testing.B) {
-	w, _ := PageRankWorkload("bench-sched", tenancyCluster(), 2_000, 5, 0.02, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runTenancyCell(w, "pic", 0.5, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDegradedMerge measures one best-effort PIC round through the
-// degraded network path — fault-overlay transfer pricing and a quorum
-// merge around a cut rack — mirroring the degraded-merge snapshot
-// kernel for CI's single-pass bench smoke.
-func BenchmarkDegradedMerge(b *testing.B) {
-	w, _ := KMeansWorkload("bench-degraded", netFaultCluster(), 50_000, 25, 3, 6, 3)
-	w.PICOpts.MaxBEIterations = 1
-	w.PICOpts.MaxLocalIterations = 10
-	w.PICOpts.MaxTopOffIterations = 1
-	w.PICOpts.MergeQuorum = 4
-	w.PICOpts.MergeTimeout = 5
-	plan := &simnet.NetworkPlan{Faults: []simnet.NetFault{
-		{Kind: simnet.FaultRackUplink, Rack: 2, Start: 0, End: 1e9, Factor: 0},
-	}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt := netFaultRuntime(w, plan, 60)
-		if _, err := core.RunPIC(rt, w.MakeApp(), w.MakeInput(rt.Cluster()), w.MakeModel(), w.PICOpts); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSnapshotKernels runs every snapshot kernel as a
+// sub-benchmark — the same definitions `picbench bench-snapshot`
+// measures, so CI's single-pass bench smoke exercises exactly them.
+func BenchmarkSnapshotKernels(b *testing.B) {
+	for _, k := range kernels() {
+		b.Run(k.name, k.fn)
 	}
 }
 
@@ -132,14 +88,17 @@ func TestKernelNamesStable(t *testing.T) {
 // TestHarnessParallelismDeterministic holds the harness half of the
 // determinism guard: running experiment cells concurrently must render
 // byte-identical results, because every cell owns its simulated clocks
-// and counters and results are deposited by index.
+// and counters and results are deposited by index. The memo is cleared
+// before each pass, so the parallel pass recomputes the shared cells.
 func TestHarnessParallelismDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness determinism test skipped in -short mode")
 	}
 	SetScale(0.05)
 	defer SetScale(1.0)
+	defer resetMemo()
 	run := func() string {
+		resetMemo()
 		fig, err := Fig9()
 		if err != nil {
 			t.Fatal(err)

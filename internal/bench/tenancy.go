@@ -45,7 +45,9 @@ type TenancyResult struct {
 // contended core. Bandwidths are scaled down with the ~1000× dataset
 // shrink (see workloads.go) so the network keeps a paper-realistic share
 // of each iteration, and the core is thin enough that a co-tenant can
-// make it the bottleneck.
+// make it the bottleneck. The network-fault and corruption ablations
+// act on the same layout, so their outages and bit-error windows hit
+// genuinely distinct racks and endpoints.
 func tenancyCluster() simcluster.Config {
 	return simcluster.Config{
 		Nodes:              12,
@@ -65,11 +67,11 @@ const tenancyLoadDuration simtime.Duration = 1e6
 
 // tenancyStart builds the scheduler Start callback for one scheme of the
 // workload; the runtime it receives is bound to the job's node subset of
-// the shared cluster.
+// the shared cluster and carries the scheduler's tracer, registry, lane
+// and time origin, which prepare leaves in place.
 func tenancyStart(w *Workload, scheme string) func(rt *core.Runtime) (core.Stepper, error) {
 	return func(rt *core.Runtime) (core.Stepper, error) {
-		rt.Engine().SetCostModel(HadoopCost())
-		rt.Engine().Workers = int(engineWorkers.Load())
+		w.prepare(rt)
 		in := w.MakeInput(rt.Cluster())
 		if scheme == "ic" {
 			opts := w.ICOpts
