@@ -16,6 +16,7 @@ package smoothing
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -36,6 +37,8 @@ type App struct {
 	// BEThreshold is the best-effort convergence bound (§III-B allows
 	// a looser criterion); it defaults to Tolerance.
 	BEThreshold float64
+
+	bands atomic.Pointer[bandSet] // Partition's band schemas, for the last partition count
 }
 
 // New returns a smoother for width×height images.
@@ -96,58 +99,36 @@ func ImageOf(m *model.Model, width, height int) *data.Image {
 	return img
 }
 
-// modelRow fetches row y from a (sub-)model, accepting both in-band and
-// halo entries; ok is false when the row is outside the sub-problem
-// entirely (image border or missing halo).
-func modelRow(m *model.Model, y int) (writable.Vector, bool) {
-	if row, ok := m.Vector(RowKey(y)); ok {
-		return row, true
-	}
-	if row, ok := m.Vector(haloKey(y)); ok {
-		return row, true
-	}
-	return nil, false
-}
-
 // Iteration implements core.App: one Jacobi smoothing sweep as a
-// map-only job over the original rows.
+// map-only job over the original rows. The model's rows are resolved by
+// slot once per sweep, and every task writes into the sweep's one
+// output slab.
 func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*model.Model, error) {
-	mu := a.Mu
+	if err := a.eachRecord(in, nil); err != nil {
+		return nil, err
+	}
+	mu, width := a.Mu, a.Width
+	l := a.layoutOf(m.Schema())
+	slab := l.newSlab(width)
 	job := &mapred.Job{
 		Name:             "smooth-sweep",
 		PartitionedModel: true, // each task reads only its rows + halo
-		Mapper: mapred.MapperFunc(func(_ string, v writable.Writable, m *model.Model, emit mapred.Emitter) error {
+		Mapper: mapred.MapperFunc(func(_ string, v writable.Writable, tm *model.Model, emit mapred.Emitter) error {
+			// eachRecord checked every record; tm is m or a clone of it
+			// (damaged in transit), which shares m's schema.
 			val := v.(writable.Vector)
-			y := int(val[0])
-			orig := val[1:]
-			cur, ok := modelRow(m, y)
+			y, orig := int(val[0]), val[1:]
+			cur, ok := l.row(tm, y)
 			if !ok {
 				return fmt.Errorf("smoothing: model missing row %d", y)
 			}
-			up, hasUp := modelRow(m, y-1)
-			down, hasDown := modelRow(m, y+1)
-			out := make(writable.Vector, len(orig))
-			for x := range orig {
-				sum, n := 0.0, 0.0
-				if hasUp {
-					sum += up[x]
-					n++
-				}
-				if hasDown {
-					sum += down[x]
-					n++
-				}
-				if x > 0 {
-					sum += cur[x-1]
-					n++
-				}
-				if x < len(orig)-1 {
-					sum += cur[x+1]
-					n++
-				}
-				out[x] = (orig[x] + mu*sum) / (1 + mu*n)
+			up, _ := l.row(tm, y-1)
+			down, _ := l.row(tm, y+1)
+			out := l.outRow(slab, y, width)
+			if err := smoothRow(y, out, orig, cur, up, down, mu); err != nil {
+				return err
 			}
-			emit.Emit(RowKey(y), out)
+			emit.Emit(l.rowKey(y), out)
 			return nil
 		}),
 	}
@@ -184,7 +165,8 @@ func (a *App) BEConverged(prev, next *model.Model) bool {
 
 // Partition implements core.PICApp: horizontal bands of rows. Each band
 // carries its rows of the current image plus frozen halo copies of the
-// rows just outside the band.
+// rows just outside the band. The band schemas are built once per
+// partition count; the rows are cloned into them by slot.
 func (a *App) Partition(in *mapred.Input, m *model.Model, p int) ([]core.SubProblem, error) {
 	if p > a.Height {
 		return nil, fmt.Errorf("smoothing: %d partitions for %d rows", p, a.Height)
@@ -193,26 +175,27 @@ func (a *App) Partition(in *mapred.Input, m *model.Model, p int) ([]core.SubProb
 	if len(records) != a.Height {
 		return nil, fmt.Errorf("smoothing: input has %d rows, image has %d", len(records), a.Height)
 	}
+	full := a.layoutOf(m.Schema())
 	subs := make([]core.SubProblem, p)
-	for g := 0; g < p; g++ {
+	for g, band := range a.bandsOf(p) {
 		lo, hi := g*a.Height/p, (g+1)*a.Height/p
-		sm := model.New()
+		sm := model.NewOn(band.schema)
 		for y := lo; y < hi; y++ {
-			row, ok := m.Vector(RowKey(y))
+			row, ok := vectorAt(m, full.img[y])
 			if !ok {
 				return nil, fmt.Errorf("smoothing: model missing row %d", y)
 			}
-			sm.Set(RowKey(y), row.Clone())
+			sm.SetAt(int(band.img[y]), row.Clone())
 		}
-		for _, y := range []int{lo - 1, hi} {
+		for _, y := range [2]int{lo - 1, hi} {
 			if y < 0 || y >= a.Height {
 				continue
 			}
-			row, ok := m.Vector(RowKey(y))
+			row, ok := vectorAt(m, full.img[y])
 			if !ok {
 				return nil, fmt.Errorf("smoothing: model missing halo row %d", y)
 			}
-			sm.Set(haloKey(y), row.Clone())
+			sm.SetAt(int(band.halo[y]), row.Clone())
 		}
 		subs[g] = core.SubProblem{Records: records[lo:hi], Model: sm}
 	}

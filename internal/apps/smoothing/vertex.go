@@ -20,7 +20,9 @@ import (
 // backends produce byte-identical models.
 func (a *App) VertexProgram(in *mapred.Input, m *model.Model) (bsp.Program, error) {
 	n := int(in.NumRecords())
-	p := &smProgram{mu: a.Mu, m: m,
+	l := a.layoutOf(m.Schema())
+	slab := l.newSlab(a.Width)
+	p := &smProgram{mu: a.Mu, m: m, rows: l,
 		verts: make([]smVertex, 0, n),
 		infos: make([]bsp.VertexInfo, 0, n),
 		index: make([]int32, a.Height),
@@ -28,24 +30,18 @@ func (a *App) VertexProgram(in *mapred.Input, m *model.Model) (bsp.Program, erro
 	for y := range p.index {
 		p.index[y] = -1
 	}
-	for _, split := range in.Splits {
-		for _, rec := range split.Records {
-			val, ok := rec.Value.(writable.Vector)
-			if !ok || len(val) == 0 {
-				return nil, fmt.Errorf("smoothing: record %q is not a row", rec.Key)
-			}
-			y := int(val[0])
-			if y < 0 || y >= a.Height || p.index[y] >= 0 {
-				return nil, fmt.Errorf("smoothing: record %q: row %d is outside the image or already has a record", rec.Key, y)
-			}
-			cur, ok := modelRow(m, y)
-			if !ok {
-				return nil, fmt.Errorf("smoothing: model missing row %d", y)
-			}
-			p.index[y] = int32(len(p.verts))
-			p.verts = append(p.verts, smVertex{y: y, orig: val[1:], cur: cur})
-			p.infos = append(p.infos, bsp.VertexInfo{ID: rec.Key, Home: split.Home})
+	err := a.eachRecord(in, func(split *mapred.Split, key string, y int, orig writable.Vector) error {
+		cur, ok := l.row(m, y)
+		if !ok {
+			return fmt.Errorf("smoothing: model missing row %d", y)
 		}
+		p.index[y] = int32(len(p.verts))
+		p.verts = append(p.verts, smVertex{y: y, orig: orig, cur: cur, out: l.outRow(slab, y, a.Width)})
+		p.infos = append(p.infos, bsp.VertexInfo{ID: key, Home: split.Home})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -55,12 +51,13 @@ type smVertex struct {
 	y    int
 	orig writable.Vector // original (noisy) pixels
 	cur  writable.Vector // current pixels, from the iteration's model
-	out  writable.Vector // smoothed pixels, set in superstep 1
+	out  writable.Vector // smoothed pixels, written in superstep 1: the row's slab row
 }
 
 type smProgram struct {
 	mu    float64
 	m     *model.Model // the iteration's (sub-)model, for frozen halos
+	rows  *rowLayout   // m's rows by slot
 	verts []smVertex
 	infos []bsp.VertexInfo
 	index []int32 // image row -> vertex, -1 for rows outside the input
@@ -108,43 +105,29 @@ func (p *smProgram) Compute(step, i int, msgs []bsp.Message, s bsp.Sender) (bool
 	// Band boundaries have no neighbor vertex: read the frozen halo row
 	// (or nothing at the image border), exactly as the mapred sweep does.
 	if up == nil {
-		up, _ = modelRow(p.m, v.y-1)
+		up, _ = p.rows.row(p.m, v.y-1)
 	}
 	if down == nil {
-		down, _ = modelRow(p.m, v.y+1)
+		down, _ = p.rows.row(p.m, v.y+1)
 	}
-	cur := v.cur
-	out := make(writable.Vector, len(v.orig))
-	for x := range v.orig {
-		sum, n := 0.0, 0.0
-		if up != nil {
-			sum += up[x]
-			n++
-		}
-		if down != nil {
-			sum += down[x]
-			n++
-		}
-		if x > 0 {
-			sum += cur[x-1]
-			n++
-		}
-		if x < len(v.orig)-1 {
-			sum += cur[x+1]
-			n++
-		}
-		out[x] = (v.orig[x] + p.mu*sum) / (1 + p.mu*n)
+	if err := smoothRow(v.y, v.out, v.orig, v.cur, up, down, p.mu); err != nil {
+		return false, err
 	}
-	v.out = out
 	return true, nil
 }
 
 // Model implements bsp.Modeler, mirroring Iteration's model assembly:
-// the smoothed rows, plus the frozen halo rows carried forward.
+// the smoothed rows, plus the frozen halo rows carried forward. prev is
+// the model the program was built on, so its rows are where p.rows says.
 func (p *smProgram) Model(prev *model.Model) (*model.Model, error) {
 	next := prev.NewLike()
 	for i := range p.verts {
-		next.Set(RowKey(p.verts[i].y), p.verts[i].out)
+		v := &p.verts[i]
+		if s := p.rows.img[v.y]; s >= 0 {
+			next.SetAt(int(s), v.out)
+		} else {
+			next.Set(RowKey(v.y), v.out)
+		}
 	}
 	prev.Range(func(key string, v writable.Writable) bool {
 		if len(key) > 4 && key[:4] == "halo" {

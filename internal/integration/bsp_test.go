@@ -144,15 +144,15 @@ func TestBSPPageRankDeterministicUnderCombinedChaos(t *testing.T) {
 	}
 }
 
-// runSmoothingBSP runs the native smoothing vertex program IC loop on
-// the BSP backend.
-func runSmoothingBSP(t *testing.T, workers int, fail *simcluster.FailurePlan, net *simnet.NetworkPlan) bspChaosRun {
+// runSmoothing runs the smoothing IC loop on the given backend: the
+// native vertex program on BSP, the map-only sweep job on mapred.
+func runSmoothing(t *testing.T, backend core.Backend, workers int, fail *simcluster.FailurePlan, net *simnet.NetworkPlan) bspChaosRun {
 	t.Helper()
 	img := data.NoisyImage(31, 64, 48, 15)
 	c := bspCluster(fail, net)
 	rt := core.NewRuntime(c, dfs.Config{Replication: 3, BlockSize: 64 << 20})
 	rt.Engine().Workers = workers
-	if err := rt.SetBackend(core.BackendBSP); err != nil {
+	if err := rt.SetBackend(backend); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.New()
@@ -171,28 +171,38 @@ func runSmoothingBSP(t *testing.T, workers int, fail *simcluster.FailurePlan, ne
 	}
 }
 
-func TestBSPSmoothingDeterministicUnderCombinedChaos(t *testing.T) {
-	clean := runSmoothingBSP(t, 1, nil, nil)
-	fail, net := chaosPlans(clean.elapsed)
-	base := runSmoothingBSP(t, 1, fail, net)
-	if base.elapsed <= clean.elapsed {
-		t.Fatalf("chaos run (%v) not slower than clean run (%v) — chaos never engaged",
-			base.elapsed, clean.elapsed)
-	}
-	if !bytes.Equal(base.model, clean.model) {
-		t.Fatal("chaos changed the smoothed image, not just its cost")
-	}
-	for name, workers := range map[string]int{"workers=8": 8, "repeat": 1} {
-		got := runSmoothingBSP(t, workers, fail, net)
-		if !bytes.Equal(got.model, base.model) {
-			t.Errorf("%s: model bytes diverge under chaos", name)
-		}
-		if got.trace != base.trace {
-			t.Errorf("%s: trace diverges under chaos", name)
-		}
-		if !reflect.DeepEqual(got.metrics, base.metrics) {
-			t.Errorf("%s: metrics diverge under chaos", name)
-		}
+// TestSmoothingDeterministicUnderCombinedChaos: every row of a sweep is
+// computed from the previous iterate alone, so on either backend crash,
+// brownout and outage move the cost and never the image — the chaos
+// model equals the calm one byte for byte, including the sweep output
+// slab rows that re-homed map tasks write — and the run is byte-identical
+// across worker counts and repeats.
+func TestSmoothingDeterministicUnderCombinedChaos(t *testing.T) {
+	for _, backend := range []core.Backend{core.BackendMapred, core.BackendBSP} {
+		t.Run(string(backend), func(t *testing.T) {
+			clean := runSmoothing(t, backend, 1, nil, nil)
+			fail, net := chaosPlans(clean.elapsed)
+			base := runSmoothing(t, backend, 1, fail, net)
+			if base.elapsed <= clean.elapsed {
+				t.Fatalf("chaos run (%v) not slower than clean run (%v) — chaos never engaged",
+					base.elapsed, clean.elapsed)
+			}
+			if !bytes.Equal(base.model, clean.model) {
+				t.Fatal("chaos changed the smoothed image, not just its cost")
+			}
+			for name, workers := range map[string]int{"workers=8": 8, "repeat": 1, "workers=3": 3} {
+				got := runSmoothing(t, backend, workers, fail, net)
+				if !bytes.Equal(got.model, base.model) {
+					t.Errorf("%s: model bytes diverge under chaos", name)
+				}
+				if got.trace != base.trace {
+					t.Errorf("%s: trace diverges under chaos", name)
+				}
+				if !reflect.DeepEqual(got.metrics, base.metrics) {
+					t.Errorf("%s: metrics diverge under chaos:\n got %+v\nwant %+v", name, got.metrics, base.metrics)
+				}
+			}
+		})
 	}
 }
 
