@@ -150,3 +150,49 @@ func TestVertexProgramRejectsRepeatedVertex(t *testing.T) {
 		t.Fatalf("err = %v, want the repeated vertex named", err)
 	}
 }
+
+// discard is a bsp.Sender that drops every message.
+type discard struct{}
+
+func (discard) Send(int, string, writable.Writable) {}
+
+// On the float column the vertex program reads and writes the model by
+// slot: one iteration's superstep-0 Compute plus Model allocates at most
+// one box per vertex (the score its edges share), never one per edge.
+func TestVertexProgramAllocatesPerVertexNotPerEdge(t *testing.T) {
+	g := webgraph.NearlyUncoupled(7, 400, 4, 0.1, 3)
+	rt := bspRuntime(1)
+	app := New(g, 0.85, 1e-12, 1)
+	in := graphInput(rt, g)
+	// Two real iterations: the model is a float column with the nonzero
+	// scores of a run (a zero would box without allocating).
+	res, err := core.RunIC(rt, app, in, InitialModel(g), &core.ICOptions{MaxIterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Model
+	prog, err := app.VertexProgram(in, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prog.(*prProgram)
+	for v := range p.newRank {
+		p.newRank[v] = 1 + float64(v)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		for v := range p.Vertices() {
+			if _, err := p.Compute(0, v, nil, discard{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.Model(m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if g.NumEdges() < 2*g.N {
+		t.Fatalf("%d edges on %d vertices: too few to tell per-edge from per-vertex", g.NumEdges(), g.N)
+	}
+	if limit := float64(g.N + 8); allocs > limit {
+		t.Errorf("Compute+Model allocate %.0f objects for %d vertices and %d edges, want at most %.0f", allocs, g.N, g.NumEdges(), limit)
+	}
+}

@@ -49,3 +49,33 @@ func BenchmarkMaxVectorDelta(b *testing.B) {
 		MaxVectorDelta(a, c)
 	}
 }
+
+// BenchmarkModelPageRankScale times the per-iteration model walks of a
+// PageRank-sized all-Float64 model (about 49 k keys, a tenth of them
+// changed between versions) in both column kinds.
+func BenchmarkModelPageRankScale(b *testing.B) {
+	for _, kind := range []struct {
+		name  string
+		float bool
+	}{{"boxed", false}, {"float", true}} {
+		prev, next := floatPair(49_000, kind.float, kind.float) // the PageRank cells' ranks and edge scores
+		buf := next.Encode(nil)
+		for _, op := range []struct {
+			name string
+			fn   func()
+		}{
+			{"Encode", func() { buf = next.Encode(buf[:0]) }},
+			{"Size", func() { _ = next.Size() }},
+			{"Clone", func() { _ = next.Clone() }},
+			{"DeltaSize", func() { _ = DeltaSize(prev, next) }},
+			{"MaxFloatDelta", func() { _ = MaxFloatDelta(prev, next) }},
+		} {
+			b.Run(kind.name+"/"+op.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					op.fn()
+				}
+			})
+		}
+	}
+}

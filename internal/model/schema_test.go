@@ -136,22 +136,51 @@ func opValue(a, b byte) writable.Writable {
 	}
 }
 
-// runOps interprets data as a program over four model/reference pairs —
-// Set, Delete, SetAt, Clone, NewLike and NewOn in any order, so models
-// end up partially filled, off their schema, and on schemas shared with
-// others — and checks every observable of every model and every pair of
-// models against the reference after each step.
+// runOps runs the program data describes twice: over a pool of boxed
+// models, and over a pool that starts half float-column (on the whole
+// key universe) and half boxed, so the second run drives float models,
+// their promotion to boxed and every mixed-kind pair.
 func runOps(t *testing.T, data []byte) {
+	t.Helper()
+	runProgram(t, data, false)
+	runProgram(t, data, true)
+}
+
+// runProgram interprets data as a program over four model/reference
+// pairs — Set, Delete, SetAt, SetFloatAt, CopyAt, Clone, NewLike and
+// NewOn/NewFloatsOn in any order, so models end up partially filled, off
+// their schema, and on schemas shared with others — and checks every
+// observable of every model and every pair of models against the
+// reference after each step. It also tracks which models must still be
+// float columns: a float model stays one until it is given a value that
+// is not a Float64 or a key outside its schema.
+func runProgram(t *testing.T, data []byte, floats bool) {
+	t.Helper()
 	const pool = 4
 	var models [pool]*Model
 	var refs [pool]ref
+	var float [pool]bool // the model must be a float column
+	universe := NewSchema(opKeys)
 	for i := range models {
 		models[i], refs[i] = New(), ref{}
+		if floats && i%2 == 0 {
+			models[i], float[i] = NewFloatsOn(universe), true
+		}
+	}
+	// keep records a write of v under key into model i: a float model
+	// stays one only for a Float64 in its schema.
+	keep := func(i int, key string, v writable.Writable) {
+		_, isFloat := v.(writable.Float64)
+		_, inSchema := models[i].t.Load().schema.Slot(key)
+		float[i] = float[i] && isFloat && inSchema
 	}
 	check := func(step int) {
 		t.Helper()
 		for i, m := range models {
 			r := refs[i]
+			if got := m.t.Load().float; got != float[i] {
+				t.Fatalf("step %d model %d: float column = %v, want %v", step, i, got, float[i])
+			}
 			if got, want := m.Keys(), r.keys(); !slices.Equal(got, want) {
 				t.Fatalf("step %d model %d: Keys = %v, want %v", step, i, got, want)
 			}
@@ -177,6 +206,27 @@ func runOps(t *testing.T, data []byte) {
 				v, ok := m.Get(k)
 				if rv, want := r[k]; ok != want || (ok && !writable.Equal(v, rv)) {
 					t.Fatalf("step %d model %d: Get(%q) = %v, %v", step, i, k, v, ok)
+				}
+				f, ok := m.Float(k)
+				if rf, want := r[k].(writable.Float64); ok != want || f != float64(rf) {
+					t.Fatalf("step %d model %d: Float(%q) = %g, %v", step, i, k, f, ok)
+				}
+				vec, ok := m.Vector(k)
+				if rvec, want := r[k].(writable.Vector); ok != want || !slices.Equal(vec, rvec) {
+					t.Fatalf("step %d model %d: Vector(%q) = %v, %v", step, i, k, vec, ok)
+				}
+			}
+			for slot, k := range m.Schema().Keys() {
+				rv, want := r[k]
+				rf, isFloat := rv.(writable.Float64)
+				if m.HasAt(slot) != want {
+					t.Fatalf("step %d model %d: HasAt(%d) = %v, want %v", step, i, slot, !want, want)
+				}
+				if f, ok := m.FloatAt(slot); ok != isFloat || math.Float64bits(f) != math.Float64bits(float64(rf)) {
+					t.Fatalf("step %d model %d: FloatAt(%d) = %g, %v", step, i, slot, f, ok)
+				}
+				if v, ok := m.At(slot); ok != want || (ok && !writable.Equal(v, rv)) {
+					t.Fatalf("step %d model %d: At(%d) = %v, %v", step, i, slot, v, ok)
 				}
 			}
 			if dec, err := Decode(enc); err != nil || !dec.Equal(m) || !m.Equal(dec) {
@@ -212,15 +262,16 @@ func runOps(t *testing.T, data []byte) {
 		data = data[4:]
 		m, r := models[i], refs[i]
 		key := opKeys[int(a)%len(opKeys)]
-		switch op % 8 {
+		switch op % 10 {
 		case 0, 1, 2: // Set, in or out of the schema
 			v := opValue(a/24, b)
+			keep(i, key, v)
 			m.Set(key, v)
 			r[key] = v
 		case 3:
 			m.Delete(key)
 			delete(r, key)
-		case 4: // SetAt through a slot resolved against the current schema
+		case 4, 8: // SetAt or SetFloatAt through a slot resolved against the current schema
 			s := m.Schema()
 			if len(s.Keys()) == 0 {
 				continue
@@ -230,21 +281,47 @@ func runOps(t *testing.T, data []byte) {
 				t.Fatalf("step %d: Slot(Key(%d)) = %d, %v", step, slot, got, ok)
 			}
 			v := opValue(b, a)
-			m.SetAt(slot, v)
+			if op%10 == 8 {
+				v = writable.Float64(float64(b) - 128)
+				m.SetFloatAt(slot, float64(b)-128)
+			} else {
+				keep(i, s.Key(slot), v)
+				m.SetAt(slot, v)
+			}
 			r[s.Key(slot)] = v
 		case 5:
 			j := int(b) % pool
-			models[j], refs[j] = m.Clone(), r.clone()
+			models[j], refs[j], float[j] = m.Clone(), r.clone(), float[i]
 			if models[j].Schema() != m.Schema() {
 				t.Fatalf("step %d: Clone left the schema", step)
 			}
 		case 6:
 			j := int(b) % pool
-			models[j], refs[j] = m.NewLike(), ref{}
+			models[j], refs[j], float[j] = m.NewLike(), ref{}, float[i]
 		case 7:
 			j := int(b) % pool
 			n := int(a) % len(opKeys)
-			models[j], refs[j] = NewOn(NewSchema(append(opKeys[:n:n], opKeys[:n/2]...))), ref{}
+			s := NewSchema(append(opKeys[:n:n], opKeys[:n/2]...))
+			if floats && b&1 == 1 {
+				models[j], refs[j], float[j] = NewFloatsOn(s), ref{}, true
+			} else {
+				models[j], refs[j], float[j] = NewOn(s), ref{}, false
+			}
+		case 9: // CopyAt from another model's slot
+			src := models[int(b)%pool]
+			ds, ss := m.Schema(), src.Schema()
+			if len(ds.Keys()) == 0 || len(ss.Keys()) == 0 {
+				continue
+			}
+			di, si := int(a)%len(ds.Keys()), int(b/4)%len(ss.Keys())
+			sv, held := refs[int(b)%pool][ss.Key(si)]
+			if got := m.CopyAt(di, src, si); got != held {
+				t.Fatalf("step %d: CopyAt = %v, want %v", step, got, held)
+			}
+			if held {
+				keep(i, ds.Key(di), sv)
+				r[ds.Key(di)] = writable.Clone(sv)
+			}
 		}
 		check(step)
 	}
@@ -418,4 +495,125 @@ func BenchmarkModelIterate(b *testing.B) {
 		next, buf = warmCycle(prev, vals, buf)
 	}
 	_ = next
+}
+
+// floatPair returns two versions of an n-key all-Float64 model on one
+// schema, in the given column kinds, with every tenth value changed
+// between them.
+func floatPair(n int, prevFloat, nextFloat bool) (prev, next *Model) {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("e%08d:%08d", i/5, i)
+	}
+	s := NewSchema(keys)
+	build := func(float bool, shift float64) *Model {
+		m := NewOn(s)
+		if float {
+			m = NewFloatsOn(s)
+		}
+		for i := range keys {
+			f := float64(i) / 7
+			if i%10 == 0 {
+				f += shift
+			}
+			m.SetFloatAt(i, f)
+		}
+		return m
+	}
+	return build(prevFloat, 0), build(nextFloat, 0.5)
+}
+
+// The float column's walks never box: encoding, sizing, comparing (with
+// an equal model, so the walk runs to the end) and diffing a 50 k-key
+// float model allocates nothing, against a float or a boxed model on the
+// same schema; a clone allocates the same few objects at any size.
+func TestFloatColumnAllocations(t *testing.T) {
+	for _, kinds := range [][2]bool{{true, true}, {true, false}, {false, true}} {
+		prev, next := floatPair(50_000, kinds[0], kinds[1])
+		twin := next.NewLike() // prev's values in next's kind, on the one schema
+		for i := range prev.Schema().Keys() {
+			twin.CopyAt(i, prev, i)
+		}
+		if !prev.Equal(twin) {
+			t.Fatal("a model differs from its twin in the other column kind")
+		}
+		buf := next.Encode(nil)
+		delta := EncodeDelta(prev, next, nil)
+		ops := map[string]func(){
+			"Encode":        func() { buf = next.Encode(buf[:0]) },
+			"Size":          func() { _ = next.Size() },
+			"Equal":         func() { _ = prev.Equal(twin) },
+			"DeltaSize":     func() { _ = DeltaSize(prev, next) },
+			"EncodeDelta":   func() { delta = EncodeDelta(prev, next, delta[:0]) },
+			"MaxFloatDelta": func() { _ = MaxFloatDelta(prev, next) },
+		}
+		for name, op := range ops {
+			if allocs := testing.AllocsPerRun(3, op); allocs != 0 {
+				t.Errorf("float column %v/%v: %s allocates %.0f objects, want 0", kinds[0], kinds[1], name, allocs)
+			}
+		}
+	}
+	clones := map[int]float64{}
+	for _, n := range []int{1_000, 50_000} {
+		_, m := floatPair(n, true, true)
+		clones[n] = testing.AllocsPerRun(3, func() { _ = m.Clone() })
+	}
+	if clones[50_000] != clones[1_000] || clones[1_000] > 4 {
+		t.Errorf("Clone allocations by size %v: want the same few at any size", clones)
+	}
+}
+
+// CopyAt moves a Float64 without a box whenever either side is a float
+// column, and between boxed models shares the scalar box it copies.
+func TestCopyAtBoxesOnlyIntoABoxedModel(t *testing.T) {
+	boxedSrc, floatSrc := floatPair(1_000, false, true)
+	for _, c := range []struct {
+		name     string
+		dst, src *Model
+		want     float64
+	}{
+		{"float→float", floatSrc.NewLike(), floatSrc, 0},
+		{"boxed→float", floatSrc.NewLike(), boxedSrc, 0},
+		{"boxed→boxed", boxedSrc.NewLike(), boxedSrc, 0},
+		{"float→boxed", boxedSrc.NewLike(), floatSrc, 1},
+	} {
+		allocs := testing.AllocsPerRun(3, func() { c.dst.CopyAt(7, c.src, 7) })
+		if allocs != c.want {
+			t.Errorf("%s: CopyAt allocates %.0f objects, want %.0f", c.name, allocs, c.want)
+		}
+		if f, ok := c.dst.FloatAt(7); !ok || f != 1 {
+			t.Errorf("%s: CopyAt copied %g, want 1", c.name, f)
+		}
+	}
+}
+
+// Float entries encode and compare by their bits: +0 and -0 differ and a
+// NaN equals itself, in either column kind and across kinds.
+func TestFloatColumnComparesBits(t *testing.T) {
+	s := NewSchema([]string{"nan", "zero"})
+	build := func(float bool, zero float64) *Model {
+		m := NewOn(s)
+		if float {
+			m = NewFloatsOn(s)
+		}
+		m.SetFloatAt(0, math.NaN())
+		m.SetFloatAt(1, zero)
+		return m
+	}
+	negZero := math.Copysign(0, -1)
+	float, boxed := build(true, negZero), build(false, negZero)
+	if !bytes.Equal(float.Encode(nil), boxed.Encode(nil)) ||
+		!bytes.Equal(EncodeDelta(NewOn(s), float, nil), EncodeDelta(NewOn(s), boxed, nil)) {
+		t.Error("a float column encodes NaN or -0 differently from a boxed one")
+	}
+	for _, kinds := range [][2]bool{{true, true}, {true, false}, {false, true}} {
+		pos, neg := build(kinds[0], 0), build(kinds[1], negZero)
+		same := build(kinds[1], 0)
+		if !pos.Equal(same) || DeltaSize(pos, same) != 0 || len(EncodeDelta(pos, same, nil)) != 0 {
+			t.Errorf("kinds %v: a NaN differs from itself", kinds)
+		}
+		if pos.Equal(neg) || DeltaSize(pos, neg) == 0 || len(EncodeDelta(pos, neg, nil)) == 0 {
+			t.Errorf("kinds %v: +0 and -0 compare equal", kinds)
+		}
+	}
 }
