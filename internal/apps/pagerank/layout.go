@@ -15,7 +15,8 @@ import (
 // parseKey inverts RankKey, inflowKey, EdgeKey and the input records'
 // keys: kind is the key's first byte ('r', 'f', 'e' or 'v') and a, b the
 // vertex numbers it names (b only for an edge). Keys in any other form
-// report !ok.
+// report !ok. An 18-byte edge key — both vertices below 1e8 — is split
+// at its fixed ':'; longer ones at their first.
 func parseKey(key string) (kind byte, a, b int, ok bool) {
 	if key == "" {
 		return 0, 0, 0, false
@@ -25,7 +26,12 @@ func parseKey(key string) (kind byte, a, b int, ok bool) {
 	case 'r', 'f', 'v':
 		a, ok = parse8(rest)
 	case 'e':
-		src, dst, _ := strings.Cut(rest, ":")
+		var src, dst string
+		if len(rest) == 17 && rest[8] == ':' {
+			src, dst = rest[:8], rest[9:]
+		} else {
+			src, dst, _ = strings.Cut(rest, ":")
+		}
 		if a, ok = parse8(src); ok {
 			b, ok = parse8(dst)
 		}
@@ -34,9 +40,25 @@ func parseKey(key string) (kind byte, a, b int, ok bool) {
 }
 
 // parse8 inverts "%08d" for non-negative numbers: at least eight digits,
-// more only when the first is not a padding zero.
+// more only when the first is not a padding zero. Exactly eight digits —
+// every vertex below 1e8 — take one big-endian load: each byte is a
+// digit when its high nibble is 3 and stays 3 after adding 6, and three
+// multiply-add folds join digit pairs, then pairs of pairs, then halves.
 func parse8(s string) (int, bool) {
-	if len(s) < 8 || len(s) > 18 || (len(s) > 8 && s[0] == '0') {
+	if len(s) == 8 {
+		x := uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
+		const hi, six, zeros = 0xF0F0F0F0F0F0F0F0, 0x0606060606060606, 0x3030303030303030
+		if x&hi != zeros || (x+six)&hi != zeros {
+			return 0, false
+		}
+		x -= zeros
+		x = ((x>>8)&0x00FF00FF00FF00FF)*10 + x&0x00FF00FF00FF00FF
+		x = ((x>>16)&0x0000FFFF0000FFFF)*100 + x&0x0000FFFF0000FFFF
+		x = (x>>32)*10000 + x&0xFFFFFFFF
+		return int(x), true
+	}
+	if len(s) < 8 || len(s) > 18 || s[0] == '0' {
 		return 0, false
 	}
 	v := 0
@@ -144,17 +166,8 @@ func (l *layout) slotOf(key string) int {
 	return -1
 }
 
-// has and set are Model.Get's presence check and Model.Set for a model
-// on the layout's schema, by slot when the key names something in the
-// graph.
-func (l *layout) has(m *model.Model, key string) bool {
-	if s := l.slotOf(key); s >= 0 {
-		return m.HasAt(s)
-	}
-	_, ok := m.Get(key)
-	return ok
-}
-
+// set is Model.Set for a model on the layout's schema, by slot when the
+// key names something in the graph.
 func (l *layout) set(m *model.Model, key string, v writable.Writable) {
 	if s := l.slotOf(key); s >= 0 {
 		m.SetAt(s, v)

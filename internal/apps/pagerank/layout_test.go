@@ -2,6 +2,7 @@ package pagerank
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -29,6 +30,64 @@ func TestParseKeyInvertsTheKeyFunctions(t *testing.T) {
 			t.Errorf("parseKey(%q) accepted a non-canonical key", key)
 		}
 	}
+}
+
+// parseKeyCut and parse8Loop are parseKey and parse8 as first written,
+// with strings.Cut and a digit loop: the oracle FuzzParseKey holds the
+// fast paths to.
+func parseKeyCut(key string) (kind byte, a, b int, ok bool) {
+	if key == "" {
+		return 0, 0, 0, false
+	}
+	kind, rest := key[0], key[1:]
+	switch kind {
+	case 'r', 'f', 'v':
+		a, ok = parse8Loop(rest)
+	case 'e':
+		src, dst, _ := strings.Cut(rest, ":")
+		if a, ok = parse8Loop(src); ok {
+			b, ok = parse8Loop(dst)
+		}
+	}
+	return kind, a, b, ok
+}
+
+func parse8Loop(s string) (int, bool) {
+	if len(s) < 8 || len(s) > 18 || (len(s) > 8 && s[0] == '0') {
+		return 0, false
+	}
+	v := 0
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		v = v*10 + int(d)
+	}
+	return v, true
+}
+
+func FuzzParseKey(f *testing.F) {
+	for _, key := range []string{"", RankKey(0), RankKey(12_345_678), RankKey(99_999_999), RankKey(100_000_000),
+		inflowKey(7), pad8Key('v', 42), EdgeKey(12, 34_567_890), EdgeKey(100_000_000, 3), EdgeKey(3, 100_000_000),
+		"r0000000/", "r0000000:", "r0000000\xb0", "r1234567\x00", "e00000001;00000002", "e0000000::00000002",
+		"e00000001:0000000a", "e00000001:00000002:3", "x00000001"} {
+		f.Add(key)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		k, a, b, ok := parseKey(key)
+		wk, wa, wb, wok := parseKeyCut(key)
+		if k != wk || a != wa || b != wb || ok != wok {
+			t.Fatalf("parseKey(%q) = %c %d %d %v, oracle %c %d %d %v", key, k, a, b, ok, wk, wa, wb, wok)
+		}
+		for _, s := range []string{key, key[min(1, len(key)):]} {
+			v, ok := parse8(s)
+			wv, wok := parse8Loop(s)
+			if v != wv || ok != wok {
+				t.Fatalf("parse8(%q) = %d %v, oracle %d %v", s, v, ok, wv, wok)
+			}
+		}
+	})
 }
 
 // Parallel edges share one score key; every copy reads and writes it, as

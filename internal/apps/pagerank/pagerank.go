@@ -207,69 +207,30 @@ func Ranks(m *model.Model, n int) []float64 {
 }
 
 // Iteration implements core.App: the aggregation job followed by the
-// propagation job. The next model is built on m's schema and every key
-// is reached through m's layout, so an iteration renders, hashes and
-// sorts no key; scores are emitted as the boxed values the model already
-// holds.
+// propagation job. The next model is a float column on m's schema and
+// every key is reached through m's layout, so an iteration renders,
+// hashes and sorts no key.
 func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*model.Model, error) {
-	damping := a.Damping
 	lay := a.layoutOf(m.Schema())
-
-	// Aggregation: every vertex emits, for each outgoing edge, the
-	// edge's current score keyed by the destination vertex; the
-	// reducer sums and applies PR = (1-c) + c·Σ.
-	aggregate := &mapred.Job{
-		Name:             "pagerank-aggregate",
-		PartitionedModel: true, // tasks read the state of their own vertices
-		Mapper: mapred.MapperFunc(func(_ string, v writable.Writable, m *model.Model, emit mapred.Emitter) error {
-			src, out, err := a.adjacency(v)
-			if err != nil {
-				return err
-			}
-			l := a.layoutFor(m, lay)
-			// During local iterations, the vertex's frozen
-			// cross-partition in-flow contributes as a constant.
-			if inflow, ok := floatAt(m, l.inflow[src]); ok && inflow.(writable.Float64) != 0 {
-				emit.Emit(l.rankKey(src), inflow)
-			}
-			for i, dst := range out {
-				score, ok := floatAt(m, l.edgeSlot(src, i))
-				if !ok {
-					// Edge not in this (sub-)model: a cross edge
-					// during local iterations. Its effect enters
-					// through the frozen in-flow and the merge.
-					continue
-				}
-				emit.Emit(l.rankKey(int(dst)), score)
-			}
-			return nil
-		}),
-		Combiner: floatSum{},
-		Reducer: mapred.ReducerFunc(func(key string, values []writable.Writable, _ *model.Model, emit mapred.Emitter) error {
-			var sum float64
-			for _, v := range values {
-				sum += float64(v.(writable.Float64))
-			}
-			emit.Emit(key, writable.Float64((1-damping)+damping*sum))
-			return nil
-		}),
-	}
-	aggOut, err := rt.RunJob(aggregate, in, m)
+	aggOut, err := rt.RunJob(a.aggregateJob(lay), in, m)
 	if err != nil {
 		return nil, err
 	}
 	// New ranks: vertices with no in-edges in (this partition of) the
 	// graph fall back to 1-c.
-	next := model.NewOn(lay.schema)
-	var floor writable.Writable = writable.Float64(1 - damping)
+	next := model.NewFloatsOn(lay.schema)
 	for _, s := range lay.rank {
 		if m.HasAt(int(s)) {
-			next.SetAt(int(s), floor)
+			next.SetFloatAt(int(s), 1-a.Damping)
 		}
 	}
 	for _, rec := range aggOut.Records {
-		if lay.has(m, rec.Key) {
-			lay.set(next, rec.Key, rec.Value)
+		if s := lay.slotOf(rec.Key); s >= 0 {
+			if m.HasAt(s) {
+				next.SetAt(s, rec.Value)
+			}
+		} else if _, ok := m.Get(rec.Key); ok {
+			next.Set(rec.Key, rec.Value)
 		}
 	}
 
@@ -306,11 +267,37 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 	}
 	// Frozen cross-partition in-flows persist across local iterations.
 	for _, s := range lay.inflow {
-		if v, ok := m.At(int(s)); ok {
-			next.SetAt(int(s), v)
-		}
+		next.CopyAt(int(s), m, int(s))
 	}
 	return next, nil
+}
+
+// aggregateJob is an iteration's aggregation: every vertex emits, for
+// each outgoing edge, the edge's current score keyed by the destination
+// vertex; the combiner sums and the reducer applies the rank formula.
+func (a *App) aggregateJob(lay *layout) *mapred.Job {
+	return &mapred.Job{
+		Name:             "pagerank-aggregate",
+		PartitionedModel: true, // tasks read the state of their own vertices
+		Mapper:           &aggregateMapper{a: a, lay: lay},
+		Combiner:         floatSum{},
+		Reducer: mapred.ReducerFunc(func(key string, values []writable.Writable, _ *model.Model, emit mapred.Emitter) error {
+			var sum float64
+			for _, v := range values {
+				sum += float64(v.(writable.Float64))
+			}
+			emit.Emit(key, writable.Float64(a.rank(sum)))
+			return nil
+		}),
+	}
+}
+
+// rank is the rank formula PR = (1-c) + c·Σ, for every path that applies
+// it. The conversion keeps the product rounded on its own: without it
+// the compiler may fuse multiply and add (the spec allows it, and arm64
+// does), and the rank would depend on the host.
+func (a *App) rank(sum float64) float64 {
+	return (1 - a.Damping) + float64(a.Damping*sum)
 }
 
 type floatSum struct{}
@@ -547,7 +534,7 @@ func Reference(g *webgraph.Graph, damping float64, iterations int) []float64 {
 		}
 		for v := 0; v < g.N; v++ {
 			for _, w := range g.Out[v] {
-				next[int(w)] += damping * scores[key(v, int(w))]
+				next[int(w)] += float64(damping * scores[key(v, int(w))])
 			}
 		}
 		ranks = next

@@ -101,7 +101,7 @@ func (p *prProgram) Compute(step, pv int, msgs []bsp.Message, s bsp.Sender) (boo
 		}
 		sum += float64(f)
 	}
-	p.newRank[pv] = (1 - p.app.Damping) + p.app.Damping*sum
+	p.newRank[pv] = p.app.rank(sum)
 	return true, nil
 }
 

@@ -30,6 +30,9 @@ type confArtifacts struct {
 	metrics string
 	reg     string
 	trace   string
+	// hits counts the loop cache's hits, which confCompare ignores: the
+	// proof that a warm run's fused kernels engaged at all.
+	hits int64
 }
 
 // stripCacheMetrics drops the cache.* lines from a registry dump.
@@ -96,6 +99,7 @@ func confRun(name, scheme string, warm bool, workers int) (confArtifacts, error)
 		metrics: fmt.Sprintf("%+v", met),
 		reg:     stripCacheMetrics(reg.Snapshot().Text()),
 		trace:   renderEventsSansCache(tr.Events()),
+		hits:    rt.LoopCacheStats().Hits,
 	}, nil
 }
 
@@ -113,6 +117,11 @@ func confCompare(base, got confArtifacts) string {
 	}
 	return ""
 }
+
+// fusedWorkloads are the report workloads whose apps have fused kernels:
+// their warm runs must hit the loop cache, or the matrix compares the
+// cold path with itself.
+var fusedWorkloads = map[string]bool{"kmeans": true, "pagerank": true}
 
 // TestCacheConformance is the conformance matrix: for every report
 // workload and both schemes, a cold single-worker run is the reference,
@@ -146,6 +155,9 @@ func TestCacheConformance(t *testing.T) {
 					}
 					if diff := confCompare(base, got); diff != "" {
 						t.Errorf("%s: %s differ from cold workers=1 reference", tc.label, diff)
+					}
+					if tc.warm && fusedWorkloads[name] && got.hits == 0 {
+						t.Errorf("%s: no loop-cache hits, so no job ran fused", tc.label)
 					}
 				}
 			})

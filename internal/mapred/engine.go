@@ -318,14 +318,11 @@ func (e *Engine) fusedMapTask(fm FusedMapper, d SplitDerived, i int, split Split
 	mapCosts[i] = cost.MapCostPerRecord*float64(len(split.Records)) +
 		cost.MapCostPerByte*float64(split.Bytes) +
 		cost.EmitCostPerByte*float64(preBytes)
-	// Partition the (few) combined records. Key order within each
-	// partition stays ascending — a filtered subsequence of the kernel's
-	// sorted emission — exactly as the cold combiner leaves it.
-	parts := make([][]Record, numReducers)
-	for _, r := range em.records {
-		p := partition(r.Key, numReducers)
-		parts[p] = append(parts[p], r)
-	}
+	// Partition the combined records by the cold path's stable counted
+	// scatter, which cannot fail without a combiner. Key order within
+	// each partition stays ascending — a filtered subsequence of the
+	// kernel's sorted emission — exactly as the cold combiner leaves it.
+	parts, _ := PartitionAndCombine(nil, em.records, m, numReducers, partition)
 	putEmitter(em)
 	sizes := make([]int64, numReducers)
 	for p := range parts {
