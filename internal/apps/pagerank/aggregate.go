@@ -90,11 +90,15 @@ type splitVertices struct {
 // SizeBytes implements mapred.SplitDerived.
 func (sv *splitVertices) SizeBytes() int64 { return 4 * int64(len(sv.ids)) }
 
-// NewDerived implements mapred.FusedMapper/LocalFuser. A malformed
-// record, or a graph whose rank keys outgrow eight digits, declines
-// fusion (nil): the cold path then runs and reports its own error.
+// NewDerived implements mapred.FusedMapper/LocalFuser.
 func (mp *aggregateMapper) NewDerived(recs []mapred.Record) mapred.SplitDerived {
-	a := mp.a
+	return mp.a.deriveSplit(recs)
+}
+
+// deriveSplit is both mappers' NewDerived. A malformed record, or a
+// graph whose keys outgrow eight digits, declines fusion (nil): the
+// cold path then runs and reports its own error.
+func (a *App) deriveSplit(recs []mapred.Record) mapred.SplitDerived {
 	if a.graph.N >= 100_000_000 {
 		return nil
 	}

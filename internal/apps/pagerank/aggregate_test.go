@@ -217,8 +217,8 @@ func TestWarmMapSplitAllocatesPerEmittedRecord(t *testing.T) {
 
 // BenchmarkIteration times one IC iteration — aggregation, then
 // propagation — on a 10 000-vertex graph, warm (the loop cache attached,
-// so the aggregation runs fused) and cold. Each call steps from the
-// previous one's model.
+// so both jobs run fused) and cold. Each call steps from the previous
+// one's model.
 func BenchmarkIteration(b *testing.B) {
 	g := webgraph.NearlyUncoupled(11, 10_000, 4, 0.05, 4)
 	for _, warm := range []bool{true, false} {

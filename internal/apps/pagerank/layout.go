@@ -166,16 +166,6 @@ func (l *layout) slotOf(key string) int {
 	return -1
 }
 
-// set is Model.Set for a model on the layout's schema, by slot when the
-// key names something in the graph.
-func (l *layout) set(m *model.Model, key string, v writable.Writable) {
-	if s := l.slotOf(key); s >= 0 {
-		m.SetAt(s, v)
-	} else {
-		m.Set(key, v)
-	}
-}
-
 // edgeSlot returns the slot of the score of v's i-th out-edge, or -1.
 func (l *layout) edgeSlot(v, i int) int32 { return l.edge[int(l.off[v])+i] }
 

@@ -218,58 +218,45 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 	}
 	// New ranks: vertices with no in-edges in (this partition of) the
 	// graph fall back to 1-c.
-	next := model.NewFloatsOn(lay.schema)
+	ranks := model.NewFloatsOn(lay.schema)
 	for _, s := range lay.rank {
 		if m.HasAt(int(s)) {
-			next.SetFloatAt(int(s), 1-a.Damping)
+			ranks.SetFloatAt(int(s), 1-a.Damping)
 		}
 	}
 	for _, rec := range aggOut.Records {
 		if s := lay.slotOf(rec.Key); s >= 0 {
 			if m.HasAt(s) {
-				next.SetAt(s, rec.Value)
+				ranks.SetAt(s, rec.Value)
 			}
 		} else if _, ok := m.Get(rec.Key); ok {
-			next.Set(rec.Key, rec.Value)
+			ranks.Set(rec.Key, rec.Value)
 		}
 	}
 
-	// Propagation: every edge's score becomes new-rank/outdegree.
-	propagate := &mapred.Job{
-		Name:             "pagerank-propagate",
-		PartitionedModel: true,
-		Mapper: mapred.MapperFunc(func(_ string, v writable.Writable, nm *model.Model, emit mapred.Emitter) error {
-			src, out, err := a.adjacency(v)
-			if err != nil {
-				return err
-			}
-			rank, ok := nm.FloatAt(int(a.layoutFor(nm, lay).rank[src]))
-			if !ok {
-				return nil // vertex outside this partition's model
-			}
-			var score writable.Writable = writable.Float64(rank / float64(len(out))) // one box per vertex
-			for i := range out {
-				s := int(lay.edgeSlot(src, i))
-				if !m.HasAt(s) {
-					continue // cross edge, not part of this sub-model
-				}
-				emit.Emit(lay.schema.Key(s), score)
-			}
-			return nil
-		}),
-	}
-	propOut, err := rt.RunJob(propagate, in, next)
-	if err != nil {
+	// Propagation: every edge's score becomes new-rank/outdegree,
+	// written into the next model. The job reads the ranks alone, so the
+	// model it distributes is the ranks, not the model it writes.
+	next := ranks.Clone()
+	if _, err := rt.RunJob(a.propagateJob(lay, m, next), in, ranks); err != nil {
 		return nil, err
-	}
-	for _, rec := range propOut.Records {
-		lay.set(next, rec.Key, rec.Value)
 	}
 	// Frozen cross-partition in-flows persist across local iterations.
 	for _, s := range lay.inflow {
 		next.CopyAt(int(s), m, int(s))
 	}
 	return next, nil
+}
+
+// propagateJob is an iteration's propagation: a map-only job over the
+// new ranks that writes every edge score prev holds into next.
+func (a *App) propagateJob(lay *layout, prev, next *model.Model) *mapred.Job {
+	return &mapred.Job{
+		Name:             "pagerank-propagate",
+		PartitionedModel: true,
+		Mapper:           &propagateMapper{a: a, lay: lay, prev: prev},
+		Into:             next,
+	}
 }
 
 // aggregateJob is an iteration's aggregation: every vertex emits, for

@@ -30,9 +30,10 @@ type confArtifacts struct {
 	metrics string
 	reg     string
 	trace   string
-	// hits counts the loop cache's hits, which confCompare ignores: the
-	// proof that a warm run's fused kernels engaged at all.
-	hits int64
+	// hits and misses count the loop cache's split acquisitions, which
+	// confCompare ignores: the proof that a warm run's fused kernels
+	// engaged at all. mapTasks counts the run's framework map tasks.
+	hits, misses, mapTasks int64
 }
 
 // stripCacheMetrics drops the cache.* lines from a registry dump.
@@ -95,11 +96,13 @@ func confRun(name, scheme string, warm bool, workers int) (confArtifacts, error)
 		m, met = res.Model, res.Metrics
 	}
 	return confArtifacts{
-		model:   string(m.Encode(nil)),
-		metrics: fmt.Sprintf("%+v", met),
-		reg:     stripCacheMetrics(reg.Snapshot().Text()),
-		trace:   renderEventsSansCache(tr.Events()),
-		hits:    rt.LoopCacheStats().Hits,
+		model:    string(m.Encode(nil)),
+		metrics:  fmt.Sprintf("%+v", met),
+		reg:      stripCacheMetrics(reg.Snapshot().Text()),
+		trace:    renderEventsSansCache(tr.Events()),
+		hits:     rt.LoopCacheStats().Hits,
+		misses:   rt.LoopCacheStats().Misses,
+		mapTasks: int64(met.MapTasks),
 	}, nil
 }
 
@@ -158,6 +161,14 @@ func TestCacheConformance(t *testing.T) {
 					}
 					if tc.warm && fusedWorkloads[name] && got.hits == 0 {
 						t.Errorf("%s: no loop-cache hits, so no job ran fused", tc.label)
+					}
+					// Both of pagerank's jobs fuse, the map-only
+					// propagation too: under IC every map task of every
+					// job acquires its split from the cache, where the
+					// aggregation alone would acquire half.
+					if tc.warm && name == "pagerank" && scheme == "ic" && got.hits+got.misses != got.mapTasks {
+						t.Errorf("%s: %d cache acquisitions for %d map tasks: not every job ran fused",
+							tc.label, got.hits+got.misses, got.mapTasks)
 					}
 				}
 			})

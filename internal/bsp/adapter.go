@@ -132,15 +132,14 @@ func (p *jobProgram) computeReduce(v int, msgs []Message) error {
 
 // output assembles a mapred.Output from the completed program:
 // ByReducer in reducer index order, Records concatenated — the same
-// shape the mapred engine returns.
+// shape the mapred engine returns. A map-only job's output is the
+// split vertices' emissions in split order, delivered as the mapred
+// engine delivers it (into Job.Into when the job has one).
 func (p *jobProgram) output(homes []int) *mapred.Output {
-	out := &mapred.Output{}
 	if p.nRed == 0 {
-		for i := 0; i < p.nSplit; i++ {
-			out.Records = append(out.Records, p.outs[i]...)
-		}
-		return out
+		return p.job.MapOnlyOutput(p.outs[:p.nSplit])
 	}
+	out := &mapred.Output{}
 	out.ByReducer = make([][]mapred.Record, p.nRed)
 	out.ReducerNodes = make([]int, p.nRed)
 	for j := 0; j < p.nRed; j++ {
@@ -158,6 +157,9 @@ func (p *jobProgram) output(homes []int) *mapred.Output {
 func RunJob(e *Engine, job *mapred.Job, in *mapred.Input, m *model.Model, opt *RunOptions) (*mapred.Output, *Result, error) {
 	if job.Mapper == nil {
 		return nil, nil, fmt.Errorf("bsp: job %q has no mapper", job.Name)
+	}
+	if err := job.CheckInto(m); err != nil {
+		return nil, nil, err
 	}
 	o := RunOptions{}
 	if opt != nil {

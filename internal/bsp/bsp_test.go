@@ -583,6 +583,56 @@ func TestAdapterMatchesMapredOutput(t *testing.T) {
 	}
 }
 
+// TestAdapterMapOnlyInto: the adapter delivers a map-only job with
+// Job.Into as the mapred engine does — the records Set into Into in
+// split order, later ones winning — and rejects an Into that is the
+// job's model.
+func TestAdapterMapOnlyInto(t *testing.T) {
+	keys := make([]string, 10)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("s%d", i)
+	}
+	schema := model.NewSchema(keys)
+	job := func(into *model.Model) *mapred.Job {
+		return &mapred.Job{
+			Name: "last-digit",
+			Mapper: mapred.MapperFunc(func(key string, v writable.Writable, m *model.Model, emit mapred.Emitter) error {
+				scale, _ := m.Float("scale")
+				vec := v.(writable.Vector)
+				emit.Emit("s"+key[len(key)-1:], writable.Float64(scale*(vec[0]+vec[1])))
+				return nil
+			}),
+			Into: into,
+		}
+	}
+	m := model.New()
+	m.Set("scale", writable.Float64(1.5))
+	mc := testCluster()
+	want := model.NewFloatsOn(schema)
+	if _, _, err := mapred.NewEngine(mc).Run(job(want), sumInput(mc), m); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != len(keys) {
+		t.Fatalf("the mapred run wrote %d of %d slots", want.Len(), len(keys))
+	}
+	bc := testCluster()
+	got := model.NewFloatsOn(schema)
+	out, _, err := RunJob(NewEngine(bc), job(got), sumInput(bc), m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Records != nil {
+		t.Fatalf("adapter kept %d records beside Into", len(out.Records))
+	}
+	if string(got.Encode(nil)) != string(want.Encode(nil)) {
+		t.Fatal("adapter's Into diverges from mapred's")
+	}
+	if _, _, err := RunJob(NewEngine(bc), job(m), sumInput(bc), m, nil); err == nil ||
+		!strings.Contains(err.Error(), "writes Into the model it reads") {
+		t.Fatalf("Into == model: err = %v, want the aliasing rejection", err)
+	}
+}
+
 // TestAdapterMapOnlyJob: a job with no reducer finishes in one
 // superstep with no messages, and its output matches the mapper run
 // directly.

@@ -255,6 +255,12 @@ func (rt *Runtime) RunJob(job *mapred.Job, in *mapred.Input, m *model.Model) (*m
 		err     error
 	)
 	start := rt.now()
+	// Into's rule is checked on the caller's model: once damage below
+	// swaps in a perturbed copy, the engines could no longer see that
+	// the job writes into the model it reads.
+	if err := job.CheckInto(m); err != nil {
+		return nil, err
+	}
 	// Silent model-distribution damage: with detection off, a bit-error
 	// window over the distribution leg hands the workers a perturbed
 	// model — the caller's copy stays untouched, but the iteration

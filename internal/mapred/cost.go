@@ -55,6 +55,14 @@ func DefaultCostModel() CostModel {
 	}
 }
 
+// mapTask is the cost of a framework map task over split that emitted
+// outBytes: its input records and bytes plus its pre-combine output.
+func (c CostModel) mapTask(split Split, outBytes int64) float64 {
+	return c.MapCostPerRecord*float64(len(split.Records)) +
+		c.MapCostPerByte*float64(split.Bytes) +
+		c.EmitCostPerByte*float64(outBytes)
+}
+
 // Validate reports whether the cost model is usable.
 func (c CostModel) Validate() error {
 	if c.ShuffleOverlap < 0 || c.ShuffleOverlap >= 1 {

@@ -315,9 +315,7 @@ func (e *Engine) fusedMapTask(fm FusedMapper, d SplitDerived, i int, split Split
 	}
 	mapOutBytes[i] = preBytes
 	mapOutRecords[i] = preRecs
-	mapCosts[i] = cost.MapCostPerRecord*float64(len(split.Records)) +
-		cost.MapCostPerByte*float64(split.Bytes) +
-		cost.EmitCostPerByte*float64(preBytes)
+	mapCosts[i] = cost.mapTask(split, preBytes)
 	// Partition the combined records by the cold path's stable counted
 	// scatter, which cannot fail without a combiner. Key order within
 	// each partition stays ascending — a filtered subsequence of the
@@ -331,6 +329,77 @@ func (e *Engine) fusedMapTask(fm FusedMapper, d SplitDerived, i int, split Split
 	partSizes[i] = sizes
 	mapParts[i] = parts
 	return true
+}
+
+// stage acquires every split's derived form from the family, serially
+// in split order so cache counters and eviction are deterministic at any
+// Workers setting. homes[i] is split i's cache bucket (nil: its Home).
+// ds[i] is nil where build declined; with all set, the first decline
+// stops staging and returns ds == nil, for kernels that fuse a whole
+// job or none of it. warmBytes sums the hit splits' bytes.
+func (e *Engine) stage(in *Input, homes []int, build func([]Record) SplitDerived, all bool) (ds []SplitDerived, warmBytes int64) {
+	ds = make([]SplitDerived, len(in.Splits))
+	for i, split := range in.Splits {
+		node := split.Home
+		if homes != nil {
+			node = homes[i]
+		}
+		d, hit := e.Family.acquire(node, split.Records, split.Bytes, build)
+		if d == nil && all {
+			return nil, 0
+		}
+		ds[i] = d
+		if hit {
+			warmBytes += split.Bytes
+		}
+	}
+	return ds, warmBytes
+}
+
+// fuseInto runs a map-only job with Into through an IntoMapper kernel
+// over the family's cached derived forms: MapInto serially in split
+// order, each split's record count and encoded bytes handed to note,
+// which prices the task. handled=false means the job must run cold (a
+// split declined or the kernel rejected the shape); the cold path then
+// re-Sets every record, overwriting whatever a partial fused write left.
+// task names a map task in errors.
+func (e *Engine) fuseInto(im IntoMapper, job *Job, in *Input, homes []int, m *model.Model, task string,
+	note func(i int, records, bytes int64)) (handled bool, err error) {
+	ds, warmBytes := e.stage(in, homes, im.NewDerived, true)
+	if ds == nil {
+		return false, nil
+	}
+	for i, d := range ds {
+		records, bytes, err := im.MapInto(d, m, job.Into)
+		if err != nil {
+			if errors.Is(err, ErrFusedUnsupported) {
+				return false, nil
+			}
+			return true, fmt.Errorf("job %q %s %d: %w", job.Name, task, i, err)
+		}
+		note(i, records, bytes)
+	}
+	e.Family.noteWarm(job.Name, m, warmBytes)
+	return true, nil
+}
+
+// deliverMapOnly is a map-only job's output from its tasks' emitters,
+// in split order (Job.MapOnlyOutput), after which it recycles them. A
+// nil emitter is a task that emitted nothing.
+func deliverMapOnly(job *Job, ems []*listEmitter) *Output {
+	tasks := make([][]Record, len(ems))
+	for i, em := range ems {
+		if em != nil {
+			tasks[i] = em.records
+		}
+	}
+	out := job.MapOnlyOutput(tasks)
+	for _, em := range ems {
+		if em != nil {
+			putEmitter(em)
+		}
+	}
+	return out
 }
 
 // Run executes one job over the input with the given read-only model
@@ -352,7 +421,7 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 	if err := e.validateConfig(); err != nil {
 		return nil, Metrics{}, err
 	}
-	if err := job.validate(); err != nil {
+	if err := job.validate(m); err != nil {
 		return nil, Metrics{}, err
 	}
 	cost := e.cost
@@ -456,6 +525,15 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 		}
 	}
 
+	nSplits := len(in.Splits)
+	mapParts := make([][][]Record, nSplits) // split -> partition -> records
+	partSizes := make([][]int64, nSplits)   // split -> partition -> encoded bytes, computed once
+	mapOnlyOut := make([]*listEmitter, nSplits)
+	mapCosts := make([]float64, nSplits)
+	mapOutBytes := make([]int64, nSplits)
+	mapOutRecords := make([]int64, nSplits)
+	errs := make([]error, nSplits)
+
 	// ---- Loop-aware fusion: with a JobFamily attached and a mapper
 	// implementing FusedMapper, stage each split's derived structure in
 	// the family's per-node cache and run map+combine fused over it.
@@ -465,42 +543,38 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 	// the node bucket). The fused kernel's output is byte-identical to
 	// the record-at-a-time path by contract; splits whose derived form
 	// is unavailable or whose shape the kernel rejects fall back to the
-	// cold body below.
+	// cold body below. A map-only job with Into and an IntoMapper runs
+	// fused whole or not at all, before the map phase.
 	var fused FusedMapper
 	var deriveds []SplitDerived
+	intoDone := false
 	if e.Family != nil && numReducers > 0 && job.Combiner != nil {
 		if fm, ok := job.Mapper.(FusedMapper); ok {
 			fused = fm
-			deriveds = make([]SplitDerived, len(in.Splits))
 			var warmBytes int64
-			for i, split := range in.Splits {
-				d, hit := e.Family.acquire(homes[i], split.Records, split.Bytes, fm.NewDerived)
-				deriveds[i] = d
-				if hit {
-					warmBytes += split.Bytes
-				}
-			}
-			if warmBytes > 0 {
-				// A warm iteration ships only the sparse model delta to
-				// its workers; the hit splits' bytes are what it did not
-				// have to re-stage.
-				e.Family.noteIteration(e.Family.shippedDelta(job.Name, m), warmBytes)
+			deriveds, warmBytes = e.stage(in, homes, fm.NewDerived, false)
+			// A warm iteration ships only the sparse model delta to its
+			// workers; the hit splits' bytes are what it did not have
+			// to re-stage.
+			e.Family.noteWarm(job.Name, m, warmBytes)
+		}
+	}
+	if e.Family != nil && job.Into != nil {
+		if im, ok := job.Mapper.(IntoMapper); ok {
+			var err error
+			intoDone, err = e.fuseInto(im, job, in, homes, m, "map task", func(i int, recs, bytes int64) {
+				mapOutRecords[i], mapOutBytes[i] = recs, bytes
+				mapCosts[i] = cost.mapTask(in.Splits[i], bytes)
+			})
+			if err != nil {
+				return nil, Metrics{}, err
 			}
 		}
 	}
 
 	// ---- Map phase: execute user code per split, partition and
 	// combine the output.
-	nSplits := len(in.Splits)
-	mapParts := make([][][]Record, nSplits) // split -> partition -> records
-	partSizes := make([][]int64, nSplits)   // split -> partition -> encoded bytes, computed once
-	mapOnlyOut := make([][]Record, nSplits)
-	mapCosts := make([]float64, nSplits)
-	mapOutBytes := make([]int64, nSplits)
-	mapOutRecords := make([]int64, nSplits)
-	errs := make([]error, nSplits)
-
-	e.parallelFor(nSplits, func(i int) {
+	mapSplit := func(i int) {
 		split := in.Splits[i]
 		if fused != nil && deriveds[i] != nil &&
 			e.fusedMapTask(fused, deriveds[i], i, split, job, m, cost, numReducers, partition,
@@ -515,14 +589,12 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 		outBytes := RecordsSize(em.records)
 		mapOutBytes[i] = outBytes
 		mapOutRecords[i] = int64(len(em.records))
-		mapCosts[i] = cost.MapCostPerRecord*float64(len(split.Records)) +
-			cost.MapCostPerByte*float64(split.Bytes) +
-			cost.EmitCostPerByte*float64(outBytes)
+		mapCosts[i] = cost.mapTask(split, outBytes)
 
 		if numReducers == 0 {
-			// The emitted records are the task's output: hand the
-			// buffer off instead of recycling it.
-			mapOnlyOut[i] = em.records
+			// The emitted records are the task's output, kept until the
+			// job delivers it.
+			mapOnlyOut[i] = em
 			return
 		}
 		parts, err := PartitionAndCombine(job.Combiner, em.records, m, numReducers, partition)
@@ -541,7 +613,10 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 		}
 		partSizes[i] = sizes
 		mapParts[i] = parts
-	})
+	}
+	if !intoDone {
+		e.parallelFor(nSplits, mapSplit)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, Metrics{}, err
@@ -631,18 +706,9 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 
 	// ---- Map-only jobs stop here.
 	if numReducers == 0 {
-		nOut := 0
-		for i := range mapOnlyOut {
-			nOut += len(mapOnlyOut[i])
-		}
-		out := &Output{Records: make([]Record, 0, nOut)}
-		for i := range mapOnlyOut {
-			out.Records = append(out.Records, mapOnlyOut[i]...)
-		}
-		metrics.OutputRecords = int64(nOut)
-		for _, b := range mapOutBytes {
-			metrics.OutputBytes += b
-		}
+		out := deliverMapOnly(job, mapOnlyOut)
+		metrics.OutputRecords = metrics.MapOutputRecords
+		metrics.OutputBytes = metrics.MapOutputBytes
 		metrics.Duration = metrics.OverheadPhase + metrics.ModelPhase + metrics.MapPhase
 		e.observe(metrics, start)
 		return out, metrics, nil

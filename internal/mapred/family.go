@@ -82,6 +82,26 @@ type LocalFuser interface {
 	FuseLocal(ds []SplitDerived, m *model.Model, par func(n int, f func(int)), emit Emitter) (mapEmits int64, err error)
 }
 
+// IntoMapper is the optional capability a Mapper implements to write a
+// map-only job's output into Job.Into by slot, split by split, instead
+// of emitting records for the engine to Set. The contract is strict
+// identity: after MapInto has run over every split in order, Into must
+// hold exactly what Setting the records Map would emit leaves there.
+// The engine calls MapInto serially in split order, so a kernel writes
+// into without locks; when any split declines (nil NewDerived, or
+// ErrFusedUnsupported) the whole job runs cold, and the cold path
+// re-Sets every record, so a partial write cannot show.
+type IntoMapper interface {
+	Mapper
+	// NewDerived as in FusedMapper; nil opts the whole job out.
+	NewDerived(recs []Record) SplitDerived
+	// MapInto runs one split's map into into, the job's Into, reading
+	// m, the job's model. records and bytes are the count and encoded
+	// size of the records Map would have emitted — the engine charges
+	// map costs and output counters from them.
+	MapInto(d SplitDerived, m, into *model.Model) (records, bytes int64, err error)
+}
+
 // FamilyStats is a snapshot of a family's cache counters. Hits through
 // Evictions and DeltaBytes/FullBytes are cumulative; ResidentBytes is
 // the current total across nodes.
@@ -177,12 +197,20 @@ type JobFamily struct {
 	stats   FamilyStats
 	drained FamilyStats
 	events  []CacheEvent
-	// shipped holds, per job name, the model version last shipped to the
-	// family's warm workers, so the next warm iteration charges only the
-	// sparse delta encoding against it (model.EncodeDelta) instead of the
-	// full model size.
-	shipped map[string]*model.Model
+	// shipped holds, per job name and model schema, the model version
+	// last shipped to the family's warm workers, so the next warm
+	// iteration charges only the sparse delta encoding against it
+	// (model.EncodeDelta) instead of the full model size. The schema is
+	// part of the key because the sub-problems of a PIC best-effort
+	// phase share one family and run one after another: each diffs
+	// against its own predecessor, not the previous partition's model.
+	shipped map[string]map[*model.Schema]*model.Model
 }
+
+// maxShippedVersions bounds the versions shipped keeps per job: one per
+// sub-model plus the full model's is the steady state, and a run that
+// keeps minting schemas starts over rather than growing without bound.
+const maxShippedVersions = 64
 
 // NewJobFamily creates a family with the given per-node cache budget
 // (DefaultNodeCacheBytes if perNodeCapBytes <= 0).
@@ -191,7 +219,7 @@ func NewJobFamily(name string, perNodeCapBytes int64) *JobFamily {
 		perNodeCapBytes = DefaultNodeCacheBytes
 	}
 	return &JobFamily{name: name, nodeCap: perNodeCapBytes, nodes: map[int]*familyNode{},
-		shipped: map[string]*model.Model{}}
+		shipped: map[string]map[*model.Schema]*model.Model{}}
 }
 
 // Name reports the family's label.
@@ -321,26 +349,42 @@ func (f *JobFamily) noteIteration(deltaBytes, fullBytes int64) {
 }
 
 // shippedDelta returns the model bytes a warm iteration of job actually
-// moves to the family's workers — the full model the first time (the
-// workers hold nothing to patch), the sparse delta encoding against the
-// previously shipped version after that — and records m as the version
-// now resident on the workers. Pure accounting: it never changes what
-// the simulation executes, only the cache.delta_bytes honesty.
+// moves to the family's workers — the full model the first time a model
+// on m's schema ships (the workers hold nothing to patch), the sparse
+// delta encoding against the previously shipped version on that schema
+// after that — and records m as the version now resident on the
+// workers. Pure accounting: it never changes what the simulation
+// executes, only the cache.delta_bytes honesty.
 func (f *JobFamily) shippedDelta(job string, m *model.Model) int64 {
 	if m == nil {
 		return 0
 	}
+	s := m.Schema()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	prev := f.shipped[job]
+	versions := f.shipped[job]
+	prev := versions[s]
 	var d int64
 	if prev == nil {
 		d = m.Size()
+		if versions == nil || len(versions) >= maxShippedVersions {
+			versions = map[*model.Schema]*model.Model{}
+			f.shipped[job] = versions
+		}
 	} else {
 		d = model.DeltaSize(prev, m)
 	}
-	f.shipped[job] = m.Clone()
+	versions[s] = m.Clone()
 	return d
+}
+
+// noteWarm books a job's warm iteration when any of its splits hit the
+// cache (warmBytes > 0): the model delta it shipped against the hit
+// splits' bytes it did not have to re-stage.
+func (f *JobFamily) noteWarm(job string, m *model.Model, warmBytes int64) {
+	if warmBytes > 0 {
+		f.noteIteration(f.shippedDelta(job, m), warmBytes)
+	}
 }
 
 // ShippedModelBytes is the exported face of shippedDelta for
@@ -412,7 +456,7 @@ func (f *JobFamily) Release() (entries int, bytes int64) {
 	}
 	// The workers are gone, and their resident model versions with them:
 	// the next warm iteration ships a full model again.
-	f.shipped = map[string]*model.Model{}
+	f.shipped = map[string]map[*model.Schema]*model.Model{}
 	return entries, bytes
 }
 
@@ -425,7 +469,7 @@ func (f *JobFamily) Invalidate() {
 	for _, node := range f.sortedNodesLocked() {
 		f.evictNodeLocked(node)
 	}
-	f.shipped = map[string]*model.Model{}
+	f.shipped = map[string]map[*model.Schema]*model.Model{}
 	f.epoch++
 }
 

@@ -1,9 +1,12 @@
 package mapred
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // famDerived is a trivially-sized derived structure for cache tests.
@@ -195,4 +198,52 @@ func FuzzFamilyAcquire(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestShippedDeltaPerSchema pins shippedDelta's versions per (job,
+// schema): when models on two schemas alternate under one job name, as
+// PIC's sub-problems do, each diffs against its own predecessor — never
+// the other schema's model — and a job that keeps minting schemas keeps
+// at most maxShippedVersions of them.
+func TestShippedDeltaPerSchema(t *testing.T) {
+	onSchema := func(s *model.Schema, v float64) *model.Model {
+		m := model.NewFloatsOn(s)
+		for i := range s.Keys() {
+			m.SetFloatAt(i, v+float64(i))
+		}
+		return m
+	}
+	a := model.NewSchema([]string{"a0", "a1", "a2", "a3"})
+	b := model.NewSchema([]string{"b0", "b1", "b2"})
+	f := NewJobFamily("ship", 0)
+	first := []*model.Model{onSchema(a, 1), onSchema(b, 1)}
+	for _, m := range first {
+		if got := f.shippedDelta("job", m); got != m.Size() {
+			t.Fatalf("first ship on its schema: %d bytes, want the full %d", got, m.Size())
+		}
+	}
+	prev := first
+	for round := 2; round < 5; round++ {
+		for i := range prev {
+			m := prev[i].Clone()
+			m.SetFloatAt(round%len(m.Schema().Keys()), float64(-round)) // one slot changes
+			got, want := f.shippedDelta("job", m), model.DeltaSize(prev[i], m)
+			if got != want || got >= m.Size() {
+				t.Fatalf("round %d schema %d: %d bytes, want the one-slot delta %d against its own predecessor (model %d bytes)",
+					round, i, got, want, m.Size())
+			}
+			prev[i] = m
+		}
+	}
+	// Another job name keeps its own versions.
+	if got, m := f.shippedDelta("other", prev[0]), prev[0]; got != m.Size() {
+		t.Fatalf("another job's first ship: %d bytes, want the full %d", got, m.Size())
+	}
+
+	for i := 0; i < 3*maxShippedVersions; i++ {
+		f.shippedDelta("job", onSchema(model.NewSchema([]string{fmt.Sprint("k", i)}), 0))
+		if n := len(f.shipped["job"]); n > maxShippedVersions {
+			t.Fatalf("after %d schemas the job holds %d versions, want at most %d", i+1, n, maxShippedVersions)
+		}
+	}
 }

@@ -27,7 +27,7 @@ func (e *Engine) RunLocal(job *Job, in *Input, m *model.Model) (*Output, Metrics
 	if err := e.validateConfig(); err != nil {
 		return nil, Metrics{}, err
 	}
-	if err := job.validate(); err != nil {
+	if err := job.validate(m); err != nil {
 		return nil, Metrics{}, err
 	}
 	cost := e.cost
@@ -37,54 +37,46 @@ func (e *Engine) RunLocal(job *Job, in *Input, m *model.Model) (*Output, Metrics
 		}
 		cost = *job.Cost
 	}
-	factor := cost.LocalComputeFactor
-
 	var metrics Metrics
 	metrics.LocalJobs = 1
 	metrics.InputRecords = in.NumRecords()
 	metrics.LocalRecords = in.NumRecords()
 
 	// Loop-aware fusion: with a JobFamily attached and a mapper
-	// implementing LocalFuser, run map+reduce fused over the cached
-	// derived structures. The kernel confines cross-split floating-point
-	// accumulation to a serial pass in arrival order, so its output is
-	// byte-identical to the cold map → group → reduce pipeline at any
-	// worker count; any split the kernel cannot derive, or a shape it
-	// rejects, sends the whole job down the cold path below.
-	if e.Family != nil && job.Reducer != nil {
-		if lf, ok := job.Mapper.(LocalFuser); ok {
-			if out, met, handled, err := e.runLocalFused(lf, job, in, m, cost, metrics); handled {
-				return out, met, err
-			}
+	// implementing LocalFuser (or IntoMapper, for a map-only job with
+	// Into), run the job fused over the cached derived structures. The
+	// kernel confines cross-split floating-point accumulation to a
+	// serial pass in arrival order, so its output is byte-identical to
+	// the cold pipeline at any worker count; any split the kernel cannot
+	// derive, or a shape it rejects, sends the whole job down the cold
+	// path below.
+	if e.Family != nil {
+		out, met, handled, err := e.runLocalFused(job, in, m, cost, metrics)
+		if err != nil {
+			return nil, Metrics{}, err
+		}
+		if handled {
+			return e.finishLocal(out, met)
 		}
 	}
 
 	nSplits := len(in.Splits)
 	mapOut := make([]*listEmitter, nSplits)
-	mapCosts := make([]float64, nSplits)
 	errs := make([]error, nSplits)
 	e.parallelFor(nSplits, func(i int) {
-		split := in.Splits[i]
 		em := getEmitter()
-		if err := em.mapAll(job.Mapper, split.Records, m); err != nil {
+		if err := em.mapAll(job.Mapper, in.Splits[i].Records, m); err != nil {
 			errs[i] = fmt.Errorf("job %q local map %d: %w", job.Name, i, err)
 			return
 		}
 		mapOut[i] = em
-		mapCosts[i] = factor * cost.MapCostPerRecord * float64(len(split.Records))
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, Metrics{}, err
 		}
 	}
-
-	tasks := make([]simcluster.Task, nSplits)
-	for i := range tasks {
-		tasks[i] = simcluster.Task{Cost: mapCosts[i], Preferred: in.Splits[i].Home}
-	}
-	_, mapMakespan := e.cluster.Schedule(tasks, e.cluster.Config().MapSlotsPerNode)
-	metrics.MapPhase = mapMakespan
+	metrics.MapPhase = e.localMapPhase(in, cost)
 
 	nMapOut := 0
 	for i := range mapOut {
@@ -92,17 +84,8 @@ func (e *Engine) RunLocal(job *Job, in *Input, m *model.Model) (*Output, Metrics
 	}
 
 	if job.Reducer == nil {
-		// The concatenated emissions are the job's output.
-		all := make([]Record, 0, nMapOut)
-		for i := range mapOut {
-			all = append(all, mapOut[i].records...)
-			putEmitter(mapOut[i])
-		}
-		out := &Output{Records: all}
-		metrics.OutputRecords = int64(len(out.Records))
-		metrics.Duration = metrics.MapPhase
-		e.observeLocal(metrics)
-		return out, metrics, nil
+		metrics.OutputRecords = int64(nMapOut)
+		return e.finishLocal(deliverMapOnly(job, mapOut), metrics)
 	}
 
 	// In-memory grouping and reduction: the per-split emissions go
@@ -122,40 +105,70 @@ func (e *Engine) RunLocal(job *Job, in *Input, m *model.Model) (*Output, Metrics
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	reduceCost := factor * cost.ReduceCostPerValue * float64(nMapOut)
+	e.localReducePhase(&metrics, cost, int64(nMapOut))
+	metrics.OutputRecords = int64(len(outRecs))
+	return e.finishLocal(&Output{Records: outRecs}, metrics)
+}
+
+// localMapPhase is the makespan of an in-memory job's map tasks, one per
+// split at LocalComputeFactor times the per-record framework cost.
+func (e *Engine) localMapPhase(in *Input, cost CostModel) simtime.Duration {
+	factor := cost.LocalComputeFactor
+	tasks := make([]simcluster.Task, len(in.Splits))
+	for i, split := range in.Splits {
+		tasks[i] = simcluster.Task{Cost: factor * cost.MapCostPerRecord * float64(len(split.Records)), Preferred: split.Home}
+	}
+	_, makespan := e.cluster.Schedule(tasks, e.cluster.Config().MapSlotsPerNode)
+	return makespan
+}
+
+// localReducePhase prices an in-memory reduce over mapEmits values,
+// spread over every map slot of the view.
+func (e *Engine) localReducePhase(metrics *Metrics, cost CostModel, mapEmits int64) {
+	reduceCost := cost.LocalComputeFactor * cost.ReduceCostPerValue * float64(mapEmits)
 	slots := float64(e.cluster.MapSlots())
 	metrics.ReducePhase = simtime.Duration(reduceCost / (e.cluster.Config().ComputeRate * slots))
-	metrics.ReduceInputValues = int64(nMapOut)
+	metrics.ReduceInputValues = mapEmits
+}
 
-	out := &Output{Records: outRecs}
-	metrics.OutputRecords = int64(len(outRecs))
+// finishLocal closes an in-memory job: its duration is its map and
+// reduce phases, observed as a local execution.
+func (e *Engine) finishLocal(out *Output, metrics Metrics) (*Output, Metrics, error) {
 	metrics.Duration = metrics.MapPhase + metrics.ReducePhase
 	e.observeLocal(metrics)
 	return out, metrics, nil
 }
 
-// runLocalFused executes RunLocal's map+reduce through a LocalFuser
-// kernel over cached derived structures. handled=false means the job
-// must run cold (a split's derived form is unavailable or the kernel
-// rejected the shape); the metrics and costs it produces when handled
-// are identical to the cold pipeline's.
-func (e *Engine) runLocalFused(lf LocalFuser, job *Job, in *Input, m *model.Model,
+// runLocalFused executes RunLocal's job through a fused kernel over
+// cached derived structures: a LocalFuser's map+reduce, or an
+// IntoMapper's map into Job.Into. handled=false means the job must run
+// cold (no kernel applies, a split's derived form is unavailable or the
+// kernel rejected the shape); the metrics and costs it produces when
+// handled are identical to the cold pipeline's, short of finishLocal.
+func (e *Engine) runLocalFused(job *Job, in *Input, m *model.Model,
 	cost CostModel, metrics Metrics) (*Output, Metrics, bool, error) {
-	factor := cost.LocalComputeFactor
-	nSplits := len(in.Splits)
-	deriveds := make([]SplitDerived, nSplits)
-	var warmBytes int64
-	for i, split := range in.Splits {
-		d, hit := e.Family.acquire(split.Home, split.Records, split.Bytes, lf.NewDerived)
-		if d == nil {
+	if job.Reducer == nil {
+		im, ok := job.Mapper.(IntoMapper)
+		if !ok || job.Into == nil {
 			return nil, Metrics{}, false, nil
 		}
-		deriveds[i] = d
-		if hit {
-			warmBytes += split.Bytes
+		handled, err := e.fuseInto(im, job, in, nil, m, "local map", func(_ int, records, _ int64) {
+			metrics.OutputRecords += records
+		})
+		if !handled || err != nil {
+			return nil, Metrics{}, handled, err
 		}
+		metrics.MapPhase = e.localMapPhase(in, cost)
+		return &Output{}, metrics, true, nil
 	}
-
+	lf, ok := job.Mapper.(LocalFuser)
+	if !ok {
+		return nil, Metrics{}, false, nil
+	}
+	deriveds, warmBytes := e.stage(in, nil, lf.NewDerived, true)
+	if deriveds == nil {
+		return nil, Metrics{}, false, nil
+	}
 	em := &listEmitter{}
 	mapEmits, err := lf.FuseLocal(deriveds, m, e.parallelFor, em)
 	if err != nil {
@@ -164,28 +177,9 @@ func (e *Engine) runLocalFused(lf LocalFuser, job *Job, in *Input, m *model.Mode
 		}
 		return nil, Metrics{}, true, fmt.Errorf("job %q local fused: %w", job.Name, err)
 	}
-	if warmBytes > 0 {
-		e.Family.noteIteration(e.Family.shippedDelta(job.Name, m), warmBytes)
-	}
-
-	tasks := make([]simcluster.Task, nSplits)
-	for i := range tasks {
-		tasks[i] = simcluster.Task{
-			Cost:      factor * cost.MapCostPerRecord * float64(len(in.Splits[i].Records)),
-			Preferred: in.Splits[i].Home,
-		}
-	}
-	_, mapMakespan := e.cluster.Schedule(tasks, e.cluster.Config().MapSlotsPerNode)
-	metrics.MapPhase = mapMakespan
-
-	reduceCost := factor * cost.ReduceCostPerValue * float64(mapEmits)
-	slots := float64(e.cluster.MapSlots())
-	metrics.ReducePhase = simtime.Duration(reduceCost / (e.cluster.Config().ComputeRate * slots))
-	metrics.ReduceInputValues = mapEmits
-
-	out := &Output{Records: em.records}
+	e.Family.noteWarm(job.Name, m, warmBytes)
+	metrics.MapPhase = e.localMapPhase(in, cost)
+	e.localReducePhase(&metrics, cost, mapEmits)
 	metrics.OutputRecords = int64(len(em.records))
-	metrics.Duration = metrics.MapPhase + metrics.ReducePhase
-	e.observeLocal(metrics)
-	return out, metrics, true, nil
+	return &Output{Records: em.records}, metrics, true, nil
 }

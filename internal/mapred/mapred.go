@@ -136,16 +136,61 @@ type Job struct {
 	PartitionedModel bool
 	// Cost overrides the engine's default cost model when non-zero.
 	Cost *CostModel
+	// Into, when set on a map-only job, receives the job's output: the
+	// records Output.Records would list are Set into Into in that order,
+	// and Output.Records is nil. Into must not be the model the job
+	// reads. A mapper implementing IntoMapper may write the same result
+	// by slot. Metrics are those of the same job without Into; a job that
+	// fails may leave Into partly written.
+	Into *model.Model
 }
 
-func (j *Job) validate() error {
+func (j *Job) validate(m *model.Model) error {
 	if j.Mapper == nil {
 		return fmt.Errorf("mapred: job %q has no mapper", j.Name)
 	}
 	if j.NumReducers < 0 {
 		return fmt.Errorf("mapred: job %q has negative NumReducers", j.Name)
 	}
+	return j.CheckInto(m)
+}
+
+// CheckInto enforces Into's contract for a run over model m: only a
+// map-only job writes into a model, and never into the model it reads.
+func (j *Job) CheckInto(m *model.Model) error {
+	switch {
+	case j.Into == nil:
+		return nil
+	case j.Reducer != nil:
+		return fmt.Errorf("mapred: job %q has both Into and a Reducer", j.Name)
+	case j.Into == m:
+		return fmt.Errorf("mapred: job %q writes Into the model it reads", j.Name)
+	}
 	return nil
+}
+
+// MapOnlyOutput is a map-only job's output from its tasks' emissions,
+// in split order: Set into Into when the job has one, concatenated into
+// Records otherwise. It copies what it keeps, so the callers may reuse
+// the tasks' buffers.
+func (j *Job) MapOnlyOutput(tasks [][]Record) *Output {
+	if j.Into != nil {
+		for _, recs := range tasks {
+			for _, r := range recs {
+				j.Into.Set(r.Key, r.Value)
+			}
+		}
+		return &Output{}
+	}
+	n := 0
+	for _, recs := range tasks {
+		n += len(recs)
+	}
+	out := &Output{Records: make([]Record, 0, n)}
+	for _, recs := range tasks {
+		out.Records = append(out.Records, recs...)
+	}
+	return out
 }
 
 // listEmitter collects emissions in order.
