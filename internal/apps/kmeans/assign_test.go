@@ -110,7 +110,7 @@ func checkPrunedSequence(t testing.TB, splits [][]mapred.Record, models []*model
 		}
 		checkFuseLocal := func() {
 			var em recordList
-			mapEmits, err := mp.FuseLocal(pps, m, func(n int, f func(int)) {
+			mapEmits, _, err := mp.FuseLocal(pps, m, nil, func(n int, f func(int)) {
 				for i := 0; i < n; i++ {
 					f(i)
 				}
@@ -478,11 +478,11 @@ func (w memoWipingMapper) MapSplit(d mapred.SplitDerived, m *model.Model, emit m
 	return w.iterMapper.MapSplit(d, m, emit)
 }
 
-func (w memoWipingMapper) FuseLocal(ds []mapred.SplitDerived, m *model.Model, par func(int, func(int)), emit mapred.Emitter) (int64, error) {
+func (w memoWipingMapper) FuseLocal(ds []mapred.SplitDerived, m, into *model.Model, par func(int, func(int)), emit mapred.Emitter) (int64, int64, error) {
 	for _, d := range ds {
 		d.(*packedPoints).memo = assignMemo{}
 	}
-	return w.iterMapper.FuseLocal(ds, m, par, emit)
+	return w.iterMapper.FuseLocal(ds, m, into, par, emit)
 }
 
 // TestMemoIsObservationallyInvisible holds the SplitDerived contract:

@@ -405,11 +405,11 @@ func accumulate(sums []float64, counts []int64, pp *packedPoints, assign []int32
 // reports errors for (ragged or mismatched dimensions, NaN distances,
 // empty model) decline fusion instead, so the cold run produces its
 // byte-identical diagnostics.
-func (mp *iterMapper) FuseLocal(ds []mapred.SplitDerived, _ *model.Model, par func(int, func(int)), emit mapred.Emitter) (int64, error) {
+func (mp *iterMapper) FuseLocal(ds []mapred.SplitDerived, _, _ *model.Model, par func(int, func(int)), emit mapred.Emitter) (int64, int64, error) {
 	cs := mp.cs
 	k := len(cs.keys)
 	if k == 0 {
-		return 0, mapred.ErrFusedUnsupported
+		return 0, 0, mapred.ErrFusedUnsupported
 	}
 	pps := make([]*packedPoints, len(ds))
 	dims := -1
@@ -423,15 +423,15 @@ func (mp *iterMapper) FuseLocal(ds []mapred.SplitDerived, _ *model.Model, par fu
 		if dims == -1 {
 			dims = pp.dims
 		} else if pp.dims != dims {
-			return 0, mapred.ErrFusedUnsupported
+			return 0, 0, mapred.ErrFusedUnsupported
 		}
 		total += int64(pp.n)
 	}
 	if dims < 0 {
-		return 0, nil
+		return 0, 0, nil
 	}
 	if dims != cs.dims {
-		return 0, mapred.ErrFusedUnsupported
+		return 0, 0, mapred.ErrFusedUnsupported
 	}
 	assign := make([][]int32, len(pps))
 	par(len(pps), func(i int) {
@@ -447,7 +447,7 @@ func (mp *iterMapper) FuseLocal(ds []mapred.SplitDerived, _ *model.Model, par fu
 	counts := make([]int64, k)
 	for i, pp := range pps {
 		if assign[i] == nil {
-			return 0, mapred.ErrFusedUnsupported
+			return 0, 0, mapred.ErrFusedUnsupported
 		}
 		accumulate(sums, counts, pp, assign[i])
 	}
@@ -462,8 +462,15 @@ func (mp *iterMapper) FuseLocal(ds []mapred.SplitDerived, _ *model.Model, par fu
 		}
 		emit.Emit(cs.keys[j], centroid)
 	}
-	return total, nil
+	return total, 0, nil
 }
+
+// The fused kernels' signatures, checked when the package builds: a
+// drifted one would only send every job down the cold path.
+var (
+	_ mapred.FusedMapper = (*iterMapper)(nil)
+	_ mapred.LocalFuser  = (*iterMapper)(nil)
+)
 
 // iterJob is one Lloyd iteration under model m as a MapReduce job.
 func iterJob(m *model.Model) *mapred.Job {

@@ -12,47 +12,67 @@ import (
 
 // The aggregation job's mapper, cold and fused.
 //
-// Cold, Map runs once per vertex record: it emits the vertex's frozen
-// in-flow when that is present and != 0, then one (rank key of dst,
-// score) record per out-edge whose score the model holds. The framework
-// path sorts a task's emissions stably by key and the floatSum combiner
-// sums each key's values from +0 in arrival order; the in-memory path
-// sorts all splits' emissions stably, split by split, and the reducer
-// sums from +0 the same way before applying App.rank.
+// The job sums each vertex's in-flows into its new rank: Iteration runs
+// it with Into set to the new ranks, the combiner mapred.FloatSum{} and
+// the reducer mapred.FloatSum{Then: App.rank}. Cold, Map runs once per
+// vertex record: it emits the vertex's frozen in-flow when that is
+// present and != 0, then one (rank key of dst, score) record per
+// out-edge whose score the model holds. A map task's combiner sums each
+// key's values from +0 in emission order (the group step is stable); the
+// stable group step of a reduce task hands the reducer each key's
+// per-split sums c₁, c₂, … in split order, and the reducer writes
+// rank(((+0 + c₁) + c₂) + …). In memory, RunLocal groups all splits'
+// emissions stably, split by split, and the reducer sums them from +0
+// in that order. The engine Sets each output record into Into.
 //
 // Fused, the same values are added into one dense per-vertex sum array
-// in the same order, and the outputs are byte-identical because:
+// in the same order, and Into, the Output and every Metrics field come
+// out identical because:
 //
 //  1. Same operands, same order. The fold walks a split's vertices in
 //     record order and each vertex's in-flow, then out-edges, in Map's
 //     order, skipping exactly what Map skips (an absent or non-Float64
-//     slot; an in-flow == 0, so ±0 in-flows never fold). A stable sort
-//     hands a key's values to the combiner or reducer in exactly that
-//     arrival order, so every sum is the same sequence of float64
-//     additions starting from +0 — the sum array is zeroed, as floatSum's
-//     `var sum float64` is. FuseLocal folds the splits serially in split
-//     order, the global arrival order RunLocal's group step produces.
-//  2. Same key set, same key order. A vertex is emitted iff some value
-//     was folded into it (the touched bitmap), which is iff the cold path
-//     formed a group for its rank key. Keys are the layout's rank keys,
-//     the strings Map emits; below 1e8 vertices every one is 'r' plus
-//     eight digits, so ascending vertex order is ascending key order, the
-//     order the combiner (and the group step) emits in. NewDerived
-//     declines larger graphs.
-//  3. Same counters. preRecords (and FuseLocal's mapEmits) count the
-//     folds, one per record Map would have emitted; every such record is
-//     a 9-byte rank key and a Float64, so preBytes is folds times that
-//     record's size.
+//     slot; an in-flow == 0, so ±0 in-flows never fold). The sum array
+//     is zeroed, as FloatSum's sum starts at +0, so a split's sum for a
+//     vertex is its combiner's cᵢ. MapInto hands the engine those sums,
+//     and the engine adds them per slot in split order from +0 and
+//     writes rank of the total by slot (mapred's into.go): each rank is
+//     still rank(((+0 + c₁) + c₂) + …). FuseLocal folds the splits
+//     serially in split order into one array — the global arrival
+//     order of RunLocal's group step — and writes rank of each sum.
+//  2. Same keys, same slots. A vertex has a sum iff some value was
+//     folded into it (the touched bitmap), iff the cold path formed a
+//     group for its rank key, and the sum goes to that key's slot in
+//     Into's schema. A touched vertex whose rank key Into's schema lacks
+//     makes both kernels decline, and the cold path Sets the key; values
+//     FuseLocal wrote before declining are ones the cold run writes
+//     again. Below 1e8 vertices every rank key is 'r' plus eight digits,
+//     so ascending vertex order is ascending key order and ascending
+//     slot order, the order the combiner emits in. NewDerived declines
+//     larger graphs.
+//  3. Same counters. MapInto's records (and FuseLocal's mapEmits) count
+//     the folds, one per record Map would have emitted; every such
+//     record is a 9-byte rank key and a Float64, so bytes is folds times
+//     that record's size. FuseLocal's written counts the touched
+//     vertices, one reducer output each.
 
 // aggregateMapper emits each edge's current score keyed by its
 // destination's rank key (and each vertex's frozen in-flow keyed by its
 // own). Beyond the record-at-a-time Map it implements
-// mapred.FusedMapper and mapred.LocalFuser over a split's cached vertex
+// mapred.IntoMapper and mapred.LocalFuser over a split's cached vertex
 // ids.
 type aggregateMapper struct {
 	a   *App
 	lay *layout // the job model's layout, the common case of layoutFor
 }
+
+// The fused kernels' signatures, checked when the package builds: a
+// drifted one would only send every job down the cold path.
+var (
+	_ mapred.IntoMapper = (*aggregateMapper)(nil)
+	_ mapred.LocalFuser = (*aggregateMapper)(nil)
+	_ mapred.IntoMapper = (*propagateMapper)(nil)
+)
 
 // Map implements mapred.Mapper — the cold path.
 func (mp *aggregateMapper) Map(_ string, v writable.Writable, m *model.Model, emit mapred.Emitter) error {
@@ -90,7 +110,7 @@ type splitVertices struct {
 // SizeBytes implements mapred.SplitDerived.
 func (sv *splitVertices) SizeBytes() int64 { return 4 * int64(len(sv.ids)) }
 
-// NewDerived implements mapred.FusedMapper/LocalFuser.
+// NewDerived implements mapred.IntoMapper/LocalFuser.
 func (mp *aggregateMapper) NewDerived(recs []mapred.Record) mapred.SplitDerived {
 	return mp.a.deriveSplit(recs)
 }
@@ -117,39 +137,50 @@ func (a *App) deriveSplit(recs []mapred.Record) mapred.SplitDerived {
 // for a vertex below 1e8.
 var rankRecordBytes = mapred.Record{Key: RankKey(0), Value: writable.Float64(0)}.Size()
 
-// MapSplit implements mapred.FusedMapper: the split's map+combine as one
-// fold, emitting each touched vertex's sum in ascending key order.
-func (mp *aggregateMapper) MapSplit(d mapred.SplitDerived, m *model.Model, emit mapred.Emitter) (int64, int64, error) {
+// MapInto implements mapred.IntoMapper for a job that reduces into
+// Into: the split's map+combine as one fold, each touched vertex's sum
+// added to part under its rank's slot in Into's schema.
+func (mp *aggregateMapper) MapInto(d mapred.SplitDerived, m, into *model.Model, part *mapred.Partial) (int64, int64, error) {
 	sv, ok := d.(*splitVertices)
-	if !ok || sv.graph != mp.a.graph {
+	if !ok || sv.graph != mp.a.graph || part == nil {
 		return 0, 0, mapred.ErrFusedUnsupported
 	}
 	f := getFold(sv.graph.N)
 	defer foldPool.Put(f)
-	l := mp.a.layoutFor(m, mp.lay)
-	folds := f.add(sv.ids, m, l)
-	f.drain(l, func(sum float64) float64 { return sum }, emit)
+	folds := f.add(sv.ids, m, mp.a.layoutFor(m, mp.lay))
+	if !f.drain(mp.a.layoutFor(into, mp.lay), part.Add) {
+		return 0, 0, mapred.ErrFusedUnsupported
+	}
 	return folds, folds * rankRecordBytes, nil
 }
 
 // FuseLocal implements mapred.LocalFuser: a best-effort local
 // iteration's map+reduce as one serial fold over the splits in order,
-// each touched vertex's sum put through the rank formula.
-func (mp *aggregateMapper) FuseLocal(ds []mapred.SplitDerived, m *model.Model, _ func(int, func(int)), emit mapred.Emitter) (int64, error) {
+// each touched vertex's sum put through the rank formula and written
+// into Into by slot. Without an Into it declines.
+func (mp *aggregateMapper) FuseLocal(ds []mapred.SplitDerived, m, into *model.Model, _ func(int, func(int)), _ mapred.Emitter) (int64, int64, error) {
+	if into == nil {
+		return 0, 0, mapred.ErrFusedUnsupported
+	}
 	for _, d := range ds {
 		if sv, ok := d.(*splitVertices); !ok || sv.graph != mp.a.graph {
-			return 0, mapred.ErrFusedUnsupported
+			return 0, 0, mapred.ErrFusedUnsupported
 		}
 	}
 	f := getFold(mp.a.graph.N)
 	defer foldPool.Put(f)
 	l := mp.a.layoutFor(m, mp.lay)
-	var folds int64
+	var folds, written int64
 	for _, d := range ds {
 		folds += f.add(d.(*splitVertices).ids, m, l)
 	}
-	f.drain(l, mp.a.rank, emit)
-	return folds, nil
+	if !f.drain(mp.a.layoutFor(into, mp.lay), func(slot int, sum float64) {
+		into.SetFloatAt(slot, mp.a.rank(sum))
+		written++
+	}) {
+		return 0, 0, mapred.ErrFusedUnsupported
+	}
+	return folds, written, nil
 }
 
 // fold is a dense per-vertex sum array and the bitmap of vertices some
@@ -193,15 +224,23 @@ func (f *fold) add(ids []int32, m *model.Model, l *layout) int64 {
 	return folds
 }
 
-// drain emits (rank key, value(sum)) for every touched vertex in
-// ascending order and leaves f clean.
-func (f *fold) drain(l *layout, value func(sum float64) float64, emit mapred.Emitter) {
+// drain hands put the slot of each touched vertex's rank in il's schema
+// and the vertex's sum, in ascending vertex order, and leaves f clean.
+// It reports false, and puts nothing more, once a touched vertex's rank
+// has no slot there.
+func (f *fold) drain(il *layout, put func(slot int, sum float64)) bool {
+	ok := true
 	for w, word := range f.touched {
 		for ; word != 0; word &= word - 1 {
 			v := w<<6 | bits.TrailingZeros64(word)
-			emit.Emit(l.rankKey(v), writable.Float64(value(f.sums[v])))
+			if s := il.rank[v]; s < 0 {
+				ok = false
+			} else if ok {
+				put(int(s), f.sums[v])
+			}
 			f.sums[v] = 0
 		}
 		f.touched[w] = 0
 	}
+	return ok
 }

@@ -3,6 +3,9 @@ package pagerank
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mapred"
@@ -12,26 +15,43 @@ import (
 	"repro/internal/writable"
 )
 
-// aggOutcome is everything one aggregation job run shows: its records'
-// bytes and Metrics, or its error.
+// aggOutcome is everything one aggregation job run shows: the ranks it
+// wrote into Into, its Output and Metrics, or its error.
 type aggOutcome struct {
-	Records []byte
+	Into    []byte
+	Output  *mapred.Output
 	Metrics mapred.Metrics
 	Err     string
 }
 
 // aggCase is an aggregation job's input and the models it runs under,
-// one job per model through Run and then RunLocal.
+// one job per model through Run and then RunLocal. declines marks a
+// case whose fused runs must fall back to the cold path.
 type aggCase struct {
-	name   string
-	recs   []mapred.Record
-	models []*model.Model
+	name     string
+	recs     []mapred.Record
+	models   []*model.Model
+	declines bool
+}
+
+// countingAggregate is the aggregation mapper with its cold Map
+// counted, so a run shows whether it fused.
+type countingAggregate struct {
+	*aggregateMapper
+	maps *atomic.Int64
+}
+
+func (c countingAggregate) Map(key string, v writable.Writable, m *model.Model, emit mapred.Emitter) error {
+	c.maps.Add(1)
+	return c.aggregateMapper.Map(key, v, m, emit)
 }
 
 // runAggregate runs c's jobs on a fresh engine, warm when budget > 0,
-// calling disturb on the family before each model's pair of jobs.
+// calling disturb on the family before each model's pair of jobs. Each
+// job writes into its own new ranks, as Iteration's does. coldMaps is
+// how many records the cold Map read.
 func runAggregate(t *testing.T, app *App, c aggCase, workers int, budget int64,
-	disturb func(step int, f *mapred.JobFamily)) ([]aggOutcome, mapred.FamilyStats) {
+	disturb func(step int, f *mapred.JobFamily)) (outcomes []aggOutcome, stats mapred.FamilyStats, coldMaps int64) {
 	t.Helper()
 	cluster := simcluster.New(simcluster.Small())
 	e := mapred.NewEngine(cluster)
@@ -40,30 +60,33 @@ func runAggregate(t *testing.T, app *App, c aggCase, workers int, budget int64,
 		e.Family = mapred.NewJobFamily("test", budget)
 	}
 	in := mapred.NewInput(c.recs, cluster, 12)
-	var outcomes []aggOutcome
-	note := func(out *mapred.Output, met mapred.Metrics, err error) {
-		o := aggOutcome{Metrics: met}
-		if err != nil {
-			o.Err = err.Error()
-		} else {
-			for _, r := range out.Records {
-				o.Records = writable.Encode(append(o.Records, r.Key...), r.Value)
-			}
-		}
-		outcomes = append(outcomes, o)
-	}
+	var maps atomic.Int64
 	for step, m := range c.models {
-		if disturb != nil {
+		if disturb != nil && e.Family != nil {
 			disturb(step, e.Family)
 		}
-		job := app.aggregateJob(app.layoutOf(m.Schema()))
-		note(e.Run(job, in, m))
-		note(e.RunLocal(job, in, m))
+		lay := app.layoutOf(m.Schema())
+		for _, run := range []func(*mapred.Job, *mapred.Input, *model.Model) (*mapred.Output, mapred.Metrics, error){
+			e.Run, e.RunLocal,
+		} {
+			into := app.newRanks(lay, m)
+			job := app.aggregateJob(lay, into)
+			job.Mapper = countingAggregate{job.Mapper.(*aggregateMapper), &maps}
+			out, met, err := run(job, in, m)
+			if err != nil {
+				outcomes = append(outcomes, aggOutcome{Err: err.Error()})
+				continue
+			}
+			if out.Records != nil || out.ByReducer != nil {
+				t.Fatalf("%s: the job listed %d records beside Into", c.name, len(out.Records))
+			}
+			outcomes = append(outcomes, aggOutcome{Into: into.Encode(nil), Output: out, Metrics: met})
+		}
 	}
-	if e.Family == nil {
-		return outcomes, mapred.FamilyStats{}
+	if e.Family != nil {
+		stats = e.Family.Stats()
 	}
-	return outcomes, e.Family.Stats()
+	return outcomes, stats, maps.Load()
 }
 
 // withParallelEdges returns g with a repeat of every seventh vertex's
@@ -86,12 +109,32 @@ func floatCopy(m *model.Model) *model.Model {
 	return f
 }
 
-// TestAggregateFusedMatchesCold holds the fused aggregation to the cold
-// one: through Run and RunLocal, at 1, 2 and 8 workers, on boxed and
-// float models, on PIC sub-models whose in-flows are +0, -0 and
+// withoutKeys returns m, in its column kind, on a schema without the
+// keys drop picks.
+func withoutKeys(m *model.Model, drop func(key string) bool) *model.Model {
+	var keys []string
+	for _, k := range m.Schema().Keys() {
+		if !drop(k) {
+			keys = append(keys, k)
+		}
+	}
+	out := m.NewLikeOn(model.NewSchema(keys))
+	for i, k := range out.Schema().Keys() {
+		j, _ := m.Schema().Slot(k)
+		out.CopyAt(i, m, j)
+	}
+	return out
+}
+
+// TestAggregateFusedMatchesCold holds the fused aggregation into the
+// new ranks to the cold one: through Run and RunLocal, at 1, 2 and 8
+// workers, on boxed and float models, on a model that lacks ranks its
+// edges point at, on PIC sub-models whose in-flows are +0, -0 and
 // non-zero, over parallel edges, with a node's cache entries evicted
-// mid-loop and with a malformed record, every run's records, Metrics and
-// error match the cold single-worker run's.
+// mid-loop, with a malformed record and with a rank key the ranks'
+// schema lacks (one split declines, and the job runs cold), every
+// run's ranks, Output, Metrics and error match the cold single-worker
+// run's.
 func TestAggregateFusedMatchesCold(t *testing.T) {
 	g := withParallelEdges(webgraph.NearlyUncoupled(5, 600, 3, 0.2, 4))
 	app := New(g, 0.85, 1e-9, 1)
@@ -109,9 +152,20 @@ func TestAggregateFusedMatchesCold(t *testing.T) {
 		}
 		traj = append(traj, next)
 	}
+	// A model without some ranks its held edges point at: the
+	// aggregation still sums into them.
+	sparse := floatCopy(traj[2])
+	for v := 0; v < g.N; v += 4 {
+		sparse.Delete(RankKey(v))
+	}
+	// A model, and so new ranks, whose schema lacks vertex 1's rank key:
+	// only the splits holding an edge into vertex 1 decline.
+	narrow := withoutKeys(traj[2], func(key string) bool { return key == RankKey(1) })
 	cases := []aggCase{
-		{"ic-boxed", recs, traj[:1]},
-		{"ic-float", recs, append([]*model.Model{floatCopy(traj[0])}, traj[1:]...)},
+		{name: "ic-boxed", recs: recs, models: traj[:1]},
+		{name: "ic-float", recs: recs, models: append([]*model.Model{floatCopy(traj[0])}, traj[1:]...)},
+		{name: "sparse", recs: recs, models: []*model.Model{sparse, boxedCopy(sparse)}},
+		{name: "narrow", recs: recs, models: []*model.Model{narrow, boxedCopy(narrow)}, declines: true},
 	}
 
 	// PIC sub-problems, boxed and float, with chosen in-flows.
@@ -139,7 +193,7 @@ func TestAggregateFusedMatchesCold(t *testing.T) {
 					nonZeros++
 				}
 			}
-			cases = append(cases, aggCase{"pic", sub.Records, []*model.Model{sub.Model}})
+			cases = append(cases, aggCase{name: "pic", recs: sub.Records, models: []*model.Model{sub.Model}})
 		}
 	}
 	if zeros == 0 || negZeros == 0 || nonZeros == 0 {
@@ -148,7 +202,7 @@ func TestAggregateFusedMatchesCold(t *testing.T) {
 
 	bad := append([]mapred.Record(nil), recs...)
 	bad[len(bad)/2].Value = writable.Text("not an adjacency")
-	cases = append(cases, aggCase{"malformed", bad, traj[:2]})
+	cases = append(cases, aggCase{name: "malformed", recs: bad, models: traj[:2], declines: true})
 
 	evict := func(step int, f *mapred.JobFamily) {
 		if step%2 == 1 {
@@ -156,24 +210,26 @@ func TestAggregateFusedMatchesCold(t *testing.T) {
 		}
 	}
 	for _, c := range cases {
-		cold, _ := runAggregate(t, app, c, 1, 0, nil)
+		cold, _, _ := runAggregate(t, app, c, 1, 0, nil)
+		if c.name == "malformed" && cold[0].Err == "" {
+			t.Fatal("malformed: the cold job ran without error")
+		}
 		for _, workers := range []int{1, 2, 8} {
-			if got, _ := runAggregate(t, app, c, workers, 0, nil); !reflect.DeepEqual(got, cold) {
+			if got, _, _ := runAggregate(t, app, c, workers, 0, nil); !reflect.DeepEqual(got, cold) {
 				t.Errorf("%s: cold workers=%d differs from cold workers=1", c.name, workers)
 			}
-			warm, stats := runAggregate(t, app, c, workers, mapred.DefaultNodeCacheBytes, nil)
+			warm, stats, coldMaps := runAggregate(t, app, c, workers, mapred.DefaultNodeCacheBytes, nil)
 			if !reflect.DeepEqual(warm, cold) {
 				t.Errorf("%s: warm workers=%d differs from cold", c.name, workers)
 			}
-			if c.name == "malformed" {
-				if warm[0].Err == "" {
-					t.Errorf("malformed: warm workers=%d ran without error", workers)
-				}
-			} else if stats.Misses == 0 || (len(c.models) > 1 && stats.Hits == 0) {
-				t.Errorf("%s: warm workers=%d never fused: %+v", c.name, workers, stats)
+			if fused := coldMaps == 0; fused == c.declines {
+				t.Errorf("%s: warm workers=%d: cold Map read %d records, want fused = %v", c.name, workers, coldMaps, !c.declines)
+			}
+			if c.name != "malformed" && (stats.Misses == 0 || (len(c.models) > 1 && stats.Hits == 0)) {
+				t.Errorf("%s: warm workers=%d never staged: %+v", c.name, workers, stats)
 			}
 			if len(c.models) > 1 {
-				evicted, stats := runAggregate(t, app, c, workers, mapred.DefaultNodeCacheBytes, evict)
+				evicted, stats, _ := runAggregate(t, app, c, workers, mapred.DefaultNodeCacheBytes, evict)
 				if !reflect.DeepEqual(evicted, cold) {
 					t.Errorf("%s: warm workers=%d with EvictNode differs from cold", c.name, workers)
 				}
@@ -185,40 +241,53 @@ func TestAggregateFusedMatchesCold(t *testing.T) {
 	}
 }
 
-// countEmitter counts emissions and keeps nothing.
-type countEmitter struct{ n int }
-
-func (e *countEmitter) Emit(string, writable.Writable) { e.n++ }
-
-// TestWarmMapSplitAllocatesPerEmittedRecord pins the fused kernel's
-// allocations on a warm split: the boxed value of each record it emits,
-// plus a constant — nothing per edge.
-func TestWarmMapSplitAllocatesPerEmittedRecord(t *testing.T) {
-	g := webgraph.NearlyUncoupled(3, 4_000, 4, 0.1, 6)
-	app := New(g, 0.85, 1e-9, 1)
-	m := floatCopy(InitialModel(g))
-	mp := &aggregateMapper{a: app, lay: app.layoutOf(m.Schema())}
-	d := mp.NewDerived(Records(g)[:1_000])
-	var em countEmitter
-	if _, _, err := mp.MapSplit(d, m, &em); err != nil {
-		t.Fatal(err)
+// TestWarmIterationAllocsIndependentOfGraphSize pins the record-free
+// iteration: with the loop cache warm, an IC iteration on the framework
+// and a local (best-effort) iteration each allocate as many objects on
+// a 2 000-vertex graph as on an 8 000-vertex one — nothing per vertex,
+// edge or record. The collector is off, so the pools keep what they
+// hold between runs, and one P runs everything, so a pool never misses
+// an object another P holds.
+func TestWarmIterationAllocsIndependentOfGraphSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects")
 	}
-	emitted := em.n
-	allocs := testing.AllocsPerRun(20, func() {
-		em.n = 0
-		if _, _, err := mp.MapSplit(d, m, &em); err != nil {
-			t.Fatal(err)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocs := func(n int, local bool) float64 {
+		g := webgraph.NearlyUncoupled(7, n, 4, 0.05, 4)
+		app := New(g, 0.85, 1e-9, 1)
+		rt := testRuntime()
+		rt.Engine().Workers = 1
+		if local {
+			rt = rt.Fork(rt.Cluster(), true)
 		}
-	})
-	if allocs > float64(emitted)+2 {
-		t.Fatalf("warm MapSplit allocated %.1f objects for %d emitted records", allocs, emitted)
+		in := graphInput(rt, g)
+		m := InitialModel(g)
+		step := func() {
+			var err error
+			if m, err = app.Iteration(rt, in, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The first iterations build the layouts, stage the cache and
+		// fill the pools.
+		step()
+		step()
+		return testing.AllocsPerRun(5, step)
+	}
+	for _, local := range []bool{false, true} {
+		small, large := allocs(2_000, local), allocs(8_000, local)
+		if small != large {
+			t.Errorf("local=%v: a warm iteration allocates %.1f objects at 2 000 vertices, %.1f at 8 000", local, small, large)
+		}
 	}
 }
 
 // BenchmarkIteration times one IC iteration — aggregation, then
 // propagation — on a 10 000-vertex graph, warm (the loop cache attached,
-// so both jobs run fused) and cold. Each call steps from the previous
-// one's model.
+// so both jobs run fused into their models by slot) and cold. Each call
+// steps from the previous one's model.
 func BenchmarkIteration(b *testing.B) {
 	g := webgraph.NearlyUncoupled(11, 10_000, 4, 0.05, 4)
 	for _, warm := range []bool{true, false} {

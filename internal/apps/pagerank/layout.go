@@ -146,26 +146,6 @@ func (a *App) layoutFor(m *model.Model, hint *layout) *layout {
 	return hint
 }
 
-// slotOf returns key's slot in the layout's schema, or -1.
-func (l *layout) slotOf(key string) int {
-	kind, v, w, ok := parseKey(key)
-	if !ok || v >= len(l.rank) {
-		return -1
-	}
-	switch kind {
-	case 'r':
-		return int(l.rank[v])
-	case 'f':
-		return int(l.inflow[v])
-	}
-	for i, dst := range l.out[v] {
-		if int(dst) == w {
-			return int(l.edgeSlot(v, i))
-		}
-	}
-	return -1
-}
-
 // edgeSlot returns the slot of the score of v's i-th out-edge, or -1.
 func (l *layout) edgeSlot(v, i int) int32 { return l.edge[int(l.off[v])+i] }
 

@@ -207,31 +207,15 @@ func Ranks(m *model.Model, n int) []float64 {
 }
 
 // Iteration implements core.App: the aggregation job followed by the
-// propagation job. The next model is a float column on m's schema and
-// every key is reached through m's layout, so an iteration renders,
-// hashes and sorts no key.
+// propagation job, each writing its output into the model it builds.
+// The next model is a float column on m's schema and every key is
+// reached through m's layout, so an iteration renders, hashes and sorts
+// no key.
 func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*model.Model, error) {
 	lay := a.layoutOf(m.Schema())
-	aggOut, err := rt.RunJob(a.aggregateJob(lay), in, m)
-	if err != nil {
+	ranks := a.newRanks(lay, m)
+	if _, err := rt.RunJob(a.aggregateJob(lay, ranks), in, m); err != nil {
 		return nil, err
-	}
-	// New ranks: vertices with no in-edges in (this partition of) the
-	// graph fall back to 1-c.
-	ranks := model.NewFloatsOn(lay.schema)
-	for _, s := range lay.rank {
-		if m.HasAt(int(s)) {
-			ranks.SetFloatAt(int(s), 1-a.Damping)
-		}
-	}
-	for _, rec := range aggOut.Records {
-		if s := lay.slotOf(rec.Key); s >= 0 {
-			if m.HasAt(s) {
-				ranks.SetAt(s, rec.Value)
-			}
-		} else if _, ok := m.Get(rec.Key); ok {
-			ranks.Set(rec.Key, rec.Value)
-		}
 	}
 
 	// Propagation: every edge's score becomes new-rank/outdegree,
@@ -248,6 +232,19 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 	return next, nil
 }
 
+// newRanks returns the new ranks before the aggregation writes them: a
+// float column on lay's schema holding 1-c for every rank m holds, the
+// rank of a vertex with no in-edges in (this partition of) the graph.
+func (a *App) newRanks(lay *layout, m *model.Model) *model.Model {
+	ranks := model.NewFloatsOn(lay.schema)
+	for _, s := range lay.rank {
+		if m.HasAt(int(s)) {
+			ranks.SetFloatAt(int(s), 1-a.Damping)
+		}
+	}
+	return ranks
+}
+
 // propagateJob is an iteration's propagation: a map-only job over the
 // new ranks that writes every edge score prev holds into next.
 func (a *App) propagateJob(lay *layout, prev, next *model.Model) *mapred.Job {
@@ -259,23 +256,18 @@ func (a *App) propagateJob(lay *layout, prev, next *model.Model) *mapred.Job {
 	}
 }
 
-// aggregateJob is an iteration's aggregation: every vertex emits, for
-// each outgoing edge, the edge's current score keyed by the destination
-// vertex; the combiner sums and the reducer applies the rank formula.
-func (a *App) aggregateJob(lay *layout) *mapred.Job {
+// aggregateJob is an iteration's aggregation into ranks: every vertex
+// emits, for each outgoing edge, the edge's current score keyed by the
+// destination vertex; the combiner sums and the reducer applies the
+// rank formula.
+func (a *App) aggregateJob(lay *layout, ranks *model.Model) *mapred.Job {
 	return &mapred.Job{
 		Name:             "pagerank-aggregate",
 		PartitionedModel: true, // tasks read the state of their own vertices
 		Mapper:           &aggregateMapper{a: a, lay: lay},
-		Combiner:         floatSum{},
-		Reducer: mapred.ReducerFunc(func(key string, values []writable.Writable, _ *model.Model, emit mapred.Emitter) error {
-			var sum float64
-			for _, v := range values {
-				sum += float64(v.(writable.Float64))
-			}
-			emit.Emit(key, writable.Float64(a.rank(sum)))
-			return nil
-		}),
+		Combiner:         mapred.FloatSum{},
+		Reducer:          mapred.FloatSum{Then: a.rank},
+		Into:             ranks,
 	}
 }
 
@@ -285,17 +277,6 @@ func (a *App) aggregateJob(lay *layout) *mapred.Job {
 // does), and the rank would depend on the host.
 func (a *App) rank(sum float64) float64 {
 	return (1 - a.Damping) + float64(a.Damping*sum)
-}
-
-type floatSum struct{}
-
-func (floatSum) Reduce(key string, values []writable.Writable, _ *model.Model, emit mapred.Emitter) error {
-	var sum float64
-	for _, v := range values {
-		sum += float64(v.(writable.Float64))
-	}
-	emit.Emit(key, writable.Float64(sum))
-	return nil
 }
 
 // Converged implements core.App: the largest rank change is below

@@ -76,11 +76,11 @@ func (mp *propagateMapper) NewDerived(recs []mapred.Record) mapred.SplitDerived 
 // for an edge between vertices below 1e8.
 var edgeRecordBytes = mapred.Record{Key: EdgeKey(0, 0), Value: writable.Float64(0)}.Size()
 
-// MapInto implements mapred.IntoMapper: the split's propagation written
-// into Into by slot, one division per vertex.
-func (mp *propagateMapper) MapInto(d mapred.SplitDerived, m, into *model.Model) (int64, int64, error) {
+// MapInto implements mapred.IntoMapper for a map-only job: the split's
+// propagation written into Into by slot, one division per vertex.
+func (mp *propagateMapper) MapInto(d mapred.SplitDerived, m, into *model.Model, part *mapred.Partial) (int64, int64, error) {
 	sv, ok := d.(*splitVertices)
-	if !ok || sv.graph != mp.a.graph || into.Schema() != mp.lay.schema {
+	if !ok || sv.graph != mp.a.graph || part != nil || into.Schema() != mp.lay.schema {
 		return 0, 0, mapred.ErrFusedUnsupported
 	}
 	rl, el := mp.a.layoutFor(m, mp.lay), mp.lay

@@ -215,12 +215,12 @@ func TestWarmMapIntoAllocatesNothing(t *testing.T) {
 	mp := &propagateMapper{a: app, lay: app.layoutOf(m.Schema()), prev: m}
 	d := mp.NewDerived(Records(g)[:1_000])
 	into := m.Clone()
-	records, _, err := mp.MapInto(d, m, into)
+	records, _, err := mp.MapInto(d, m, into, nil)
 	if err != nil || records == 0 {
 		t.Fatalf("MapInto wrote %d records, err %v", records, err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := mp.MapInto(d, m, into); err != nil {
+		if _, _, err := mp.MapInto(d, m, into, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -2,6 +2,7 @@ package bsp
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/mapred"
@@ -130,24 +131,16 @@ func (p *jobProgram) computeReduce(v int, msgs []Message) error {
 	return nil
 }
 
-// output assembles a mapred.Output from the completed program:
-// ByReducer in reducer index order, Records concatenated — the same
-// shape the mapred engine returns. A map-only job's output is the
-// split vertices' emissions in split order, delivered as the mapred
-// engine delivers it (into Job.Into when the job has one).
+// output assembles a mapred.Output from the completed program, as the
+// mapred engine delivers it (mapred.Job.Deliver): a map-only job's
+// split vertices' emissions in split order, or the reduce vertices'
+// outputs in reducer index order with the nodes they ran on — into
+// Job.Into when the job has one.
 func (p *jobProgram) output(homes []int) *mapred.Output {
 	if p.nRed == 0 {
-		return p.job.MapOnlyOutput(p.outs[:p.nSplit])
+		return p.job.Deliver(p.outs[:p.nSplit], nil)
 	}
-	out := &mapred.Output{}
-	out.ByReducer = make([][]mapred.Record, p.nRed)
-	out.ReducerNodes = make([]int, p.nRed)
-	for j := 0; j < p.nRed; j++ {
-		out.ByReducer[j] = p.outs[p.nSplit+j]
-		out.ReducerNodes[j] = homes[p.nSplit+j]
-		out.Records = append(out.Records, out.ByReducer[j]...)
-	}
-	return out
+	return p.job.Deliver(p.outs[p.nSplit:], slices.Clone(homes[p.nSplit:]))
 }
 
 // RunJob executes a mapred job through the partition-level adapter and

@@ -633,6 +633,62 @@ func TestAdapterMapOnlyInto(t *testing.T) {
 	}
 }
 
+// TestAdapterReduceInto: the adapter delivers a job with a Reducer and
+// Job.Into as the mapred engine does — the reduce output Set into Into,
+// no records listed, the reducers' nodes kept — at the metrics of the
+// same job without Into.
+func TestAdapterReduceInto(t *testing.T) {
+	keys := make([]string, 10)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("s%d", i)
+	}
+	schema := model.NewSchema(keys)
+	job := func(into *model.Model) *mapred.Job {
+		return &mapred.Job{
+			Name: "sum-by-last-digit",
+			Mapper: mapred.MapperFunc(func(key string, v writable.Writable, _ *model.Model, emit mapred.Emitter) error {
+				vec := v.(writable.Vector)
+				emit.Emit("s"+key[len(key)-1:], writable.Float64(vec[0]+0.25*vec[1]))
+				return nil
+			}),
+			Combiner: mapred.FloatSum{},
+			Reducer:  mapred.FloatSum{Then: func(sum float64) float64 { return sum / 3 }},
+			Into:     into,
+		}
+	}
+	mc := testCluster()
+	want := model.NewFloatsOn(schema)
+	if _, _, err := mapred.NewEngine(mc).Run(job(want), sumInput(mc), nil); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != len(keys) {
+		t.Fatalf("the mapred run wrote %d of %d slots", want.Len(), len(keys))
+	}
+	bc := testCluster()
+	ref, refRes, err := RunJob(NewEngine(bc), job(nil), sumInput(bc), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc = testCluster()
+	got := model.NewFloatsOn(schema)
+	out, res, err := RunJob(NewEngine(bc), job(got), sumInput(bc), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Records != nil || out.ByReducer != nil {
+		t.Fatalf("adapter kept %d records, %d reducers' records beside Into", len(out.Records), len(out.ByReducer))
+	}
+	if !reflect.DeepEqual(out.ReducerNodes, ref.ReducerNodes) {
+		t.Fatalf("ReducerNodes %v, want %v", out.ReducerNodes, ref.ReducerNodes)
+	}
+	if string(got.Encode(nil)) != string(want.Encode(nil)) {
+		t.Fatal("adapter's Into diverges from mapred's")
+	}
+	if res.Metrics != refRes.Metrics {
+		t.Fatalf("metrics with Into %+v, without %+v", res.Metrics, refRes.Metrics)
+	}
+}
+
 // TestAdapterMapOnlyJob: a job with no reducer finishes in one
 // superstep with no messages, and its output matches the mapper run
 // directly.

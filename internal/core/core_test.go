@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/simcluster"
+	"repro/internal/simtime"
 	"repro/internal/trace"
 	"repro/internal/writable"
 )
@@ -334,6 +335,56 @@ func TestRunPICMorePartitionsThanNodes(t *testing.T) {
 	}
 	if len(pic.LocalIterations[0]) != 10 {
 		t.Fatalf("got %d sub-problems, want 10", len(pic.LocalIterations[0]))
+	}
+}
+
+// TestSubProblemsSharingAGroupRunBackToBack: with more sub-problems
+// than node groups, a group's sub-problems run one after another on the
+// simulated clock — each lane's sub-problem spans are disjoint and back
+// to back — and the critical path books none of the solve as idle: its
+// idle time is the merges' job overhead, which no span records.
+func TestSubProblemsSharingAGroupRunBackToBack(t *testing.T) {
+	rt := testRuntime() // 4 nodes: 4 groups for 10 sub-problems
+	tr := trace.New()
+	rt.SetTracer(tr)
+	in, _ := pointsInput(rt, 30)
+	const parts, groups = 10, 4
+	res, err := RunPIC(rt, &meanSeeker{eps: 1e-9}, in, startModel(), PICOptions{Partitions: parts, MaxBEIterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sub-problem is one IC phase span on its group's lane.
+	lanes := map[int][]trace.Event{}
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindPhase && e.Lane > 0 {
+			lanes[e.Lane] = append(lanes[e.Lane], e)
+		}
+	}
+	if len(lanes) != groups {
+		t.Fatalf("sub-problems ran on %d lanes, want %d", len(lanes), groups)
+	}
+	const eps = 1e-9 // a later start is the phase start plus summed durations
+	abutting := 0
+	for lane, spans := range lanes {
+		for k := 1; k < len(spans); k++ {
+			prev, cur := spans[k-1], spans[k]
+			if float64(cur.Start) < float64(prev.End)-eps {
+				t.Errorf("lane %d: sub-problem at %.6fs starts before the previous one ends at %.6fs",
+					lane, float64(cur.Start), float64(prev.End))
+			} else if float64(cur.Start) <= float64(prev.End)+eps {
+				abutting++
+			}
+		}
+	}
+	// Within one best-effort iteration a group with k sub-problems runs
+	// them back to back: k-1 abutting pairs, P - groups over all groups.
+	if want := res.BEIterations * (parts - groups); abutting != want {
+		t.Errorf("%d sub-problems start where their group's previous one ended, want %d", abutting, want)
+	}
+	bd := tr.CriticalPath()
+	merges := simtime.Duration(res.BEIterations) * rt.Engine().CostModelValue().JobOverhead
+	if math.Abs(float64(bd.Idle-merges)) > eps {
+		t.Errorf("critical path idle %.6fs, want the merges' overhead %.6fs\n%s", float64(bd.Idle), float64(merges), bd.Render())
 	}
 }
 

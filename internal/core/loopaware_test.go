@@ -87,7 +87,7 @@ func (fusedMeanMapper) MapSplit(d mapred.SplitDerived, _ *model.Model, emit mapr
 	return int64(pp.n), int64(pp.n) * rec.Size(), nil
 }
 
-func (fusedMeanMapper) FuseLocal(ds []mapred.SplitDerived, _ *model.Model, _ func(int, func(int)), emit mapred.Emitter) (int64, error) {
+func (fusedMeanMapper) FuseLocal(ds []mapred.SplitDerived, _, _ *model.Model, _ func(int, func(int)), emit mapred.Emitter) (int64, int64, error) {
 	var acc writable.Vector
 	var total int64
 	dims := -1
@@ -96,7 +96,7 @@ func (fusedMeanMapper) FuseLocal(ds []mapred.SplitDerived, _ *model.Model, _ fun
 		if dims < 0 {
 			dims = pp.dims
 		} else if pp.dims != dims {
-			return 0, mapred.ErrFusedUnsupported
+			return 0, 0, mapred.ErrFusedUnsupported
 		}
 		for i := 0; i < pp.n; i++ {
 			row := pp.flat[i*pp.dims : (i+1)*pp.dims]
@@ -116,7 +116,7 @@ func (fusedMeanMapper) FuseLocal(ds []mapred.SplitDerived, _ *model.Model, _ fun
 	if acc != nil {
 		emit.Emit("mean", acc)
 	}
-	return total, nil
+	return total, 0, nil
 }
 
 // fusedSeeker is meanSeeker with the fused mapper and loop-aware

@@ -531,7 +531,8 @@ func (s *PICStepper) beStep() (bool, error) {
 		// Solve the sub-problems independently — no synchronization or
 		// communication between them. Groups run in parallel in
 		// simulated time; sub-problems sharing a group run back to
-		// back, so the phase takes the busiest group's total.
+		// back, each on a clock that starts when its group's previous
+		// one ended, so the phase takes the busiest group's total.
 		deadBefore := rt.deadSnapshot()
 		parts := make([]*model.Model, opt.Partitions)
 		localIters := make([]int, opt.Partitions)
@@ -543,6 +544,7 @@ func (s *PICStepper) beStep() (bool, error) {
 			}
 			g := assign[i]
 			subRT := rt.Fork(liveGroups[g], true)
+			subRT.SetTimeOrigin(rt.now() + simtime.Time(groupBusy[g]))
 			subRT.SetLane(g + 1)
 			// Reuse the partition's Input while its live group view is
 			// unchanged (liveView returns the identical view pointer when

@@ -57,10 +57,21 @@ func DefaultCostModel() CostModel {
 
 // mapTask is the cost of a framework map task over split that emitted
 // outBytes: its input records and bytes plus its pre-combine output.
+// Each product is converted before it is added, here and in reduceTask:
+// without the conversion the compiler may fuse multiply and add (the
+// spec allows it, and arm64 does), and simulated seconds would depend
+// on the host.
 func (c CostModel) mapTask(split Split, outBytes int64) float64 {
-	return c.MapCostPerRecord*float64(len(split.Records)) +
-		c.MapCostPerByte*float64(split.Bytes) +
-		c.EmitCostPerByte*float64(outBytes)
+	return float64(c.MapCostPerRecord*float64(len(split.Records))) +
+		float64(c.MapCostPerByte*float64(split.Bytes)) +
+		float64(c.EmitCostPerByte*float64(outBytes))
+}
+
+// reduceTask is the cost of a framework reduce task that consumed
+// values grouped values and emitted outBytes.
+func (c CostModel) reduceTask(values, outBytes int64) float64 {
+	return float64(c.ReduceCostPerValue*float64(values)) +
+		float64(c.EmitCostPerByte*float64(outBytes))
 }
 
 // Validate reports whether the cost model is usable.

@@ -301,7 +301,7 @@ type Output struct {
 // sends the caller down the cold body.
 func (e *Engine) fusedMapTask(fm FusedMapper, d SplitDerived, i int, split Split, job *Job, m *model.Model,
 	cost CostModel, numReducers int, partition Partitioner,
-	mapCosts []float64, mapOutBytes, mapOutRecords []int64, mapParts [][][]Record, partSizes [][]int64,
+	mapCosts []float64, mapOutBytes, mapOutRecords []int64, mapParts [][][]Record, partSizes, partRecs [][]int64,
 	errs []error) bool {
 	em := getEmitter()
 	preRecs, preBytes, err := fm.MapSplit(d, m, em)
@@ -322,13 +322,24 @@ func (e *Engine) fusedMapTask(fm FusedMapper, d SplitDerived, i int, split Split
 	// kernel's sorted emission — exactly as the cold combiner leaves it.
 	parts, _ := PartitionAndCombine(nil, em.records, m, numReducers, partition)
 	putEmitter(em)
-	sizes := make([]int64, numReducers)
-	for p := range parts {
-		sizes[p] = RecordsSize(parts[p])
-	}
-	partSizes[i] = sizes
+	partSizes[i], partRecs[i] = partitionSizes(parts)
 	mapParts[i] = parts
 	return true
+}
+
+// partitionSizes is the encoded bytes and the record count of each of a
+// map task's post-combine partitions, computed once: the shuffle
+// counters, the shuffle flows and the reduce tasks' input counts all
+// read these tables instead of re-serializing.
+func partitionSizes(parts [][]Record) (sizes, counts []int64) {
+	r := len(parts)
+	buf := make([]int64, 2*r)
+	sizes, counts = buf[:r:r], buf[r:]
+	for p, part := range parts {
+		sizes[p] = RecordsSize(part)
+		counts[p] = int64(len(part))
+	}
+	return sizes, counts
 }
 
 // stage acquires every split's derived form from the family, serially
@@ -370,7 +381,7 @@ func (e *Engine) fuseInto(im IntoMapper, job *Job, in *Input, homes []int, m *mo
 		return false, nil
 	}
 	for i, d := range ds {
-		records, bytes, err := im.MapInto(d, m, job.Into)
+		records, bytes, err := im.MapInto(d, m, job.Into, nil)
 		if err != nil {
 			if errors.Is(err, ErrFusedUnsupported) {
 				return false, nil
@@ -384,8 +395,8 @@ func (e *Engine) fuseInto(im IntoMapper, job *Job, in *Input, homes []int, m *mo
 }
 
 // deliverMapOnly is a map-only job's output from its tasks' emitters,
-// in split order (Job.MapOnlyOutput), after which it recycles them. A
-// nil emitter is a task that emitted nothing.
+// in split order (Job.Deliver), after which it recycles them. A nil
+// emitter is a task that emitted nothing.
 func deliverMapOnly(job *Job, ems []*listEmitter) *Output {
 	tasks := make([][]Record, len(ems))
 	for i, em := range ems {
@@ -393,7 +404,7 @@ func deliverMapOnly(job *Job, ems []*listEmitter) *Output {
 			tasks[i] = em.records
 		}
 	}
-	out := job.MapOnlyOutput(tasks)
+	out := job.Deliver(tasks, nil)
 	for _, em := range ems {
 		if em != nil {
 			putEmitter(em)
@@ -527,7 +538,9 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 
 	nSplits := len(in.Splits)
 	mapParts := make([][][]Record, nSplits) // split -> partition -> records
-	partSizes := make([][]int64, nSplits)   // split -> partition -> encoded bytes, computed once
+	// split -> partition -> encoded bytes and record count, computed once
+	partTables := make([][]int64, 2*nSplits)
+	partSizes, partRecs := partTables[:nSplits], partTables[nSplits:]
 	mapOnlyOut := make([]*listEmitter, nSplits)
 	mapCosts := make([]float64, nSplits)
 	mapOutBytes := make([]int64, nSplits)
@@ -543,12 +556,40 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 	// the node bucket). The fused kernel's output is byte-identical to
 	// the record-at-a-time path by contract; splits whose derived form
 	// is unavailable or whose shape the kernel rejects fall back to the
-	// cold body below. A map-only job with Into and an IntoMapper runs
-	// fused whole or not at all, before the map phase.
+	// cold body below. A job with Into and an IntoMapper runs fused
+	// whole or not at all, before the map phase: a map-only one writes
+	// Into by slot, and one whose Reducer is a FloatSum folds each split
+	// into a partial and reduces by slot (into.go).
 	var fused FusedMapper
 	var deriveds []SplitDerived
 	intoDone := false
-	if e.Family != nil && numReducers > 0 && job.Combiner != nil {
+	var partials []*Partial // the map tasks' partials of a job reducing by slot
+	var route *slotRoute
+	floatSum, sumsBySlot := job.Reducer.(FloatSum)
+	if im, ok := job.Mapper.(IntoMapper); ok && e.Family != nil && job.Into != nil {
+		var err error
+		switch {
+		case numReducers == 0:
+			intoDone, err = e.fuseInto(im, job, in, homes, m, "map task", func(i int, recs, bytes int64) {
+				mapOutRecords[i], mapOutBytes[i] = recs, bytes
+				mapCosts[i] = cost.mapTask(in.Splits[i], bytes)
+			})
+		case sumsBySlot && job.Combiner != nil && job.Partition == nil:
+			if partials, err = e.foldInto(im, job, in, homes, m); partials != nil {
+				intoDone = true
+				route = e.Family.route(job.Into.Schema(), numReducers)
+				for i, p := range partials {
+					mapOutRecords[i], mapOutBytes[i] = p.records, p.bytes
+					mapCosts[i] = cost.mapTask(in.Splits[i], p.bytes)
+					partSizes[i], partRecs[i] = route.partition(p, numReducers)
+				}
+			}
+		}
+		if err != nil {
+			return nil, Metrics{}, err
+		}
+	}
+	if !intoDone && e.Family != nil && numReducers > 0 && job.Combiner != nil {
 		if fm, ok := job.Mapper.(FusedMapper); ok {
 			fused = fm
 			var warmBytes int64
@@ -559,18 +600,6 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 			e.Family.noteWarm(job.Name, m, warmBytes)
 		}
 	}
-	if e.Family != nil && job.Into != nil {
-		if im, ok := job.Mapper.(IntoMapper); ok {
-			var err error
-			intoDone, err = e.fuseInto(im, job, in, homes, m, "map task", func(i int, recs, bytes int64) {
-				mapOutRecords[i], mapOutBytes[i] = recs, bytes
-				mapCosts[i] = cost.mapTask(in.Splits[i], bytes)
-			})
-			if err != nil {
-				return nil, Metrics{}, err
-			}
-		}
-	}
 
 	// ---- Map phase: execute user code per split, partition and
 	// combine the output.
@@ -578,7 +607,7 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 		split := in.Splits[i]
 		if fused != nil && deriveds[i] != nil &&
 			e.fusedMapTask(fused, deriveds[i], i, split, job, m, cost, numReducers, partition,
-				mapCosts, mapOutBytes, mapOutRecords, mapParts, partSizes, errs) {
+				mapCosts, mapOutBytes, mapOutRecords, mapParts, partSizes, partRecs, errs) {
 			return
 		}
 		em := getEmitter()
@@ -603,15 +632,7 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 			errs[i] = fmt.Errorf("job %q combine task %d: %w", job.Name, i, err)
 			return
 		}
-		// Encoded sizes of the post-combine partitions, computed here
-		// exactly once; the reduce-in accumulation and the shuffle-flow
-		// construction below both read this table instead of
-		// re-serializing.
-		sizes := make([]int64, numReducers)
-		for p := range parts {
-			sizes[p] = RecordsSize(parts[p])
-		}
-		partSizes[i] = sizes
+		partSizes[i], partRecs[i] = partitionSizes(parts)
 		mapParts[i] = parts
 	}
 	if !intoDone {
@@ -715,51 +736,57 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 	}
 
 	// ---- Reduce phase: group and execute. Each reduce task reads its
-	// partitions where the map tasks left them; their sizes come from the
-	// partSizes table filled during the map phase.
+	// partitions where the map tasks left them; their sizes and counts
+	// come from the tables filled during the map phase.
+	reduceValues := make([]int64, numReducers)
 	for i := 0; i < nSplits; i++ {
 		for p := 0; p < numReducers; p++ {
 			metrics.ShuffleBytes += partSizes[i][p]
-			metrics.ShuffleRecords += int64(len(mapParts[i][p]))
+			metrics.ShuffleRecords += partRecs[i][p]
+			reduceValues[p] += partRecs[i][p]
 		}
 	}
 
 	reduceOut := make([][]Record, numReducers)
 	reduceOutBytes := make([]int64, numReducers)
-	reduceCosts := make([]float64, numReducers)
-	reduceValues := make([]int64, numReducers)
-	rerrs := make([]error, numReducers)
-	e.parallelFor(numReducers, func(p int) {
-		// The task's input is one run per map task, read where the map
-		// phase left it. Nothing is assumed about the runs' order (a
-		// re-keying combiner, or none, leaves them unsorted): the group
-		// step sorts whatever it is given.
-		s := getScratch()
-		defer s.release()
-		for i := 0; i < nSplits; i++ {
-			s.addRun(mapParts[i][p])
+	nOut := 0
+	var sums *slotSums // a job reducing by slot: the totals writeInto delivers
+	if partials != nil {
+		sums, nOut = reduceInto(partials, route, reduceOutBytes)
+		putPartials(partials)
+	} else {
+		rerrs := make([]error, numReducers)
+		e.parallelFor(numReducers, func(p int) {
+			// The task's input is one run per map task, read where the
+			// map phase left it. Nothing is assumed about the runs' order
+			// (a re-keying combiner, or none, leaves them unsorted): the
+			// group step sorts whatever it is given.
+			s := getScratch()
+			defer s.release()
+			for i := 0; i < nSplits; i++ {
+				s.addRun(mapParts[i][p])
+			}
+			out, err := s.reduceRuns(job.Reducer, m)
+			if err != nil {
+				rerrs[p] = fmt.Errorf("job %q reduce task %d: %w", job.Name, p, err)
+				return
+			}
+			reduceOut[p] = out
+			reduceOutBytes[p] = RecordsSize(out)
+		})
+		for _, err := range rerrs {
+			if err != nil {
+				return nil, Metrics{}, err
+			}
 		}
-		n := s.n
-		out, err := s.reduceRuns(job.Reducer, m)
-		if err != nil {
-			rerrs[p] = fmt.Errorf("job %q reduce task %d: %w", job.Name, p, err)
-			return
-		}
-		reduceOut[p] = out
-		reduceOutBytes[p] = RecordsSize(out)
-		reduceValues[p] = int64(n)
-		reduceCosts[p] = cost.ReduceCostPerValue*float64(n) +
-			cost.EmitCostPerByte*float64(reduceOutBytes[p])
-	})
-	for _, err := range rerrs {
-		if err != nil {
-			return nil, Metrics{}, err
+		for p := range reduceOut {
+			nOut += len(reduceOut[p])
 		}
 	}
 
 	rTasks := make([]simcluster.Task, numReducers)
 	for p := range rTasks {
-		rTasks[p] = simcluster.Task{Cost: reduceCosts[p], Preferred: -1}
+		rTasks[p] = simcluster.Task{Cost: cost.reduceTask(reduceValues[p], reduceOutBytes[p]), Preferred: -1}
 	}
 	var rPlacements []simcluster.Placement
 	var reduceMakespan simtime.Duration
@@ -829,15 +856,17 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 	metrics.ShuffleCrossRackBytes += shuffleRes.RetryCrossRack
 	metrics.ShufflePhase = shuffleRes.Elapsed * simtime.Duration(1-cost.ShuffleOverlap)
 
-	nOut := 0
-	for p := range reduceOut {
-		nOut += len(reduceOut[p])
-	}
-	out := &Output{ByReducer: reduceOut, ReducerNodes: make([]int, numReducers), Records: make([]Record, 0, nOut)}
-	for p := range reduceOut {
-		out.Records = append(out.Records, reduceOut[p]...)
-		out.ReducerNodes[p] = rPlacements[p].Node
+	nodes := make([]int, numReducers)
+	for p := range nodes {
+		nodes[p] = rPlacements[p].Node
 		metrics.OutputBytes += reduceOutBytes[p]
+	}
+	var out *Output
+	if sums != nil {
+		sums.writeInto(job.Into, floatSum)
+		out = &Output{ReducerNodes: nodes}
+	} else {
+		out = job.Deliver(reduceOut, nodes)
 	}
 	metrics.OutputRecords = int64(nOut)
 	metrics.Duration = metrics.OverheadPhase + metrics.ModelPhase + metrics.MapPhase +

@@ -75,31 +75,53 @@ type FusedMapper interface {
 // arrival order so results stay byte-identical to the cold path at any
 // worker count. mapEmits is the map-phase emission count the cold
 // pipeline would have produced (it prices the reduce phase).
+//
+// into is the job's Into, nil when it has none. A kernel may write the
+// job's output — what the cold reducer emits — into it by slot, and
+// reports how many output records it wrote that way as written. What
+// it emits is delivered as the cold path's output is (Set into into
+// after FuseLocal returns, when there is one), so a kernel that ignores
+// into stays correct.
 type LocalFuser interface {
 	Mapper
 	// NewDerived as in FusedMapper; nil opts the whole job out.
 	NewDerived(recs []Record) SplitDerived
-	FuseLocal(ds []SplitDerived, m *model.Model, par func(n int, f func(int)), emit Emitter) (mapEmits int64, err error)
+	FuseLocal(ds []SplitDerived, m, into *model.Model, par func(n int, f func(int)), emit Emitter) (mapEmits, written int64, err error)
 }
 
-// IntoMapper is the optional capability a Mapper implements to write a
-// map-only job's output into Job.Into by slot, split by split, instead
-// of emitting records for the engine to Set. The contract is strict
-// identity: after MapInto has run over every split in order, Into must
-// hold exactly what Setting the records Map would emit leaves there.
-// The engine calls MapInto serially in split order, so a kernel writes
-// into without locks; when any split declines (nil NewDerived, or
-// ErrFusedUnsupported) the whole job runs cold, and the cold path
-// re-Sets every record, so a partial write cannot show.
+// IntoMapper is the optional capability a Mapper implements to run a
+// job with Job.Into by slot, split by split, instead of through
+// records. The engine uses it only with a JobFamily attached, after
+// every split has staged; a nil NewDerived or an ErrFusedUnsupported
+// from any split runs the whole job cold. The contract is strict
+// identity with that cold run — Into, Output and every Metrics field —
+// and it takes one of two forms:
+//
+//   - A map-only job (part is nil): MapInto writes the split's output
+//     into into by slot. After MapInto has run over every split in
+//     order, Into must hold exactly what Setting the records Map emits
+//     leaves there. The engine calls MapInto serially in split order,
+//     so a kernel writes into without locks; the cold path re-Sets every
+//     record, so a partial write cannot show.
+//   - A job whose Reducer is a FloatSum, with a Combiner and the default
+//     partitioner: MapInto folds the split into part. For every record
+//     the split's Map → Combiner pipeline outputs, in that output's
+//     (ascending key) order, it adds the slot of the record's key in
+//     into's schema and the record's Float64 value. into is only read,
+//     and the engine may run splits concurrently. The engine prices the
+//     shuffle and reduce from part and writes the reducer's output into
+//     Into itself (see into.go).
+//
+// records and bytes are the count and encoded size of the records Map
+// emits for the split, before any combiner — the engine charges map
+// costs and output counters from them.
 type IntoMapper interface {
 	Mapper
 	// NewDerived as in FusedMapper; nil opts the whole job out.
 	NewDerived(recs []Record) SplitDerived
-	// MapInto runs one split's map into into, the job's Into, reading
-	// m, the job's model. records and bytes are the count and encoded
-	// size of the records Map would have emitted — the engine charges
-	// map costs and output counters from them.
-	MapInto(d SplitDerived, m, into *model.Model) (records, bytes int64, err error)
+	// MapInto runs one split's map toward into, the job's Into, reading
+	// m, the job's model.
+	MapInto(d SplitDerived, m, into *model.Model, part *Partial) (records, bytes int64, err error)
 }
 
 // FamilyStats is a snapshot of a family's cache counters. Hits through
@@ -205,11 +227,15 @@ type JobFamily struct {
 	// phase share one family and run one after another: each diffs
 	// against its own predecessor, not the previous partition's model.
 	shipped map[string]map[*model.Schema]*model.Model
+	// routes holds the slot routes of the Into schemas jobs reduce into,
+	// per reducer count: a pure function of both, computed once.
+	routes map[routeKey]*slotRoute
 }
 
-// maxShippedVersions bounds the versions shipped keeps per job: one per
-// sub-model plus the full model's is the steady state, and a run that
-// keeps minting schemas starts over rather than growing without bound.
+// maxShippedVersions bounds the versions shipped keeps per job, and the
+// routes a family keeps: one per sub-model plus the full model's is the
+// steady state, and a run that keeps minting schemas starts over rather
+// than growing without bound.
 const maxShippedVersions = 64
 
 // NewJobFamily creates a family with the given per-node cache budget

@@ -2,6 +2,8 @@ package mapred
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -48,11 +50,13 @@ func intoBase() *model.Model {
 	return m
 }
 
-// toyInto is a map-only mapper that, for a record holding n, writes
-// n·scale to slot n mod 16 and n·scale+1 to slot 3n mod 16 — so later
-// records overwrite earlier ones, and order matters. It implements
-// IntoMapper; NewDerived declines a split starting at declineAt, and
-// MapInto rejects one starting at rejectAt, after writing it.
+// toyInto is a mapper that, for a record holding n, emits n·scale
+// under slot n mod 16's key and n·scale+1 under slot 3n mod 16's — so
+// in a map-only job later records overwrite earlier ones and order
+// matters, and in a job that sums by key the values add up in arrival
+// order. It implements IntoMapper in both forms and LocalFuser;
+// NewDerived declines a split starting at declineAt, and MapInto and
+// FuseLocal reject one starting at rejectAt, after writing it.
 type toyInto struct {
 	declineAt, rejectAt string
 	mapped, fused       atomic.Int64
@@ -95,23 +99,93 @@ func (mp *toyInto) NewDerived(recs []Record) SplitDerived {
 	return d
 }
 
-func (mp *toyInto) MapInto(d SplitDerived, m, into *model.Model) (int64, int64, error) {
+// fold adds the split's emissions into sums by slot, in emission order,
+// marking the slots it touched, and returns Map's record count and
+// bytes.
+func (d *toySplit) fold(scale float64, sums *[intoKeys]float64, touched *[intoKeys]bool) (records, bytes int64) {
+	for _, n := range d.ns {
+		for j := 0; j < 2; j++ {
+			slot, val := target(n, scale, j)
+			sums[slot] += val
+			touched[slot] = true
+			records++
+			bytes += Record{Key: intoKey(slot), Value: writable.Float64(val)}.Size()
+		}
+	}
+	return records, bytes
+}
+
+func (mp *toyInto) MapInto(d SplitDerived, m, into *model.Model, part *Partial) (int64, int64, error) {
 	mp.fused.Add(1)
 	sd := d.(*toySplit)
 	scale, _ := m.Float("scale")
 	var records, bytes int64
-	for _, n := range sd.ns {
-		for j := 0; j < 2; j++ {
-			slot, val := target(n, scale, j)
-			into.SetFloatAt(slot, val)
-			records++
-			bytes += Record{Key: intoKey(slot), Value: writable.Float64(val)}.Size()
+	if part != nil {
+		// The split's combined records: each touched key's sum from +0,
+		// in key order — which is slot order.
+		var sums [intoKeys]float64
+		var touched [intoKeys]bool
+		records, bytes = sd.fold(scale, &sums, &touched)
+		for slot, t := range touched {
+			if t {
+				part.Add(slot, sums[slot])
+			}
+		}
+	} else {
+		for _, n := range sd.ns {
+			for j := 0; j < 2; j++ {
+				slot, val := target(n, scale, j)
+				into.SetFloatAt(slot, val)
+				records++
+				bytes += Record{Key: intoKey(slot), Value: writable.Float64(val)}.Size()
+			}
 		}
 	}
 	if sd.first == mp.rejectAt {
 		return 0, 0, ErrFusedUnsupported
 	}
 	return records, bytes, nil
+}
+
+func (mp *toyInto) FuseLocal(ds []SplitDerived, m, into *model.Model, _ func(int, func(int)), _ Emitter) (int64, int64, error) {
+	mp.fused.Add(1)
+	scale, _ := m.Float("scale")
+	var sums [intoKeys]float64
+	var touched [intoKeys]bool
+	var mapEmits, written int64
+	for _, d := range ds {
+		records, _ := d.(*toySplit).fold(scale, &sums, &touched)
+		mapEmits += records
+	}
+	for slot, t := range touched {
+		if t {
+			into.SetFloatAt(slot, toyThen(sums[slot]))
+			written++
+		}
+	}
+	for _, d := range ds {
+		if d.(*toySplit).first == mp.rejectAt {
+			return 0, 0, ErrFusedUnsupported
+		}
+	}
+	return mapEmits, written, nil
+}
+
+// toyThen is the toy reduce job's FloatSum.Then.
+func toyThen(sum float64) float64 { return 2*sum - 1 }
+
+// toyJobs are the toy job's two shapes: map-only, and summed by key
+// into toyThen of each sum.
+var toyJobs = []struct {
+	name string
+	job  func(mp *toyInto, into *model.Model) *Job
+}{
+	{"map-only", func(mp *toyInto, into *model.Model) *Job {
+		return &Job{Name: "toy", Mapper: mp, Into: into}
+	}},
+	{"reduce", func(mp *toyInto, into *model.Model) *Job {
+		return &Job{Name: "toy", Mapper: mp, Combiner: FloatSum{}, Reducer: FloatSum{Then: toyThen}, Into: into}
+	}},
 }
 
 // runner is one of the engine's two ways to run a job.
@@ -136,11 +210,12 @@ func applied(base *model.Model, recs []Record) *model.Model {
 	return m
 }
 
-// TestIntoMatchesAppliedRecords holds Job.Into to its definition: for
-// cold Run and RunLocal, and through the IntoMapper kernel with and
-// without a decline or rejection on the second split, Into ends up as
-// Setting the same job's Output.Records (run without Into) leaves it,
-// Output.Records is nil, and every Metrics field is unchanged.
+// TestIntoMatchesAppliedRecords holds Job.Into to its definition, for a
+// map-only job and for one that reduces: for cold Run and RunLocal, and
+// through the fused kernels with and without a decline or rejection on
+// the second split, Into ends up as Setting the same job's
+// Output.Records (run without Into) leaves it, Output.Records is nil,
+// and every Metrics field is unchanged.
 func TestIntoMatchesAppliedRecords(t *testing.T) {
 	in := intoInput()
 	second := in.Splits[1].Records[0].Key
@@ -154,42 +229,44 @@ func TestIntoMatchesAppliedRecords(t *testing.T) {
 		{"decline-second", second, "", true, false},
 		{"reject-second", "", second, true, false},
 	}
-	for _, r := range intoRunners {
-		for _, c := range cases {
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("%s/%s/workers=%d", r.name, c.name, workers)
-				m := intoModel()
-				ref := NewEngine(testCluster())
-				ref.Workers = workers
-				refOut, refMet, err := r.run(ref, &Job{Name: "toy", Mapper: &toyInto{}}, in, m)
-				if err != nil {
-					t.Fatalf("%s: reference: %v", label, err)
-				}
-				want := applied(intoBase(), refOut.Records)
+	for _, shape := range toyJobs {
+		for _, r := range intoRunners {
+			for _, c := range cases {
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("%s/%s/%s/workers=%d", shape.name, r.name, c.name, workers)
+					m := intoModel()
+					ref := NewEngine(testCluster())
+					ref.Workers = workers
+					refOut, refMet, err := r.run(ref, shape.job(&toyInto{}, nil), in, m)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", label, err)
+					}
+					want := applied(intoBase(), refOut.Records)
 
-				e := NewEngine(testCluster())
-				e.Workers = workers
-				if c.family {
-					e.Family = NewJobFamily("toy", 0)
-				}
-				mp := &toyInto{declineAt: c.declineAt, rejectAt: c.rejectAt}
-				into := intoBase()
-				out, met, err := r.run(e, &Job{Name: "toy", Mapper: mp, Into: into}, in, m)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if out.Records != nil {
-					t.Errorf("%s: Output.Records = %d records, want nil", label, len(out.Records))
-				}
-				if !into.Equal(want) || string(into.Encode(nil)) != string(want.Encode(nil)) {
-					t.Errorf("%s: Into differs from the applied records", label)
-				}
-				if met != refMet {
-					t.Errorf("%s: metrics %+v, want %+v", label, met, refMet)
-				}
-				if fused := mp.mapped.Load() == 0; fused != c.wantFused {
-					t.Errorf("%s: Map ran %d times, MapInto %d: fused = %v, want %v",
-						label, mp.mapped.Load(), mp.fused.Load(), fused, c.wantFused)
+					e := NewEngine(testCluster())
+					e.Workers = workers
+					if c.family {
+						e.Family = NewJobFamily("toy", 0)
+					}
+					mp := &toyInto{declineAt: c.declineAt, rejectAt: c.rejectAt}
+					into := intoBase()
+					out, met, err := r.run(e, shape.job(mp, into), in, m)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if out.Records != nil {
+						t.Errorf("%s: Output.Records = %d records, want nil", label, len(out.Records))
+					}
+					if !into.Equal(want) || string(into.Encode(nil)) != string(want.Encode(nil)) {
+						t.Errorf("%s: Into differs from the applied records", label)
+					}
+					if met != refMet {
+						t.Errorf("%s: metrics %+v, want %+v", label, met, refMet)
+					}
+					if fused := mp.mapped.Load() == 0; fused != c.wantFused {
+						t.Errorf("%s: Map ran %d times, the kernel %d: fused = %v, want %v",
+							label, mp.mapped.Load(), mp.fused.Load(), fused, c.wantFused)
+					}
 				}
 			}
 		}
@@ -219,14 +296,32 @@ func TestIntoWarmIterationBooksDelta(t *testing.T) {
 	}
 }
 
-// TestIntoRejectsReducer: Into is for map-only jobs.
-func TestIntoRejectsReducer(t *testing.T) {
-	job := &Job{Name: "toy", Mapper: &toyInto{}, Into: intoBase(),
-		Reducer: ReducerFunc(func(string, []writable.Writable, *model.Model, Emitter) error { return nil })}
+// TestIntoAcceptsReducer: a job with a Reducer delivers into Into too.
+// Its Output lists no records, by reducer or in all, and Run still
+// reports the nodes the reduce tasks ran on, as without Into.
+func TestIntoAcceptsReducer(t *testing.T) {
+	reduce := toyJobs[1].job
 	for _, r := range intoRunners {
-		_, _, err := r.run(NewEngine(testCluster()), job, intoInput(), intoModel())
-		if err == nil || !strings.Contains(err.Error(), "both Into and a Reducer") {
-			t.Errorf("%s: err = %v, want the Into-with-Reducer rejection", r.name, err)
+		for _, family := range []bool{false, true} {
+			label := fmt.Sprintf("%s family=%v", r.name, family)
+			ref, _, err := r.run(NewEngine(testCluster()), reduce(&toyInto{}, nil), intoInput(), intoModel())
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			e := NewEngine(testCluster())
+			if family {
+				e.Family = NewJobFamily("toy", 0)
+			}
+			out, _, err := r.run(e, reduce(&toyInto{}, intoBase()), intoInput(), intoModel())
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if out.Records != nil || out.ByReducer != nil {
+				t.Errorf("%s: Output lists %d records, %d reducers' records; want none", label, len(out.Records), len(out.ByReducer))
+			}
+			if !slices.Equal(out.ReducerNodes, ref.ReducerNodes) {
+				t.Errorf("%s: ReducerNodes %v, want %v", label, out.ReducerNodes, ref.ReducerNodes)
+			}
 		}
 	}
 }
@@ -253,5 +348,39 @@ func TestIntoRejectsJobModel(t *testing.T) {
 	}
 	if err := (&Job{Name: "toy", Into: intoBase()}).CheckInto(intoModel()); err != nil {
 		t.Errorf("CheckInto rejected a distinct Into: %v", err)
+	}
+}
+
+// TestFloatSum pins the reducer the by-slot reduce reproduces: a key's
+// values summed from +0 in arrival order — so a lone -0 sums to +0 —
+// then Then applied, and a value that is not a Float64 reported as an
+// error.
+func TestFloatSum(t *testing.T) {
+	double := FloatSum{Then: func(sum float64) float64 { return 2 * sum }}
+	x, y, z := 0.1, 0.2, 0.3 // variables, so the sums round at run time
+	for _, c := range []struct {
+		r    FloatSum
+		vals []float64
+		want float64
+	}{
+		{FloatSum{}, []float64{x, y, z}, (x + y) + z},
+		{FloatSum{}, []float64{math.Copysign(0, -1)}, 0},
+		{double, []float64{1.5, -0.25}, 2.5},
+	} {
+		recs := make([]Record, len(c.vals))
+		for i, v := range c.vals {
+			recs[i] = Record{Key: "k", Value: writable.Float64(v)}
+		}
+		out, err := RunGrouped(c.r, recs, nil)
+		if err != nil || len(out) != 1 {
+			t.Fatalf("%v: out %v, err %v", c.vals, out, err)
+		}
+		if got := float64(out[0].Value.(writable.Float64)); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("%v: got %v, want %v", c.vals, got, c.want)
+		}
+	}
+	if _, err := RunGrouped(FloatSum{}, []Record{{Key: "k", Value: writable.Text("x")}}, nil); err == nil ||
+		!strings.Contains(err.Error(), "not a Float64") {
+		t.Errorf("a Text value: err = %v, want the kind error", err)
 	}
 }

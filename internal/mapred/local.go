@@ -44,12 +44,12 @@ func (e *Engine) RunLocal(job *Job, in *Input, m *model.Model) (*Output, Metrics
 
 	// Loop-aware fusion: with a JobFamily attached and a mapper
 	// implementing LocalFuser (or IntoMapper, for a map-only job with
-	// Into), run the job fused over the cached derived structures. The
-	// kernel confines cross-split floating-point accumulation to a
-	// serial pass in arrival order, so its output is byte-identical to
-	// the cold pipeline at any worker count; any split the kernel cannot
-	// derive, or a shape it rejects, sends the whole job down the cold
-	// path below.
+	// Into), run the job fused over the cached derived structures, into
+	// Into by slot where the kernel can. The kernel confines cross-split
+	// floating-point accumulation to a serial pass in arrival order, so
+	// its output is byte-identical to the cold pipeline at any worker
+	// count; any split the kernel cannot derive, or a shape it rejects,
+	// sends the whole job down the cold path below.
 	if e.Family != nil {
 		out, met, handled, err := e.runLocalFused(job, in, m, cost, metrics)
 		if err != nil {
@@ -107,7 +107,7 @@ func (e *Engine) RunLocal(job *Job, in *Input, m *model.Model) (*Output, Metrics
 	}
 	e.localReducePhase(&metrics, cost, int64(nMapOut))
 	metrics.OutputRecords = int64(len(outRecs))
-	return e.finishLocal(&Output{Records: outRecs}, metrics)
+	return e.finishLocal(job.Deliver([][]Record{outRecs}, nil), metrics)
 }
 
 // localMapPhase is the makespan of an in-memory job's map tasks, one per
@@ -140,11 +140,12 @@ func (e *Engine) finishLocal(out *Output, metrics Metrics) (*Output, Metrics, er
 }
 
 // runLocalFused executes RunLocal's job through a fused kernel over
-// cached derived structures: a LocalFuser's map+reduce, or an
-// IntoMapper's map into Job.Into. handled=false means the job must run
-// cold (no kernel applies, a split's derived form is unavailable or the
-// kernel rejected the shape); the metrics and costs it produces when
-// handled are identical to the cold pipeline's, short of finishLocal.
+// cached derived structures: a LocalFuser's map+reduce (into Job.Into
+// when the job has one), or an IntoMapper's map into Job.Into.
+// handled=false means the job must run cold (no kernel applies, a
+// split's derived form is unavailable or the kernel rejected the
+// shape); the metrics and costs it produces when handled are identical
+// to the cold pipeline's, short of finishLocal.
 func (e *Engine) runLocalFused(job *Job, in *Input, m *model.Model,
 	cost CostModel, metrics Metrics) (*Output, Metrics, bool, error) {
 	if job.Reducer == nil {
@@ -169,8 +170,9 @@ func (e *Engine) runLocalFused(job *Job, in *Input, m *model.Model,
 	if deriveds == nil {
 		return nil, Metrics{}, false, nil
 	}
-	em := &listEmitter{}
-	mapEmits, err := lf.FuseLocal(deriveds, m, e.parallelFor, em)
+	em := getEmitter()
+	defer putEmitter(em)
+	mapEmits, written, err := lf.FuseLocal(deriveds, m, job.Into, e.parallelFor, em)
 	if err != nil {
 		if errors.Is(err, ErrFusedUnsupported) {
 			return nil, Metrics{}, false, nil
@@ -180,6 +182,6 @@ func (e *Engine) runLocalFused(job *Job, in *Input, m *model.Model,
 	e.Family.noteWarm(job.Name, m, warmBytes)
 	metrics.MapPhase = e.localMapPhase(in, cost)
 	e.localReducePhase(&metrics, cost, mapEmits)
-	metrics.OutputRecords = int64(len(em.records))
-	return &Output{Records: em.records}, metrics, true, nil
+	metrics.OutputRecords = written + int64(len(em.records))
+	return job.Deliver([][]Record{em.records}, nil), metrics, true, nil
 }

@@ -136,12 +136,14 @@ type Job struct {
 	PartitionedModel bool
 	// Cost overrides the engine's default cost model when non-zero.
 	Cost *CostModel
-	// Into, when set on a map-only job, receives the job's output: the
-	// records Output.Records would list are Set into Into in that order,
-	// and Output.Records is nil. Into must not be the model the job
-	// reads. A mapper implementing IntoMapper may write the same result
-	// by slot. Metrics are those of the same job without Into; a job that
-	// fails may leave Into partly written.
+	// Into, when set, receives the job's output: the records
+	// Output.Records would list — a map-only job's emissions in split
+	// order, or the reduce tasks' outputs in reducer order — are Set
+	// into Into in that order, and Output carries no records (a job with
+	// a Reducer still reports ReducerNodes). Into must not be the model
+	// the job reads. A mapper implementing IntoMapper may write the same
+	// result by slot. Metrics are those of the same job without Into; a
+	// job that fails may leave Into partly written.
 	Into *model.Model
 }
 
@@ -155,42 +157,76 @@ func (j *Job) validate(m *model.Model) error {
 	return j.CheckInto(m)
 }
 
-// CheckInto enforces Into's contract for a run over model m: only a
-// map-only job writes into a model, and never into the model it reads.
+// CheckInto enforces Into's contract for a run over model m: a job
+// never writes into the model it reads.
 func (j *Job) CheckInto(m *model.Model) error {
-	switch {
-	case j.Into == nil:
-		return nil
-	case j.Reducer != nil:
-		return fmt.Errorf("mapred: job %q has both Into and a Reducer", j.Name)
-	case j.Into == m:
+	if j.Into != nil && j.Into == m {
 		return fmt.Errorf("mapred: job %q writes Into the model it reads", j.Name)
 	}
 	return nil
 }
 
-// MapOnlyOutput is a map-only job's output from its tasks' emissions,
-// in split order: Set into Into when the job has one, concatenated into
-// Records otherwise. It copies what it keeps, so the callers may reuse
-// the tasks' buffers.
-func (j *Job) MapOnlyOutput(tasks [][]Record) *Output {
+// Deliver is a job's output from its tasks' records, in task order: the
+// map tasks' emissions of a map-only job, or the reduce tasks' outputs
+// of a job with a Reducer, with nodes the nodes those tasks ran on (nil
+// for a map-only or in-memory job). The records are Set into Into when
+// the job has one; otherwise Records concatenates them, and ByReducer
+// holds tasks itself when nodes is set. Records is a copy, so callers
+// may reuse the tasks' buffers unless ByReducer keeps them.
+func (j *Job) Deliver(tasks [][]Record, nodes []int) *Output {
+	out := &Output{ReducerNodes: nodes}
 	if j.Into != nil {
 		for _, recs := range tasks {
 			for _, r := range recs {
 				j.Into.Set(r.Key, r.Value)
 			}
 		}
-		return &Output{}
+		return out
+	}
+	if nodes != nil {
+		out.ByReducer = tasks
 	}
 	n := 0
 	for _, recs := range tasks {
 		n += len(recs)
 	}
-	out := &Output{Records: make([]Record, 0, n)}
+	out.Records = make([]Record, 0, n)
 	for _, recs := range tasks {
 		out.Records = append(out.Records, recs...)
 	}
 	return out
+}
+
+// FloatSum is the Reducer that sums a key's Float64 values from +0 in
+// arrival order and emits Then(sum) — the sum itself when Then is nil,
+// which makes it a combiner too. A job with Into whose Reducer is a
+// FloatSum reduces by slot, without records, when its mapper implements
+// IntoMapper, it has a combiner and the default partitioner, and the
+// engine has a JobFamily (into.go).
+type FloatSum struct {
+	Then func(sum float64) float64
+}
+
+// Reduce implements Reducer. A value other than a Float64 is an error.
+func (r FloatSum) Reduce(key string, values []writable.Writable, _ *model.Model, emit Emitter) error {
+	var sum float64
+	for _, v := range values {
+		f, ok := v.(writable.Float64)
+		if !ok {
+			return fmt.Errorf("mapred: FloatSum: key %q holds a %T, not a Float64", key, v)
+		}
+		sum += float64(f)
+	}
+	emit.Emit(key, writable.Float64(r.apply(sum)))
+	return nil
+}
+
+// apply is Then(sum), or sum without a Then.
+func (r FloatSum) apply(sum float64) float64 {
+	if r.Then == nil {
+		return sum
+	}
+	return r.Then(sum)
 }
 
 // listEmitter collects emissions in order.
