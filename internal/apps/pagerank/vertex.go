@@ -2,7 +2,6 @@ package pagerank
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/bsp"
@@ -16,12 +15,13 @@ import (
 // PageRank iteration runs as a native two-superstep vertex program
 // instead of the aggregate+propagate job pair. Superstep 0 is the
 // propagation side: each vertex sends its tracked outgoing edge scores
-// to the destination vertices (a float-sum combiner collapses them per
-// sender node, like the mapred combiner). Superstep 1 is the
-// aggregation side: each vertex sums its incoming scores plus its
-// frozen cross-partition in-flow, applies PR = (1-c) + c·Σ, and votes
-// to halt. The per-key semantics match Iteration exactly; floating-sum
-// order may differ, so backends agree to rounding, not byte-for-byte.
+// to the destination vertices on the float lane, unboxed (bsp.FloatSum
+// collapses them per sender node, like the mapred combiner). Superstep
+// 1 is the aggregation side: each vertex sums its incoming scores, in
+// wire order, onto its frozen cross-partition in-flow, applies
+// PR = (1-c) + c·Σ, and votes to halt. The per-key semantics match
+// Iteration exactly; floating-sum order may differ, so backends agree
+// to rounding, not byte-for-byte.
 func (a *App) VertexProgram(in *mapred.Input, m *model.Model) (bsp.Program, error) {
 	lay := a.layoutOf(m.Schema())
 	n := int(in.NumRecords())
@@ -69,50 +69,33 @@ type prProgram struct {
 func (p *prProgram) Vertices() []bsp.VertexInfo { return p.verts }
 
 // Compute implements bsp.Program.
-func (p *prProgram) Compute(step, pv int, msgs []bsp.Message, s bsp.Sender) (bool, error) {
+func (p *prProgram) Compute(step, pv int, in bsp.Inbox, s bsp.Sender) (bool, error) {
 	v := int(p.vertex[pv])
 	if step == 0 {
-		// A vertex's tracked edges carry one score, so each run of
-		// equal scores is boxed once: one box per vertex, as the model
-		// used to share.
-		var score writable.Writable
-		var last uint64
 		for i, dst := range p.lay.out[v] {
 			// Untracked edges are cross edges during local iterations;
 			// they enter through the frozen in-flow. A tracked edge
 			// into a vertex the input lacks is sent to -1, which fails
 			// the run.
-			f, tracked := p.prev.FloatAt(int(p.lay.edgeSlot(v, i)))
-			if !tracked {
-				continue
+			if f, tracked := p.prev.FloatAt(int(p.lay.edgeSlot(v, i))); tracked {
+				s.SendFloat(int(p.index[dst]), f)
 			}
-			if score == nil || math.Float64bits(f) != last {
-				score, last = writable.Float64(f), math.Float64bits(f)
-			}
-			s.Send(int(p.index[dst]), "", score)
 		}
 		return false, nil
 	}
+	if len(in.Msgs) > 0 {
+		return false, fmt.Errorf("pagerank: vertex %d got non-float message", v)
+	}
 	sum, _ := p.prev.FloatAt(int(p.lay.inflow[v]))
-	for _, msg := range msgs {
-		f, ok := msg.Value.(writable.Float64)
-		if !ok {
-			return false, fmt.Errorf("pagerank: vertex %d got non-float message", v)
-		}
-		sum += float64(f)
+	for _, f := range in.Floats {
+		sum += f
 	}
 	p.newRank[pv] = p.app.rank(sum)
 	return true, nil
 }
 
 // Combiner implements bsp.CombinerProgram: incoming edge scores sum.
-func (p *prProgram) Combiner() bsp.Combiner { return floatSumCombiner{} }
-
-type floatSumCombiner struct{}
-
-func (floatSumCombiner) Combine(a, b writable.Writable) writable.Writable {
-	return a.(writable.Float64) + b.(writable.Float64)
-}
+func (p *prProgram) Combiner() bsp.Combiner { return bsp.FloatSum{} }
 
 // Model implements bsp.Modeler, mirroring Iteration's model assembly:
 // every tracked rank defaults to 1-c and is overwritten by the computed

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/webgraph"
@@ -155,44 +157,85 @@ func TestVertexProgramRejectsRepeatedVertex(t *testing.T) {
 type discard struct{}
 
 func (discard) Send(int, string, writable.Writable) {}
+func (discard) SendFloat(int, float64)              {}
 
-// On the float column the vertex program reads and writes the model by
-// slot: one iteration's superstep-0 Compute plus Model allocates at most
-// one box per vertex (the score its edges share), never one per edge.
-func TestVertexProgramAllocatesPerVertexNotPerEdge(t *testing.T) {
-	g := webgraph.NearlyUncoupled(7, 400, 4, 0.1, 3)
-	rt := bspRuntime(1)
-	app := New(g, 0.85, 1e-12, 1)
-	in := graphInput(rt, g)
-	// Two real iterations: the model is a float column with the nonzero
-	// scores of a run (a zero would box without allocating).
-	res, err := core.RunIC(rt, app, in, InitialModel(g), &core.ICOptions{MaxIterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Model
-	prog, err := app.VertexProgram(in, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := prog.(*prProgram)
-	for v := range p.newRank {
-		p.newRank[v] = 1 + float64(v)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		for v := range p.Vertices() {
-			if _, err := p.Compute(0, v, nil, discard{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := p.Model(m); err != nil {
+// On the float column and the float lane the vertex program reads and
+// writes the model by slot and sends scores unboxed: one iteration's
+// superstep-0 and superstep-1 Compute plus Model allocate a fixed
+// number of objects — the next model's — whatever the graph's size.
+func TestVertexProgramAllocatesConstantPerIteration(t *testing.T) {
+	const limit = 8
+	for _, n := range []int{400, 4_000} {
+		g := webgraph.NearlyUncoupled(7, n, 4, 0.1, 3)
+		rt := bspRuntime(1)
+		app := New(g, 0.85, 1e-12, 1)
+		in := graphInput(rt, g)
+		// Two real iterations: the model is a float column with the
+		// nonzero scores of a run.
+		res, err := core.RunIC(rt, app, in, InitialModel(g), &core.ICOptions{MaxIterations: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if g.NumEdges() < 2*g.N {
-		t.Fatalf("%d edges on %d vertices: too few to tell per-edge from per-vertex", g.NumEdges(), g.N)
+		m := res.Model
+		prog, err := app.VertexProgram(in, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := prog.(*prProgram)
+		mail := bsp.Inbox{Floats: []float64{0.25, 0.5}}
+		allocs := testing.AllocsPerRun(3, func() {
+			for v := range p.Vertices() {
+				if _, err := p.Compute(0, v, bsp.Inbox{}, discard{}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Compute(1, v, mail, discard{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := p.Model(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if g.NumEdges() < 2*g.N {
+			t.Fatalf("%d edges on %d vertices: too few to tell per-edge from per-vertex", g.NumEdges(), g.N)
+		}
+		t.Logf("%d vertices: %.0f objects", n, allocs)
+		if allocs > limit {
+			t.Errorf("Compute+Model allocate %.0f objects for %d vertices and %d edges, want at most %d", allocs, g.N, g.NumEdges(), limit)
+		}
 	}
-	if limit := float64(g.N + 8); allocs > limit {
-		t.Errorf("Compute+Model allocate %.0f objects for %d vertices and %d edges, want at most %.0f", allocs, g.N, g.NumEdges(), limit)
+}
+
+// TestWarmBSPIterationAllocsIndependentOfGraphSize pins the float lane
+// end to end: a warm IC iteration of PageRank on the BSP backend —
+// model distribution, both supersteps, pricing, the next model —
+// allocates the same number of objects at 2 000 vertices as at 8 000.
+func TestWarmBSPIterationAllocsIndependentOfGraphSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		g := webgraph.NearlyUncoupled(7, n, 4, 0.05, 4)
+		app := New(g, 0.85, 1e-12, 1)
+		rt := bspRuntime(1)
+		in := graphInput(rt, g)
+		m := InitialModel(g)
+		step := func() {
+			res, err := core.RunIC(rt, app, in, m, &core.ICOptions{MaxIterations: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = res.Model
+		}
+		// The first iterations build the layout and fill the pools.
+		step()
+		step()
+		return testing.AllocsPerRun(5, step)
+	}
+	small, large := allocs(2_000), allocs(8_000)
+	t.Logf("%.1f objects at 2 000 vertices, %.1f at 8 000", small, large)
+	if small != large {
+		t.Errorf("a warm BSP iteration allocates %.1f objects at 2 000 vertices, %.1f at 8 000", small, large)
 	}
 }

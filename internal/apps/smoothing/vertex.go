@@ -76,7 +76,7 @@ func (p *smProgram) rowVertex(y int) int {
 
 // Compute implements bsp.Program. Tags name the direction as seen by
 // the receiver: a row sends itself downward as the receiver's "up" row.
-func (p *smProgram) Compute(step, i int, msgs []bsp.Message, s bsp.Sender) (bool, error) {
+func (p *smProgram) Compute(step, i int, in bsp.Inbox, s bsp.Sender) (bool, error) {
 	v := &p.verts[i]
 	if step == 0 {
 		if below := p.rowVertex(v.y + 1); below >= 0 {
@@ -88,7 +88,7 @@ func (p *smProgram) Compute(step, i int, msgs []bsp.Message, s bsp.Sender) (bool
 		return false, nil
 	}
 	var up, down writable.Vector
-	for _, msg := range msgs {
+	for _, msg := range in.Msgs {
 		row, ok := msg.Value.(writable.Vector)
 		if !ok {
 			return false, fmt.Errorf("smoothing: row %d got non-row message %q", v.y, msg.Tag)

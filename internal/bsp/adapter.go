@@ -74,7 +74,7 @@ func (p *jobProgram) Vertices() []VertexInfo { return p.verts }
 
 func (p *jobProgram) VertexCost(step, v int) float64 { return p.vcost[v] }
 
-func (p *jobProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+func (p *jobProgram) Compute(step, v int, in Inbox, s Sender) (bool, error) {
 	if v < p.nSplit {
 		if step != 0 {
 			return true, nil // split vertices only work in superstep 0
@@ -84,7 +84,7 @@ func (p *jobProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error
 	if step == 0 {
 		return true, nil // reduce vertices wait for messages
 	}
-	return true, p.computeReduce(v, msgs)
+	return true, p.computeReduce(v, in.Msgs)
 }
 
 func (p *jobProgram) computeSplit(v int, s Sender) error {
@@ -95,9 +95,7 @@ func (p *jobProgram) computeSplit(v int, s Sender) error {
 	}
 	// Map task cost mirrors mapred: input records + input bytes +
 	// pre-combine emitted bytes.
-	p.vcost[v] = float64(len(split.Records))*p.cost.ComputePerVertex +
-		float64(split.Bytes)*p.cost.ComputePerByte +
-		float64(mapred.RecordsSize(emitted))*p.cost.EmitPerByte
+	p.vcost[v] = p.cost.splitTask(len(split.Records), split.Bytes, mapred.RecordsSize(emitted))
 	if p.nRed == 0 {
 		p.outs[v] = emitted // in emission order, as a mapred map-only task's
 		return nil
@@ -126,8 +124,7 @@ func (p *jobProgram) computeReduce(v int, msgs []Message) error {
 		return err
 	}
 	p.outs[v] = out
-	p.vcost[v] = float64(len(msgs))*p.cost.ComputePerMessage +
-		float64(mapred.RecordsSize(out))*p.cost.EmitPerByte
+	p.vcost[v] = p.cost.reduceTask(len(msgs), mapred.RecordsSize(out))
 	return nil
 }
 

@@ -20,6 +20,18 @@
 // is what a message's destination costs on the wire and what errors
 // print — and is never looked up.
 //
+// Messages travel on two lanes. The boxed lane (Send) carries a tag and
+// a writable.Writable; the float lane (SendFloat) carries one untagged
+// float64 and never boxes it. Each lane keeps the engine's ordering and
+// combining rules on its own: its sends are merged in global vertex
+// order then send order, combined left to right per (source node,
+// destination[, tag]), and delivered in that wire order into its own
+// part of the Inbox. A program that uses one lane sees exactly the
+// order it would see if the other did not exist. A float message costs
+// on the wire what the same value boxed as a writable.Float64 under the
+// empty tag costs, so moving a program's floats from Send to SendFloat
+// changes no simulated byte or second.
+//
 // The engine is deterministic: results, metrics and trace spans are
 // byte-identical across Workers settings and repeated runs. Compute is
 // invoked concurrently on distinct vertices, so a Program must not
@@ -53,14 +65,29 @@ type Message struct {
 	Value writable.Writable
 }
 
+// Inbox is what one vertex receives in a superstep: the boxed lane's
+// messages and the float lane's values, each in its lane's wire order.
+// Both slices are the engine's buffers, valid for the duration of the
+// Compute call: keep the values, not the slices.
+type Inbox struct {
+	Msgs   []Message
+	Floats []float64
+}
+
+// Len is the number of messages in both lanes.
+func (in Inbox) Len() int { return len(in.Msgs) + len(in.Floats) }
+
 // Sender accepts messages during Compute. to is the destination's index
 // in Program.Vertices(); the message becomes visible to that vertex in
-// the next superstep. A Sender is valid only for the duration of the
-// Compute call it was passed to. A destination outside the program's
-// vertex set is not delivered anywhere: the superstep fails with a
-// *ProgramError naming the sending vertex.
+// the next superstep. Send puts a tagged, boxed value on the boxed lane;
+// SendFloat puts an untagged float64 on the float lane. A Sender is
+// valid only for the duration of the Compute call it was passed to. A
+// destination outside the program's vertex set is not delivered
+// anywhere: the superstep fails with a *ProgramError naming the sending
+// vertex.
 type Sender interface {
 	Send(to int, tag string, v writable.Writable)
+	SendFloat(to int, f float64)
 }
 
 // Program is a vertex computation. Vertices is called once per run
@@ -72,22 +99,35 @@ type Sender interface {
 // an incoming message reactivates the vertex. The run terminates when
 // every vertex has halted and no messages are in flight.
 //
-// Compute must be safe to call concurrently on distinct vertices. msgs
-// is the engine's buffer, valid for the duration of the call: keep the
-// values, not the slice.
+// Compute must be safe to call concurrently on distinct vertices.
 type Program interface {
 	Vertices() []VertexInfo
-	Compute(step, v int, msgs []Message, s Sender) (halt bool, err error)
+	Compute(step, v int, in Inbox, s Sender) (halt bool, err error)
 }
 
-// Combiner merges two message values bound for the same destination
-// vertex under the same tag. The engine applies it sender-side, per
-// source node, in deterministic send order — mirroring Pregel's
-// combiner, which cuts network bytes without changing semantics for
-// commutative/associative reductions.
+// Combiner merges two messages bound for the same destination vertex
+// on the same lane: Combine two boxed values under the same tag,
+// CombineFloat two float-lane values. The engine applies it
+// sender-side, per source node, in deterministic send order, as
+// Combine(have, new) — mirroring Pregel's combiner, which cuts network
+// bytes without changing semantics for commutative/associative
+// reductions.
 type Combiner interface {
 	Combine(a, b writable.Writable) writable.Writable
+	CombineFloat(a, b float64) float64
 }
+
+// FloatSum is the Combiner that adds: writable.Float64 values on the
+// boxed lane, float64s on the float lane.
+type FloatSum struct{}
+
+// Combine implements Combiner.
+func (FloatSum) Combine(a, b writable.Writable) writable.Writable {
+	return a.(writable.Float64) + b.(writable.Float64)
+}
+
+// CombineFloat implements Combiner.
+func (FloatSum) CombineFloat(a, b float64) float64 { return a + b }
 
 // CombinerProgram is a Program that supplies a Combiner. A nil result
 // disables combining.
@@ -109,7 +149,7 @@ type Modeler interface {
 // vertex and its result is the vertex's entire compute cost for the
 // superstep, replacing the engine's default
 //
-//	ComputePerVertex + ComputePerMessage·len(msgs) + EmitPerByte·sentBytes
+//	ComputePerVertex + ComputePerMessage·in.Len() + EmitPerByte·sentBytes
 //
 // formula. The mapred adapter uses this to reproduce map/reduce task
 // cost accounting.
@@ -154,10 +194,19 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// messageSize is the on-wire size of one message: destination id and
-// tag (uvarint length-prefixed) plus the encoded value.
-func messageSize(to, tag string, v writable.Writable) int64 {
-	return int64(uvarintLen(uint64(len(to))) + len(to) +
-		uvarintLen(uint64(len(tag))) + len(tag) +
-		writable.Size(v))
+// A message on the wire is its destination id and tag, each uvarint
+// length-prefixed, then the encoded value. The id part is per vertex
+// (scratch.idSize); these are the rest.
+
+// framedSize is the size of a length-prefixed string.
+func framedSize(s string) int64 { return int64(uvarintLen(uint64(len(s))) + len(s)) }
+
+// boxedTail is the size of a boxed message after its destination id.
+func boxedTail(tag string, v writable.Writable) int64 {
+	return framedSize(tag) + int64(writable.Size(v))
 }
+
+// floatTail is the size of a float message after its destination id:
+// the empty tag and an encoded writable.Float64, so a float message
+// costs exactly what the same value boxed under tag "" does.
+var floatTail = boxedTail("", writable.Float64(0))

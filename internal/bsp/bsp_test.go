@@ -58,14 +58,14 @@ func (p *ringProgram) Vertices() []VertexInfo {
 	return infos
 }
 
-func (p *ringProgram) Compute(step, i int, msgs []Message, s Sender) (bool, error) {
+func (p *ringProgram) Compute(step, i int, in Inbox, s Sender) (bool, error) {
 	sum := 0.0
-	for _, m := range msgs {
-		sum += float64(m.Value.(writable.Float64))
+	for _, f := range in.Floats {
+		sum += f
 	}
 	p.recv[i] += sum
 	if step < p.laps {
-		s.Send((i+1)%p.n, "", writable.Float64(sum+float64(i)+1))
+		s.SendFloat((i+1)%p.n, sum+float64(i)+1)
 		return false, nil
 	}
 	return true, nil
@@ -82,7 +82,7 @@ func (p *haltProgram) Vertices() []VertexInfo {
 	return infos
 }
 
-func (p *haltProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+func (p *haltProgram) Compute(step, v int, in Inbox, s Sender) (bool, error) {
 	return true, nil
 }
 
@@ -113,11 +113,11 @@ func (p *reactivateProgram) Vertices() []VertexInfo {
 	return []VertexInfo{{ID: "a", Home: 0}, {ID: "b", Home: 1}}
 }
 
-func (p *reactivateProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+func (p *reactivateProgram) Compute(step, v int, in Inbox, s Sender) (bool, error) {
 	if step == 0 && v == 0 {
 		s.Send(1, "", writable.Float64(42))
 	}
-	for _, m := range msgs {
+	for _, m := range in.Msgs {
 		p.bGot += float64(m.Value.(writable.Float64))
 	}
 	return true, nil // everyone votes to halt every superstep
@@ -159,27 +159,21 @@ func (p *fanProgram) Vertices() []VertexInfo {
 	return infos
 }
 
-func (p *fanProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+func (p *fanProgram) Compute(step, v int, in Inbox, s Sender) (bool, error) {
 	if step == 0 && v != 0 { // vertex 0 is the sink
 		s.Send(0, "acc", writable.Float64(1))
 	}
-	for _, m := range msgs {
+	for _, m := range in.Msgs {
 		p.sinkSum += float64(m.Value.(writable.Float64))
 		p.sinkN++
 	}
 	return true, nil
 }
 
-type sumCombiner struct{}
-
-func (sumCombiner) Combine(a, b writable.Writable) writable.Writable {
-	return a.(writable.Float64) + b.(writable.Float64)
-}
-
 // combinedFan adds a Combiner to fanProgram.
 type combinedFan struct{ fanProgram }
 
-func (p *combinedFan) Combiner() Combiner { return sumCombiner{} }
+func (p *combinedFan) Combiner() Combiner { return FloatSum{} }
 
 func TestCombinerMergesPerSourceNode(t *testing.T) {
 	// 8 senders over 4 nodes, without and with a sum combiner. The
@@ -358,7 +352,7 @@ func (p *strayProgram) Vertices() []VertexInfo {
 	return []VertexInfo{{ID: "only", Home: 0}}
 }
 
-func (p *strayProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+func (p *strayProgram) Compute(step, v int, in Inbox, s Sender) (bool, error) {
 	s.Send(p.to, "", writable.Float64(1))
 	return true, nil
 }
@@ -405,7 +399,7 @@ func (p *failProgram) Vertices() []VertexInfo {
 
 var errBoom = errors.New("boom")
 
-func (p *failProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+func (p *failProgram) Compute(step, v int, in Inbox, s Sender) (bool, error) {
 	if v == 1 {
 		return false, errBoom
 	}

@@ -67,6 +67,33 @@ func DefaultCostModel() CostModel {
 	return DeriveCost(mapred.DefaultCostModel())
 }
 
+// vertex is the default compute cost of one Compute call that consumed
+// in messages and sent sentBytes (see VertexCoster). Each product is
+// converted before it is added, here and below, as in mapred's
+// CostModel: without the conversion the compiler may fuse multiply and
+// add (the spec allows it, and arm64 does), and simulated seconds would
+// depend on the host.
+func (c CostModel) vertex(in int, sentBytes int64) float64 {
+	return c.ComputePerVertex +
+		float64(c.ComputePerMessage*float64(in)) +
+		float64(c.EmitPerByte*float64(sentBytes))
+}
+
+// splitTask is the cost of an adapter split vertex, as mapred prices a
+// map task: its input records and bytes plus its pre-combine output.
+func (c CostModel) splitTask(records int, inBytes, outBytes int64) float64 {
+	return float64(float64(records)*c.ComputePerVertex) +
+		float64(float64(inBytes)*c.ComputePerByte) +
+		float64(float64(outBytes)*c.EmitPerByte)
+}
+
+// reduceTask is the cost of an adapter reduce vertex, as mapred prices
+// a reduce task: the values it consumed plus its output.
+func (c CostModel) reduceTask(values int, outBytes int64) float64 {
+	return float64(float64(values)*c.ComputePerMessage) +
+		float64(float64(outBytes)*c.EmitPerByte)
+}
+
 // Validate reports whether the cost model is usable.
 func (c CostModel) Validate() error {
 	if c.ComputePerVertex < 0 || c.ComputePerByte < 0 || c.ComputePerMessage < 0 || c.EmitPerByte < 0 {

@@ -284,7 +284,7 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 	if len(live) == 0 {
 		return at, false, fmt.Errorf("bsp: %s: no live nodes", o.Name)
 	}
-	s.startAttempt(n)
+	s.startAttempt(verts)
 	home := make([]int, n)
 	rehomed := 0
 	for i, v := range verts {
@@ -373,19 +373,13 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 		// Price compute: node totals pinned to their homes (BSP cannot
 		// steal work from a vertex's node), scheduled on map slots.
 		clear(s.nodeCost)
-		s.eachSender(func(i int, sends []outMsg) {
+		for _, v := range s.active {
+			i := int(v)
 			var c float64
 			if hasCoster {
 				c = coster.VertexCost(step, i)
 			} else {
-				var sent int64
-				for k := range sends {
-					om := &sends[k]
-					sent += messageSize(verts[om.to].ID, om.tag, om.val)
-				}
-				c = e.cost.ComputePerVertex +
-					e.cost.ComputePerMessage*float64(len(s.inbox.of(i))) +
-					e.cost.EmitPerByte*float64(sent)
+				c = e.cost.vertex(s.inbox.count(i), s.sentBytes[i])
 			}
 			if o.Local {
 				c *= e.cost.LocalComputeFactor
@@ -395,7 +389,7 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 			if s.halts[i] {
 				m.HaltedVotes++
 			}
-		})
+		}
 		used := s.usedSlots()
 		s.tasks = s.tasks[:0]
 		for _, h := range used {
@@ -407,12 +401,12 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 		at += makespan
 
 		// Gather sends in global vertex order, combining sender-side
-		// per (source node, destination, tag), and deliver them into
-		// the next superstep's inboxes.
+		// per (source node, destination, tag) on each lane, and deliver
+		// them into the next superstep's inboxes.
 		totalSends := s.gather(comb)
 		m.Messages += int64(totalSends)
-		m.CombinedMessages += int64(len(s.wire))
-		stepBytes := s.deliver(verts, !o.Local)
+		m.CombinedMessages += int64(len(s.wire) + len(s.fwire))
+		stepBytes := s.deliver(!o.Local)
 		m.MessageBytes += stepBytes
 
 		// Price message traffic: one flow per (source node, destination

@@ -9,22 +9,30 @@ import (
 )
 
 // scatterProgram is PageRank's message shape without its arithmetic:
-// in superstep 0 every vertex sends a pre-boxed float to each of its
-// out-neighbours under the empty tag, a float-sum combiner merges them
-// per source node, and superstep 1 consumes the sums and halts. Vertex
-// homes are dealt round-robin, so neighbouring vertices sit on
-// different nodes.
+// in superstep 0 every vertex sends its score to each of its
+// out-neighbours on the float lane, FloatSum merges them per source
+// node, and superstep 1 sums what arrived and halts. Vertex homes are
+// dealt round-robin, so neighbouring vertices sit on different nodes.
+// With boxed set it sends the same scores on the boxed lane instead,
+// each boxed once per vertex as a writable.Float64 under the empty tag.
 type scatterProgram struct {
 	infos []VertexInfo
 	out   [][]int32
+	score []float64
+	boxed bool
+	comb  Combiner
 	got   []float64
 }
 
+// newScatter draws the graph and the scores from seed. Scores differ
+// in magnitude, so a sum taken in another order rounds differently.
 func newScatter(n, degree, nodes int, seed int64) *scatterProgram {
 	rng := rand.New(rand.NewSource(seed))
-	p := &scatterProgram{infos: make([]VertexInfo, n), out: make([][]int32, n), got: make([]float64, n)}
+	p := &scatterProgram{infos: make([]VertexInfo, n), out: make([][]int32, n),
+		score: make([]float64, n), comb: FloatSum{}, got: make([]float64, n)}
 	for i := range p.infos {
 		p.infos[i] = VertexInfo{ID: "v" + pad(i), Home: i % nodes}
+		p.score[i] = rng.Float64() * float64(int(1)<<rng.Intn(40))
 		p.out[i] = make([]int32, degree)
 		for j := range p.out[i] {
 			// Neighbours cluster near the vertex, as a web graph's do,
@@ -43,26 +51,34 @@ func pad(i int) string {
 	return string(b)
 }
 
-var scatterOne writable.Writable = writable.Float64(1)
-
 func (p *scatterProgram) Vertices() []VertexInfo { return p.infos }
 
-func (p *scatterProgram) Compute(step, v int, msgs []Message, s Sender) (bool, error) {
+func (p *scatterProgram) Compute(step, v int, in Inbox, s Sender) (bool, error) {
 	if step == 0 {
+		if p.boxed {
+			score := writable.Float64(p.score[v])
+			for _, dst := range p.out[v] {
+				s.Send(int(dst), "", score)
+			}
+			return false, nil
+		}
 		for _, dst := range p.out[v] {
-			s.Send(int(dst), "", scatterOne)
+			s.SendFloat(int(dst), p.score[v])
 		}
 		return false, nil
 	}
 	sum := 0.0
-	for _, m := range msgs {
+	for _, f := range in.Floats {
+		sum += f
+	}
+	for _, m := range in.Msgs {
 		sum += float64(m.Value.(writable.Float64))
 	}
 	p.got[v] = sum
 	return true, nil
 }
 
-func (p *scatterProgram) Combiner() Combiner { return sumCombiner{} }
+func (p *scatterProgram) Combiner() Combiner { return p.comb }
 
 // benchCluster is the 12-node, 4-rack shape of the repo benchmark's
 // pagerank workloads.

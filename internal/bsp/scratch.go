@@ -19,22 +19,30 @@ import (
 // A node's slot is its position in the attempt's ascending list of live
 // nodes, so per-node tables are arrays and slot order is node-id order.
 
-// outMsg is one send as Compute made it.
+// outMsg is one boxed send as Compute made it.
 type outMsg struct {
 	to  int32
 	tag string
 	val writable.Writable
 }
 
+// floatMsg is one float send as Compute made it. It holds no pointer,
+// so appending it pays no write barrier and the GC never scans it.
+type floatMsg struct {
+	to int32
+	f  float64
+}
+
 // chunk is the Sender of one compute worker. It holds the sends of a
 // contiguous run [lo, hi) of the active list (empty for a chunk the
-// superstep does not use), in vertex order then send order;
-// scratch.sent says how many belong to each vertex. A worker stops at
-// its first failing vertex.
+// superstep does not use), one buffer per lane, each in vertex order
+// then send order; scratch.sent and scratch.sentFloats say how many
+// belong to each vertex. A worker stops at its first failing vertex.
 type chunk struct {
 	n      int // the program's vertex count: destinations are [0, n)
 	lo, hi int
 	msgs   []outMsg
+	floats []floatMsg
 
 	// failed is the vertex whose Compute returned err, or, with err
 	// nil, sent to the out-of-range index stray; -1 while none has.
@@ -44,24 +52,39 @@ type chunk struct {
 	strayed bool
 }
 
-func (c *chunk) Send(to int, tag string, v writable.Writable) {
-	if uint(to) >= uint(c.n) {
-		if !c.strayed {
-			c.strayed, c.stray = true, to
-		}
-		return
+// bound reports whether to is a vertex, noting the first stray
+// destination when it is not.
+func (c *chunk) bound(to int) bool {
+	if uint(to) < uint(c.n) {
+		return true
 	}
-	c.msgs = append(c.msgs, outMsg{to: int32(to), tag: tag, val: v})
+	if !c.strayed {
+		c.strayed, c.stray = true, to
+	}
+	return false
+}
+
+func (c *chunk) Send(to int, tag string, v writable.Writable) {
+	if c.bound(to) {
+		c.msgs = append(c.msgs, outMsg{to: int32(to), tag: tag, val: v})
+	}
+}
+
+func (c *chunk) SendFloat(to int, f float64) {
+	if c.bound(to) {
+		c.floats = append(c.floats, floatMsg{to: int32(to), f: f})
+	}
 }
 
 // reset empties the chunk, leaving msgs zero beyond its length.
 func (c *chunk) reset() {
 	clear(c.msgs)
-	*c = chunk{msgs: c.msgs[:0], failed: -1}
+	*c = chunk{msgs: c.msgs[:0], floats: c.floats[:0], failed: -1}
 }
 
-// wireMsg is a (possibly combined) message annotated with its routing:
-// the slot of the node it leaves and the vertex it is bound for.
+// wireMsg is a (possibly combined) boxed message annotated with its
+// routing: the slot of the node it leaves and the vertex it is bound
+// for.
 type wireMsg struct {
 	src int32
 	dst int32
@@ -69,16 +92,32 @@ type wireMsg struct {
 	val writable.Writable
 }
 
-// inboxes is one superstep's delivered messages in CSR form: vertex i's
-// are msgs[off[i]:off[i+1]], in wire order.
-type inboxes struct {
-	msgs []Message
-	off  []int32 // n+2 long; the last element is scratch space of the fill
+// floatWire is a (possibly combined) float message with its routing.
+type floatWire struct {
+	src int32
+	dst int32
+	f   float64
 }
 
-func (b *inboxes) of(i int) []Message {
+// inboxes is one superstep's delivered messages in CSR form, one array
+// per lane: vertex i's are msgs[off[i]:off[i+1]] and
+// floats[foff[i]:foff[i+1]], each in its lane's wire order.
+type inboxes struct {
+	msgs   []Message
+	off    []int32 // n+2 long; the last element is scratch space of the fill
+	floats []float64
+	foff   []int32 // as off
+}
+
+func (b *inboxes) of(i int) Inbox {
 	lo, hi := b.off[i], b.off[i+1]
-	return b.msgs[lo:hi:hi]
+	flo, fhi := b.foff[i], b.foff[i+1]
+	return Inbox{Msgs: b.msgs[lo:hi:hi], Floats: b.floats[flo:fhi:fhi]}
+}
+
+// count is how many messages vertex i has on both lanes.
+func (b *inboxes) count(i int) int {
+	return int(b.off[i+1] - b.off[i] + b.foff[i+1] - b.foff[i])
 }
 
 // scratch is the working memory of one run attempt, pooled as one object
@@ -94,15 +133,21 @@ type scratch struct {
 	hslot  []int32 // by vertex: its home's slot
 	halted []bool  // by vertex: voted to halt at its last Compute
 	halts  []bool  // by vertex: this superstep's vote
-	sent   []int32 // by vertex: sends this superstep
+	idSize []int32 // by vertex: its id's size on the wire, length prefix included
 
 	// Per superstep.
-	active []int32 // vertices to compute, ascending
-	chunks []chunk
-	wire   []wireMsg
-	table  []int32 // open-addressed; 0 is empty, w+1 names wire[w] (or vertex w)
-	inbox  inboxes // what Compute reads
-	next   inboxes // what deliver fills; the two swap at the barrier
+	active     []int32 // vertices to compute, ascending
+	sent       []int32 // by vertex: boxed sends this superstep
+	sentFloats []int32 // by vertex: float sends this superstep
+	sentBytes  []int64 // by vertex: the wire size of this superstep's sends
+	chunks     []chunk
+	wire       []wireMsg
+	fwire      []floatWire
+	// table is open-addressed; 0 is empty, w+1 names wire[w] (or vertex
+	// w), -(w+1) names fwire[w].
+	table []int32
+	inbox inboxes // what Compute reads
+	next  inboxes // what deliver fills; the two swap at the barrier
 
 	nodeCost  []float64 // by slot
 	nodeUsed  []bool    // by slot; usedSlots consumes it
@@ -218,24 +263,33 @@ func (s *scratch) usedSlots() []int32 {
 	return s.slots
 }
 
-// startAttempt readies the per-vertex state of an n-vertex program:
-// nobody has halted, every inbox is empty, homes are yet to be set.
-func (s *scratch) startAttempt(n int) {
+// startAttempt readies the per-vertex state of verts: nobody has
+// halted, every inbox is empty, homes are yet to be set.
+func (s *scratch) startAttempt(verts []VertexInfo) {
+	n := len(verts)
 	s.hslot = sized(s.hslot, n)
 	s.halted = zeroed(s.halted, n)
 	s.halts = sized(s.halts, n)
+	s.idSize = sized(s.idSize, n)
+	for i := range verts {
+		s.idSize[i] = int32(framedSize(verts[i].ID))
+	}
 	s.sent = sized(s.sent, n)
+	s.sentFloats = sized(s.sentFloats, n)
+	s.sentBytes = sized(s.sentBytes, n)
 	s.inbox.off = zeroed(s.inbox.off, n+2)
+	s.inbox.foff = zeroed(s.inbox.foff, n+2)
 	s.next.off = sized(s.next.off, n+2)
+	s.next.foff = sized(s.next.foff, n+2)
 }
 
 // activate lists the vertices the coming superstep computes — those that
-// have not halted or have mail — and reports whether there are any.
+// have not halted or have mail on either lane — and reports whether
+// there are any.
 func (s *scratch) activate() bool {
 	s.active = s.active[:0]
-	off := s.inbox.off
 	for i, halted := range s.halted {
-		if !halted || off[i+1] > off[i] {
+		if !halted || s.inbox.count(i) > 0 {
 			s.active = append(s.active, int32(i))
 		}
 	}
@@ -288,9 +342,11 @@ func (s *scratch) compute(prog Program, step, workers int) *chunk {
 func (s *scratch) computeChunk(c *chunk, prog Program, step int) {
 	for _, v := range s.active[c.lo:c.hi] {
 		i := int(v)
-		before := len(c.msgs)
+		before, fbefore := len(c.msgs), len(c.floats)
 		halt, err := prog.Compute(step, i, s.inbox.of(i), c)
 		s.sent[i] = int32(len(c.msgs) - before)
+		s.sentFloats[i] = int32(len(c.floats) - fbefore)
+		s.sentBytes[i] = s.wireSize(c.msgs[before:], c.floats[fbefore:])
 		s.halts[i] = halt
 		if err != nil || c.strayed {
 			c.failed, c.err = i, err
@@ -299,77 +355,114 @@ func (s *scratch) computeChunk(c *chunk, prog Program, step int) {
 	}
 }
 
-// eachSender calls fn for every vertex of the superstep in vertex order
-// with the sends it made.
-func (s *scratch) eachSender(fn func(i int, sends []outMsg)) {
-	for ci := range s.chunks {
-		c := &s.chunks[ci]
-		pos := 0
-		for _, v := range s.active[c.lo:c.hi] {
-			k := int(s.sent[v])
-			fn(int(v), c.msgs[pos:pos+k])
-			pos += k
-		}
+// wireSize is the wire size of sends on both lanes, uncombined.
+func (s *scratch) wireSize(sends []outMsg, floats []floatMsg) (bytes int64) {
+	for k := range sends {
+		om := &sends[k]
+		bytes += int64(s.idSize[om.to]) + boxedTail(om.tag, om.val)
 	}
+	for k := range floats {
+		bytes += int64(s.idSize[floats[k].to])
+	}
+	return bytes + int64(len(floats))*floatTail
 }
 
-// gather merges the superstep's sends into wire in global vertex order
-// then send order and returns how many there were. With a combiner, a
-// send whose (source node, destination, tag) is already on the wire is
-// folded into that entry — left to right in send order — so an entry
-// sits where its key first occurred.
+// gather merges the superstep's sends into the two wires, each in
+// global vertex order then send order, and returns how many sends there
+// were. With a combiner, a send whose key — (source node, destination,
+// tag) on the boxed lane, (source node, destination) on the float lane
+// — is already on its lane's wire is folded into that entry, left to
+// right in send order, so an entry sits where its key first occurred.
 func (s *scratch) gather(comb Combiner) (sends int) {
+	nb, nf := 0, 0
 	for i := range s.chunks {
-		sends += len(s.chunks[i].msgs)
+		nb += len(s.chunks[i].msgs)
+		nf += len(s.chunks[i].floats)
 	}
 	clear(s.wire)
-	wire := slices.Grow(s.wire[:0], sends)
+	wire := slices.Grow(s.wire[:0], nb)
+	fwire := slices.Grow(s.fwire[:0], nf)
 	// The table maps a key to its wire entry: the integer part of the
 	// key is hashed, the tag only when there is one, and the entry is
-	// compared in full on a hit.
+	// compared in full on a hit. Both lanes share it; the sign of an
+	// entry says which wire it names.
 	var tbl []int32
 	var shift uint
 	if comb != nil {
-		tbl, shift = s.emptyTable(sends)
+		tbl, shift = s.emptyTable(nb + nf)
 	}
 	mask := len(tbl) - 1
-	s.eachSender(func(i int, out []outMsg) {
-		src := s.hslot[i]
-	send:
-		for k := range out {
-			om := &out[k]
-			if comb != nil {
-				h := uint64(src)<<32 | uint64(om.to)
-				if om.tag != "" {
-					h ^= maphash.String(hashSeed, om.tag)
-				}
-				p := int(h * fib >> shift)
-				for ; tbl[p] != 0; p = (p + 1) & mask {
-					if w := &wire[tbl[p]-1]; w.src == src && w.dst == om.to && w.tag == om.tag {
-						w.val = comb.Combine(w.val, om.val)
-						continue send
+	for ci := range s.chunks {
+		c := &s.chunks[ci]
+		out, fout := c.msgs, c.floats
+		for _, v := range s.active[c.lo:c.hi] {
+			src := s.hslot[v]
+			k, fk := s.sent[v], s.sentFloats[v]
+		send:
+			for _, om := range out[:k] {
+				if comb != nil {
+					h := uint64(src)<<32 | uint64(om.to)
+					if om.tag != "" {
+						h ^= maphash.String(hashSeed, om.tag)
 					}
+					p := int(h * fib >> shift)
+					for ; tbl[p] != 0; p = (p + 1) & mask {
+						if e := tbl[p]; e > 0 {
+							if w := &wire[e-1]; w.src == src && w.dst == om.to && w.tag == om.tag {
+								w.val = comb.Combine(w.val, om.val)
+								continue send
+							}
+						}
+					}
+					tbl[p] = int32(len(wire)) + 1
 				}
-				tbl[p] = int32(len(wire)) + 1
+				wire = append(wire, wireMsg{src: src, dst: om.to, tag: om.tag, val: om.val})
 			}
-			wire = append(wire, wireMsg{src: src, dst: om.to, tag: om.tag, val: om.val})
+		float:
+			for _, fm := range fout[:fk] {
+				if comb != nil {
+					p := int((uint64(src)<<32 | uint64(fm.to)) * fib >> shift)
+					for ; tbl[p] != 0; p = (p + 1) & mask {
+						if e := tbl[p]; e < 0 {
+							if w := &fwire[-e-1]; w.src == src && w.dst == fm.to {
+								w.f = comb.CombineFloat(w.f, fm.f)
+								continue float
+							}
+						}
+					}
+					tbl[p] = -int32(len(fwire)) - 1
+				}
+				fwire = append(fwire, floatWire{src: src, dst: fm.to, f: fm.f})
+			}
+			out, fout = out[k:], fout[fk:]
 		}
-	})
-	s.wire = wire
-	return sends
+	}
+	s.wire, s.fwire = wire, fwire
+	return nb + nf
 }
 
-// deliver files the wire into the next superstep's inboxes by a counting
-// pass — each inbox in wire order — and returns the wire's size in
-// bytes. With network set it also totals the bytes of every (source
-// node, destination node) link that crosses nodes into linkBytes and
-// lists those links in first-use order.
-func (s *scratch) deliver(verts []VertexInfo, network bool) (bytes int64) {
+// deliver files both wires into the next superstep's inboxes by a
+// counting pass — each inbox in its lane's wire order — and returns the
+// wires' size in bytes. With network set it also totals the bytes of
+// every (source node, destination node) link that crosses nodes into
+// linkBytes and lists those links in first-use order, the boxed wire
+// before the float wire.
+func (s *scratch) deliver(network bool) (bytes int64) {
 	for _, l := range s.links {
 		s.linkBytes[l] = 0
 	}
 	s.links = s.links[:0]
 	nl := int32(len(s.live))
+	book := func(src, dst int32, size int64) {
+		bytes += size
+		if dn := s.hslot[dst]; network && dn != src {
+			l := src*nl + dn
+			if s.linkBytes[l] == 0 { // a message is never empty
+				s.links = append(s.links, l)
+			}
+			s.linkBytes[l] += size
+		}
+	}
 
 	// Counting into off[dst+2] makes off[dst+1], after the prefix sum,
 	// the cursor the scatter advances from dst's start to its end —
@@ -379,19 +472,9 @@ func (s *scratch) deliver(verts []VertexInfo, network bool) (bytes int64) {
 	for w := range s.wire {
 		wm := &s.wire[w]
 		off[int(wm.dst)+2]++
-		size := messageSize(verts[wm.dst].ID, wm.tag, wm.val)
-		bytes += size
-		if dn := s.hslot[wm.dst]; network && dn != wm.src {
-			l := wm.src*nl + dn
-			if s.linkBytes[l] == 0 { // a message is never empty
-				s.links = append(s.links, l)
-			}
-			s.linkBytes[l] += size
-		}
+		book(wm.src, wm.dst, int64(s.idSize[wm.dst])+boxedTail(wm.tag, wm.val))
 	}
-	for d := 2; d < len(off); d++ {
-		off[d] += off[d-1]
-	}
+	prefixSum(off, len(s.wire))
 	msgs := s.next.msgs
 	if len(s.wire) < len(msgs) {
 		clear(msgs[len(s.wire):])
@@ -404,7 +487,35 @@ func (s *scratch) deliver(verts []VertexInfo, network bool) (bytes int64) {
 		*cur++
 	}
 	s.next.msgs = msgs
+
+	foff := s.next.foff
+	clear(foff)
+	for w := range s.fwire {
+		fw := &s.fwire[w]
+		foff[int(fw.dst)+2]++
+		book(fw.src, fw.dst, int64(s.idSize[fw.dst])+floatTail)
+	}
+	prefixSum(foff, len(s.fwire))
+	floats := sized(s.next.floats, len(s.fwire))
+	for w := range s.fwire {
+		fw := &s.fwire[w]
+		cur := &foff[int(fw.dst)+1]
+		floats[*cur] = fw.f
+		*cur++
+	}
+	s.next.floats = floats
 	return bytes
+}
+
+// prefixSum turns the counts of off[2:], which add up to total, into
+// running totals. All-zero counts are their own.
+func prefixSum(off []int32, total int) {
+	if total == 0 {
+		return
+	}
+	for d := 2; d < len(off); d++ {
+		off[d] += off[d-1]
+	}
 }
 
 // linkFlows returns the superstep's network traffic as deliver totalled

@@ -5,21 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/writable"
 )
-
-// firstCombiner merges without allocating, so an allocation count is
-// the engine's and the pricing layers' alone.
-type firstCombiner struct{}
-
-func (firstCombiner) Combine(a, b writable.Writable) writable.Writable { return a }
-
-// quietScatter is scatterProgram with the allocation-free combiner: its
-// Compute sends one shared boxed value and sums floats.
-type quietScatter struct{ *scatterProgram }
-
-func (p quietScatter) Combiner() Combiner { return firstCombiner{} }
 
 func warmAllocs(t *testing.T, e *Engine, prog Program, opt *RunOptions) float64 {
 	t.Helper()
@@ -31,9 +17,11 @@ func warmAllocs(t *testing.T, e *Engine, prog Program, opt *RunOptions) float64 
 	})
 }
 
-// TestRunWarmAllocations pins the pooled scratch: once the pool is warm
-// a run allocates nothing per vertex or per message. What remains is the
-// Result and the per-superstep pricing calls into simcluster and simnet.
+// TestRunWarmAllocations pins the pooled scratch and the float lane: once
+// the pool is warm a run of PageRank's message shape — float sends, a
+// FloatSum combiner — allocates nothing per vertex or per message. What
+// remains is the Result and the per-superstep pricing calls into
+// simcluster and simnet.
 func TestRunWarmAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -41,7 +29,7 @@ func TestRunWarmAllocations(t *testing.T) {
 	// On one node, in local mode, the pricing is two Schedule calls of
 	// three small slices each: the whole run stays under the bound.
 	one := benchCluster().Subset([]int{0})
-	solo := warmAllocs(t, NewEngine(one), quietScatter{newScatter(2000, 5, 1, 1)}, &RunOptions{Workers: 1, Local: true})
+	solo := warmAllocs(t, NewEngine(one), newScatter(2000, 5, 1, 1), &RunOptions{Workers: 1, Local: true})
 	if solo > 16 {
 		t.Errorf("warm local run of 2000 vertices allocates %.1f objects, want at most 16", solo)
 	}
@@ -51,8 +39,8 @@ func TestRunWarmAllocations(t *testing.T) {
 	// average and the slack absorb.
 	for _, workers := range []int{1, 2} {
 		opt := &RunOptions{Workers: workers}
-		small := warmAllocs(t, NewEngine(benchCluster()), quietScatter{newScatter(12, 5, 12, 1)}, opt)
-		large := warmAllocs(t, NewEngine(benchCluster()), quietScatter{newScatter(2000, 5, 12, 1)}, opt)
+		small := warmAllocs(t, NewEngine(benchCluster()), newScatter(12, 5, 12, 1), opt)
+		large := warmAllocs(t, NewEngine(benchCluster()), newScatter(2000, 5, 12, 1), opt)
 		if large > small+2 {
 			t.Errorf("workers=%d: warm run allocates %.1f objects at 2000 vertices, %.1f at 12: want no growth", workers, large, small)
 		}
@@ -137,7 +125,7 @@ func TestRunAfterFailedRunIsClean(t *testing.T) {
 	type outcome struct {
 		res   Result
 		ran   [scriptSteps + 1][]bool
-		inbox [scriptSteps + 1][][]Message
+		inbox [scriptSteps + 1][]Inbox
 	}
 	goodRun := func(e *Engine) outcome {
 		prog := genScript(3, true)

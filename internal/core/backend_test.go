@@ -172,7 +172,7 @@ func (p *modelessProgram) Vertices() []bsp.VertexInfo {
 	return []bsp.VertexInfo{{ID: "v", Home: 0}}
 }
 
-func (p *modelessProgram) Compute(step, v int, msgs []bsp.Message, s bsp.Sender) (bool, error) {
+func (p *modelessProgram) Compute(step, v int, in bsp.Inbox, s bsp.Sender) (bool, error) {
 	return true, nil
 }
 

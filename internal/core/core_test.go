@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/simcluster"
-	"repro/internal/simtime"
 	"repro/internal/trace"
 	"repro/internal/writable"
 )
@@ -381,10 +380,18 @@ func TestSubProblemsSharingAGroupRunBackToBack(t *testing.T) {
 	if want := res.BEIterations * (parts - groups); abutting != want {
 		t.Errorf("%d sub-problems start where their group's previous one ended, want %d", abutting, want)
 	}
-	bd := tr.CriticalPath()
-	merges := simtime.Duration(res.BEIterations) * rt.Engine().CostModelValue().JobOverhead
-	if math.Abs(float64(bd.Idle-merges)) > eps {
-		t.Errorf("critical path idle %.6fs, want the merges' overhead %.6fs\n%s", float64(bd.Idle), float64(merges), bd.Render())
+	// Every second of the run is some span's, the merges' overhead too.
+	if bd := tr.CriticalPath(); math.Abs(float64(bd.Idle)) > eps {
+		t.Errorf("critical path idle %.6fs, want 0\n%s", float64(bd.Idle), bd.Render())
+	}
+}
+
+// TestMergeOverheadUntracedAllocatesNothing: charging a merge's overhead
+// builds its span only for a tracer.
+func TestMergeOverheadUntracedAllocatesNothing(t *testing.T) {
+	rt := testRuntime()
+	if allocs := testing.AllocsPerRun(10, func() { rt.chargeMergeOverhead("app") }); allocs != 0 {
+		t.Errorf("untraced merge overhead allocates %.1f objects, want 0", allocs)
 	}
 }
 

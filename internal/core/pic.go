@@ -725,7 +725,7 @@ func (s *PICStepper) beStep() (bool, error) {
 			}
 			// Like the flat centralized merge, the tree merge still runs
 			// under the framework: one job overhead per iteration.
-			rt.AdvanceTime(rt.Engine().CostModelValue().JobOverhead)
+			rt.chargeMergeOverhead(app.Name())
 		} else {
 			var gather []simnet.Flow
 			for i, part := range parts {
@@ -744,7 +744,7 @@ func (s *PICStepper) beStep() (bool, error) {
 			// The centralized merge still runs under the framework, so
 			// each best-effort iteration pays one job overhead on top
 			// of the gather/scatter flows charged above.
-			rt.AdvanceTime(rt.Engine().CostModelValue().JobOverhead)
+			rt.chargeMergeOverhead(app.Name())
 		}
 		res.MergeCrossRackBytes += fabric.Counters().CrossRack - crossBefore
 		rt.WriteModel(app.Name()+"-be", merged)

@@ -242,6 +242,20 @@ func (rt *Runtime) AdvanceTime(d simtime.Duration) {
 	rt.syncFaults()
 }
 
+// chargeMergeOverhead advances the clock by the job overhead a merge
+// run under the framework pays, and records the time as an overhead
+// span so the critical path attributes it rather than calling it idle.
+func (rt *Runtime) chargeMergeOverhead(app string) {
+	start := rt.now()
+	rt.AdvanceTime(rt.Engine().CostModelValue().JobOverhead)
+	if rt.tracer != nil {
+		rt.tracer.Record(trace.Event{
+			Kind: trace.KindOverhead, Name: app + "-merge/overhead", Start: start, End: rt.now(),
+			Lane: rt.lane, Parent: rt.span,
+		})
+	}
+}
+
 // AddMetrics folds externally measured metrics (e.g. a sub-runtime's)
 // into this runtime's accumulator without advancing the clock.
 func (rt *Runtime) AddMetrics(m mapred.Metrics) { rt.metrics.Add(m) }

@@ -254,7 +254,9 @@ func (t *Tracer) CriticalPath() Breakdown {
 		}
 		covered = mergeIntervals(append(covered, ivs...))
 	}
-	bd.Idle = bd.Total - attributed
+	// The categories cover disjoint parts of the extent, so a negative
+	// remainder is the rounding of their sum.
+	bd.Idle = max(bd.Total-attributed, 0)
 	return bd
 }
 
