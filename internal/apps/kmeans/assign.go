@@ -234,6 +234,9 @@ type packedPoints struct {
 	// names the same records twice is the exception this covers.
 	mu   sync.Mutex
 	memo assignMemo
+	// rows is the scratch MapInto accumulates its (sum..., count) rows
+	// in, kept so a steady-state iteration allocates nothing here.
+	rows []float64
 }
 
 // SizeBytes implements mapred.SplitDerived: the packed points only. The

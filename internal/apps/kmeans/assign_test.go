@@ -45,9 +45,10 @@ func pointSplits(groups ...[]linalg.Vector) [][]mapred.Record {
 
 // checkPrunedSequence drives one memo-carrying packedPoints per split
 // through the centroid sets in order and, after every set, holds
-// MapSplit, the memo's indices and FuseLocal against the cold pipeline.
-// fuseFirst[i] makes step i call FuseLocal before MapSplit, so each
-// kernel meets real drift on some steps and a repeated model on others.
+// MapInto's partial rows and counts, the memo's indices and FuseLocal
+// against the cold pipeline. fuseFirst[i] makes step i call FuseLocal
+// before MapInto, so each kernel meets real drift on some steps and a
+// repeated model on others.
 func checkPrunedSequence(t testing.TB, splits [][]mapred.Record, models []*model.Model, fuseFirst func(step int) bool) {
 	t.Helper()
 	var proto iterMapper
@@ -58,7 +59,8 @@ func checkPrunedSequence(t testing.TB, splits [][]mapred.Record, models []*model
 		}
 	}
 	for step, m := range models {
-		mp := &iterMapper{cs: centroidsOf(m)}
+		into := m.Clone()
+		mp := newIterMapper(m, into)
 		var coldAll []mapred.Record
 		var coldErr error
 		cold := make([][]mapred.Record, len(splits))
@@ -71,31 +73,36 @@ func checkPrunedSequence(t testing.TB, splits [][]mapred.Record, models []*model
 			cold[i] = ems
 			coldAll = append(coldAll, ems...)
 		}
-		checkMapSplit := func() {
+		checkMapInto := func() {
 			for i, recs := range splits {
 				pp := pps[i].(*packedPoints)
-				var em recordList
-				preRecs, preBytes, err := mp.MapSplit(pp, m, &em)
+				var part mapred.Partial
+				preRecs, preBytes, err := mp.MapInto(pp, m, into, &part)
 				if declined := errors.Is(err, mapred.ErrFusedUnsupported); declined != (pp.dims != mp.cs.dims && len(mp.cs.keys) > 0) {
-					t.Fatalf("step %d split %d: MapSplit declined=%v with point dims %d, model dims %d", step, i, declined, pp.dims, mp.cs.dims)
+					t.Fatalf("step %d split %d: MapInto declined=%v with point dims %d, model dims %d", step, i, declined, pp.dims, mp.cs.dims)
 				} else if declined {
 					continue
 				}
 				if cold[i] == nil {
 					if err == nil {
-						t.Fatalf("step %d split %d: MapSplit succeeded where the cold map fails", step, i)
+						t.Fatalf("step %d split %d: MapInto succeeded where the cold map fails", step, i)
 					}
 					continue
 				}
 				if err != nil {
-					t.Fatalf("step %d split %d: MapSplit: %v", step, i, err)
+					t.Fatalf("step %d split %d: MapInto: %v", step, i, err)
 				}
-				want, err := mapred.RunGrouped(sumReducer{}, cold[i], m)
+				want, err := mapred.RunGrouped(mapred.VectorSum{}, cold[i], m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(encodeRecords(em), encodeRecords(want)) {
-					t.Fatalf("step %d split %d: MapSplit emitted\n%v\ncold combine\n%v", step, i, em, want)
+				got := make([]mapred.Record, part.Len())
+				for r := range got {
+					slot, row := part.Row(r)
+					got[r] = mapred.Record{Key: into.Schema().Key(slot), Value: writable.Vector(row)}
+				}
+				if !bytes.Equal(encodeRecords(got), encodeRecords(want)) {
+					t.Fatalf("step %d split %d: MapInto's partial holds\n%v\ncold combine\n%v", step, i, got, want)
 				}
 				if preRecs != int64(len(cold[i])) || preBytes != mapred.RecordsSize(cold[i]) {
 					t.Fatalf("step %d split %d: pre-combine %d records / %d bytes, cold %d / %d",
@@ -124,7 +131,7 @@ func checkPrunedSequence(t testing.TB, splits [][]mapred.Record, models []*model
 			if err != nil {
 				t.Fatalf("step %d: FuseLocal: %v", step, err)
 			}
-			want, err := mapred.RunGrouped(centroidReducer{}, coldAll, m)
+			want, err := mapred.RunGrouped(mapred.VectorSum{Then: mean}, coldAll, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,9 +144,9 @@ func checkPrunedSequence(t testing.TB, splits [][]mapred.Record, models []*model
 		}
 		if fuseFirst(step) {
 			checkFuseLocal()
-			checkMapSplit()
+			checkMapInto()
 		} else {
-			checkMapSplit()
+			checkMapInto()
 			checkFuseLocal()
 		}
 	}
@@ -422,9 +429,9 @@ func TestPrunedAssignTable(t *testing.T) {
 }
 
 // stepOutcome is what one job of a sequence produced, in comparable
-// form.
+// form: the encoded model it wrote into, or its error, and its Metrics.
 type stepOutcome struct {
-	Records []byte
+	Model   []byte
 	Err     string
 	Metrics mapred.Metrics
 }
@@ -434,9 +441,9 @@ type stepOutcome struct {
 // family of the given per-node budget, or cold when budget is 0 — and
 // returns every job's outcome and the family's final counters. disturb,
 // if set, is handed the family before each step; job builds each step's
-// job.
+// job from its model and a copy of it to write into.
 func runSequence(t *testing.T, recs []mapred.Record, models []*model.Model, workers int, budget int64,
-	disturb func(step int, f *mapred.JobFamily), job func(*model.Model) *mapred.Job) ([]stepOutcome, mapred.FamilyStats) {
+	disturb func(step int, f *mapred.JobFamily), job func(m, into *model.Model) *mapred.Job) ([]stepOutcome, mapred.FamilyStats) {
 	t.Helper()
 	cluster := simcluster.New(simcluster.Small())
 	e := mapred.NewEngine(cluster)
@@ -446,12 +453,15 @@ func runSequence(t *testing.T, recs []mapred.Record, models []*model.Model, work
 	}
 	in := mapred.NewInput(recs, cluster, 12)
 	var outcomes []stepOutcome
-	note := func(out *mapred.Output, met mapred.Metrics, err error) {
+	note := func(into *model.Model, out *mapred.Output, met mapred.Metrics, err error) {
 		o := stepOutcome{Metrics: met}
 		if err != nil {
 			o.Err = err.Error()
 		} else {
-			o.Records = encodeRecords(out.Records)
+			if out.Records != nil {
+				t.Fatalf("a job with Into output %d records", len(out.Records))
+			}
+			o.Model = into.Encode(nil)
 		}
 		outcomes = append(outcomes, o)
 	}
@@ -459,8 +469,12 @@ func runSequence(t *testing.T, recs []mapred.Record, models []*model.Model, work
 		if disturb != nil {
 			disturb(step, e.Family)
 		}
-		note(e.Run(job(m), in, m))
-		note(e.RunLocal(job(m), in, m))
+		into := m.Clone()
+		out, met, err := e.Run(job(m, into), in, m)
+		note(into, out, met, err)
+		into = m.Clone()
+		out, met, err = e.RunLocal(job(m, into), in, m)
+		note(into, out, met, err)
 	}
 	if e.Family == nil {
 		return outcomes, mapred.FamilyStats{}
@@ -473,9 +487,9 @@ func runSequence(t *testing.T, recs []mapred.Record, models []*model.Model, work
 // between calls.
 type memoWipingMapper struct{ *iterMapper }
 
-func (w memoWipingMapper) MapSplit(d mapred.SplitDerived, m *model.Model, emit mapred.Emitter) (int64, int64, error) {
+func (w memoWipingMapper) MapInto(d mapred.SplitDerived, m, into *model.Model, part *mapred.Partial) (int64, int64, error) {
 	d.(*packedPoints).memo = assignMemo{}
-	return w.iterMapper.MapSplit(d, m, emit)
+	return w.iterMapper.MapInto(d, m, into, part)
 }
 
 func (w memoWipingMapper) FuseLocal(ds []mapred.SplitDerived, m, into *model.Model, par func(int, func(int)), emit mapred.Emitter) (int64, int64, error) {
@@ -489,15 +503,15 @@ func (w memoWipingMapper) FuseLocal(ds []mapred.SplitDerived, m, into *model.Mod
 // results must not depend on whether a split's memo is present. A run
 // left alone, a run whose family budget is so small that entries are
 // evicted between iterations and a run with Invalidate called mid-loop
-// all produce the same records and Metrics, step for step, as a cold
-// run; and under each disturbance the cache counters are exactly those
+// all write the same models and produce the same Metrics, step for
+// step, as a cold run; and under each disturbance the cache counters are exactly those
 // of a kernel that keeps no memo at all.
 func TestMemoIsObservationallyInvisible(t *testing.T) {
 	ps := data.GaussianMixture(5, 4_000, 6, 3, 100, 25)
 	recs := Records(ps.Points)
 	models := lloydTrajectory(ps.Points, InitialModel(ps.Points, 6), 8)
-	wiping := func(m *model.Model) *mapred.Job {
-		job := iterJob(m)
+	wiping := func(m, into *model.Model) *mapred.Job {
+		job := iterJob(m, into)
 		job.Mapper = memoWipingMapper{job.Mapper.(*iterMapper)}
 		return job
 	}
@@ -528,7 +542,7 @@ func TestMemoIsObservationallyInvisible(t *testing.T) {
 			memo, memoStats := runSequence(t, recs, models, workers, sc.budget, sc.disturb, iterJob)
 			none, noneStats := runSequence(t, recs, models, workers, sc.budget, sc.disturb, wiping)
 			if !reflect.DeepEqual(memo, cold) {
-				t.Errorf("workers=%d %s: records or Metrics differ from the cold run", workers, sc.name)
+				t.Errorf("workers=%d %s: models or Metrics differ from the cold run", workers, sc.name)
 			}
 			if !reflect.DeepEqual(none, cold) {
 				t.Errorf("workers=%d %s: the memo-less control differs from the cold run", workers, sc.name)

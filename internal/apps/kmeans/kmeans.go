@@ -208,51 +208,17 @@ func (cs *centroidSet) nearest(p []float64) (int, float64) {
 	return best, bestDist
 }
 
-// sumReducer aggregates (point..., count) accumulators component-wise;
-// it serves as both combiner and the first half of the reduce step.
-type sumReducer struct{}
-
-func (sumReducer) Reduce(key string, values []writable.Writable, _ *model.Model, emit mapred.Emitter) error {
-	acc := values[0].(writable.Vector).Clone()
-	for _, v := range values[1:] {
-		vec := v.(writable.Vector)
-		if len(vec) != len(acc) {
-			return fmt.Errorf("kmeans: accumulator length mismatch at %q", key)
-		}
-		vec = vec[:len(acc)] // bounds-check elimination in the sum loop
-		for i := range acc {
-			acc[i] += vec[i]
-		}
-	}
-	emit.Emit(key, acc)
-	return nil
-}
-
-// centroidReducer finishes the reduction: it sums accumulators and emits
-// the new centroid (sum / count).
-type centroidReducer struct{}
-
-func (centroidReducer) Reduce(key string, values []writable.Writable, m *model.Model, emit mapred.Emitter) error {
-	var agg sumCollector
-	if err := (sumReducer{}).Reduce(key, values, m, &agg); err != nil {
-		return err
-	}
-	acc := agg.acc
-	n := acc[len(acc)-1]
-	if n == 0 {
-		return fmt.Errorf("kmeans: zero count for centroid %q", key)
-	}
-	centroid := make(writable.Vector, len(acc)-1)
+// mean is the reducer's last step: a centroid's (sum..., count) row
+// divided through by its count.
+func mean(acc []float64) writable.Vector {
+	dims := len(acc) - 1
+	n := acc[dims]
+	centroid := make(writable.Vector, dims)
 	for i := range centroid {
 		centroid[i] = acc[i] / n
 	}
-	emit.Emit(key, centroid)
-	return nil
+	return centroid
 }
-
-type sumCollector struct{ acc writable.Vector }
-
-func (c *sumCollector) Emit(_ string, v writable.Writable) { c.acc = v.(writable.Vector) }
 
 // ShapeError reports an input record whose value cannot be measured
 // against the model's centroids: not a vector (PointDims -1), or a
@@ -272,18 +238,47 @@ func (e *ShapeError) Error() string {
 
 // iterMapper assigns each point to its nearest centroid. Beyond the
 // record-at-a-time Map, it implements the loop-aware capabilities
-// mapred.FusedMapper and mapred.LocalFuser: points are parsed once into
-// a packed array cached in the job family, and each iteration's
-// map+combine (or map+reduce) runs fused over it. Every fused path
-// accumulates in the exact floating-point order of the cold pipeline,
-// so outputs are byte-identical. That covers the assignment too: the
-// fused paths find each point's centroid through packedPoints.assign,
-// which skips the k-way scan only when remembered bounds prove the scan
-// would return the remembered index, and otherwise evaluates the same
-// distance expression Map's scan does (the argument is in assign.go) —
-// so whether a split's memo is present, cold, evicted or stale changes
-// how long an iteration takes and nothing else.
-type iterMapper struct{ cs *centroidSet }
+// mapred.IntoMapper and mapred.LocalFuser: points are parsed once into a
+// packed array cached in the job family, and each iteration's
+// map+combine (MapInto, one (sum..., count) row per centroid a split's
+// points reach, which the engine reduces by slot into the job's Into) or
+// map+reduce (FuseLocal) runs fused over it. Every fused path
+// accumulates in the exact floating-point order of the cold pipeline —
+// the VectorSum combiner's and reducer's copy-the-first-then-add — so
+// outputs are byte-identical. That covers the assignment too: the fused
+// paths find each point's centroid through packedPoints.assign, which
+// skips the k-way scan only when remembered bounds prove the scan would
+// return the remembered index, and otherwise evaluates the same distance
+// expression Map's scan does (the argument is in assign.go) — so whether
+// a split's memo is present, cold, evicted or stale changes how long an
+// iteration takes and nothing else.
+type iterMapper struct {
+	cs *centroidSet
+	// slots is the slot of each of cs.keys in the schema of the job's
+	// Into, nil without an Into or when a key is missing there, which
+	// declines MapInto.
+	slots []int32
+}
+
+// newIterMapper is the mapper of a job reading model m and reducing
+// into into (nil for none).
+func newIterMapper(m, into *model.Model) *iterMapper {
+	mp := &iterMapper{cs: centroidsOf(m)}
+	if into == nil {
+		return mp
+	}
+	schema := into.Schema()
+	mp.slots = make([]int32, len(mp.cs.keys))
+	for j, key := range mp.cs.keys {
+		s, ok := schema.Slot(key)
+		if !ok {
+			mp.slots = nil
+			break
+		}
+		mp.slots[j] = int32(s)
+	}
+	return mp
+}
 
 // Map implements mapred.Mapper — the cold path.
 func (mp *iterMapper) Map(key string, v writable.Writable, _ *model.Model, emit mapred.Emitter) error {
@@ -308,7 +303,7 @@ func (mp *iterMapper) Map(key string, v writable.Writable, _ *model.Model, emit 
 	return nil
 }
 
-// NewDerived implements mapred.FusedMapper/LocalFuser. Splits that are
+// NewDerived implements mapred.IntoMapper/LocalFuser. Splits that are
 // not uniform-dimension vectors decline fusion (nil): the cold path
 // handles them with its per-record shape checks.
 func (mp *iterMapper) NewDerived(recs []mapred.Record) mapred.SplitDerived {
@@ -331,22 +326,22 @@ func (mp *iterMapper) NewDerived(recs []mapred.Record) mapred.SplitDerived {
 	return &packedPoints{flat: flat, n: len(recs), dims: dims}
 }
 
-// MapSplit implements mapred.FusedMapper: map+combine over one split.
-// Per-key sums start from a copy of the first arriving accumulator and
-// add subsequent points in arrival order — exactly sumReducer's
-// values[0].Clone()-then-add sequence — and emissions walk cs.keys in
-// ascending (model) order, matching the sorted order the cold combiner
-// emits in.
-func (mp *iterMapper) MapSplit(d mapred.SplitDerived, _ *model.Model, emit mapred.Emitter) (int64, int64, error) {
+// MapInto implements mapred.IntoMapper for the job that reduces into
+// the next model: map+combine over one split. Each centroid's (sum...,
+// count) row starts as a copy of the first point assigned to it and
+// adds the rest in arrival order — the VectorSum combiner's sequence —
+// and every centroid some point reached adds its row to part under its
+// slot in into's schema.
+func (mp *iterMapper) MapInto(d mapred.SplitDerived, _, _ *model.Model, part *mapred.Partial) (int64, int64, error) {
 	pp := d.(*packedPoints)
 	cs := mp.cs
 	k := len(cs.keys)
 	if k == 0 {
 		return 0, 0, fmt.Errorf("kmeans: model has no centroids")
 	}
-	if pp.dims != cs.dims {
-		// The cold path reports the mismatch as a ShapeError (or scans a
-		// ragged model).
+	if part == nil || mp.slots == nil || pp.dims != cs.dims {
+		// A mismatched split is the cold path's ShapeError (or a scan
+		// of a ragged model).
 		return 0, 0, mapred.ErrFusedUnsupported
 	}
 	pp.mu.Lock()
@@ -356,44 +351,46 @@ func (mp *iterMapper) MapSplit(d mapred.SplitDerived, _ *model.Model, emit mapre
 		return 0, 0, fmt.Errorf("kmeans: model has no centroids")
 	}
 	width := pp.dims + 1
-	sums := make([]float64, k*width)
-	counts := make([]int64, k)
-	accumulate(sums, counts, pp, assign)
+	if cap(pp.rows) < k*width {
+		pp.rows = make([]float64, k*width)
+	}
+	rows := pp.rows[:k*width]
+	clear(rows)
+	accumulate(rows, pp, assign)
 	// Pre-combine accounting: the cold path emits one (key, point+count)
 	// record per point, so its intermediate bytes are Σ count_j·size_j.
-	scratch := make(writable.Vector, width)
+	valueBytes := int64(writable.VectorSize(width))
 	var preBytes int64
-	for j, c := range counts {
-		if c == 0 {
-			continue
+	for j := 0; j < k; j++ {
+		row := rows[j*width : (j+1)*width]
+		if n := row[pp.dims]; n != 0 {
+			preBytes += int64(n) * (mapred.KeySize(cs.keys[j]) + valueBytes)
+			part.AddRow(int(mp.slots[j]), row)
 		}
-		preBytes += c * mapred.Record{Key: cs.keys[j], Value: scratch}.Size()
-		emit.Emit(cs.keys[j], writable.Vector(sums[j*width:(j+1)*width]))
 	}
 	return int64(pp.n), preBytes, nil
 }
 
 // accumulate adds pp's points into their assigned centroids' (sum...,
-// count) rows in arrival order: a row starts as a copy of its first
-// point and adds the rest — sumReducer's values[0].Clone()-then-add
-// sequence.
-func accumulate(sums []float64, counts []int64, pp *packedPoints, assign []int32) {
+// count) rows, which start zeroed, in arrival order: a row starts as a
+// copy of its first point and adds the rest — VectorSum's
+// copy-the-first-then-add sequence. A row whose count is still 0 drew
+// no point.
+func accumulate(rows []float64, pp *packedPoints, assign []int32) {
 	dims := pp.dims
 	width := dims + 1
 	for r := 0; r < pp.n; r++ {
 		j := int(assign[r])
-		acc := sums[j*width : (j+1)*width]
+		acc := rows[j*width : (j+1)*width]
 		p := pp.flat[r*dims : (r+1)*dims]
-		if counts[j] == 0 {
+		if acc[dims] == 0 {
 			copy(acc, p)
-			acc[dims] = 1
 		} else {
 			for c, x := range p {
 				acc[c] += x
 			}
-			acc[dims]++
 		}
-		counts[j]++
+		acc[dims]++
 	}
 }
 
@@ -443,24 +440,17 @@ func (mp *iterMapper) FuseLocal(ds []mapred.SplitDerived, _, _ *model.Model, par
 		}
 	})
 	width := dims + 1
-	sums := make([]float64, k*width)
-	counts := make([]int64, k)
+	rows := make([]float64, k*width)
 	for i, pp := range pps {
 		if assign[i] == nil {
 			return 0, 0, mapred.ErrFusedUnsupported
 		}
-		accumulate(sums, counts, pp, assign[i])
+		accumulate(rows, pp, assign[i])
 	}
-	for j, c := range counts {
-		if c == 0 {
-			continue
+	for j := 0; j < k; j++ {
+		if row := rows[j*width : (j+1)*width]; row[dims] != 0 {
+			emit.Emit(cs.keys[j], mean(row))
 		}
-		centroid := make(writable.Vector, dims)
-		n := sums[j*width+dims]
-		for i := range centroid {
-			centroid[i] = sums[j*width+i] / n
-		}
-		emit.Emit(cs.keys[j], centroid)
 	}
 	return total, 0, nil
 }
@@ -468,32 +458,29 @@ func (mp *iterMapper) FuseLocal(ds []mapred.SplitDerived, _, _ *model.Model, par
 // The fused kernels' signatures, checked when the package builds: a
 // drifted one would only send every job down the cold path.
 var (
-	_ mapred.FusedMapper = (*iterMapper)(nil)
-	_ mapred.LocalFuser  = (*iterMapper)(nil)
+	_ mapred.IntoMapper = (*iterMapper)(nil)
+	_ mapred.LocalFuser = (*iterMapper)(nil)
 )
 
-// iterJob is one Lloyd iteration under model m as a MapReduce job.
-func iterJob(m *model.Model) *mapred.Job {
+// iterJob is one Lloyd iteration under model m as a MapReduce job
+// whose new centroids are written into into.
+func iterJob(m, into *model.Model) *mapred.Job {
 	return &mapred.Job{
 		Name:     "kmeans-iter",
-		Mapper:   &iterMapper{cs: centroidsOf(m)},
-		Combiner: sumReducer{},
-		Reducer:  centroidReducer{},
+		Mapper:   newIterMapper(m, into),
+		Combiner: mapred.VectorSum{},
+		Reducer:  mapred.VectorSum{Then: mean},
+		Into:     into,
 	}
 }
 
 // Iteration implements core.App: one MapReduce job assigning points to
-// centroids and recomputing them.
+// centroids and writing the recomputed ones into a copy of m, so
+// centroids that attracted no points keep their previous position.
 func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*model.Model, error) {
-	out, err := rt.RunJob(iterJob(m), in, m)
-	if err != nil {
-		return nil, err
-	}
-	// Assemble the next model; centroids that attracted no points keep
-	// their previous position.
 	next := m.Clone()
-	for _, rec := range out.Records {
-		next.Set(rec.Key, rec.Value)
+	if _, err := rt.RunJob(iterJob(m, next), in, m); err != nil {
+		return nil, err
 	}
 	return next, nil
 }

@@ -3,12 +3,17 @@ package kmeans
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/dfs"
 	"repro/internal/linalg"
+	"repro/internal/mapred"
 	"repro/internal/model"
+	"repro/internal/simcluster"
 	"repro/internal/writable"
 )
 
@@ -124,4 +129,69 @@ func BenchmarkAssignPruned(b *testing.B) {
 	b.ReportMetric(float64(decided.reevaluated)/visits, "onedist-share")
 	b.ReportMetric(float64(decided.scanned)/visits, "scan-share")
 	b.ReportMetric(float64(decided.scanDists)/float64(decided.scanned), "dists/scan")
+}
+
+// TestWarmIterationAllocsIndependentOfSplitCount pins the record-free
+// iteration: with the loop cache warm, an IC iteration allocates as
+// many objects over 6 splits as over 24 — nothing per split, point or
+// record. The collector is off, so the pools keep what they hold
+// between runs, and one P runs everything, so a pool never misses an
+// object another P holds.
+func TestWarmIterationAllocsIndependentOfSplitCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ps := data.GaussianMixture(11, 4_800, 5, 3, 100, 20)
+	allocs := func(splits int) float64 {
+		rt := testRuntime()
+		rt.Engine().Workers = 1
+		in := mapred.NewInput(Records(ps.Points), rt.Cluster(), splits)
+		app := New(5, 1e-9)
+		m := InitialModel(ps.Points, 5)
+		step := func() {
+			var err error
+			if m, err = app.Iteration(rt, in, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The first iterations stage the cache and fill the pools.
+		step()
+		step()
+		return testing.AllocsPerRun(5, step)
+	}
+	if small, large := allocs(6), allocs(24); small != large {
+		t.Errorf("a warm iteration allocates %.1f objects over 6 splits, %.1f over 24", small, large)
+	}
+}
+
+// BenchmarkIteration times one warm IC iteration — the loop cache
+// attached, so the job folds each split into centroid rows and reduces
+// them by slot into the next model — at the kmeans_fig2 geometry (k =
+// 25, 3-D, 500-point splits) on the 64-node cluster. Each call steps
+// from the previous one's model, back to the start every 20 steps so a
+// long run does not settle into the zero-drift path.
+func BenchmarkIteration(b *testing.B) {
+	const n, k = 40_000, 25
+	ps := data.GaussianMixture(11, n, k, 3, 100, 0.2*200/math.Cbrt(k))
+	rt := core.NewRuntime(simcluster.New(simcluster.Medium()), dfs.Config{Replication: 3, BlockSize: 64 << 20})
+	in := mapred.NewInput(Records(ps.Points), rt.Cluster(), n/500)
+	app := New(k, 1e-9)
+	m0 := InitialModel(ps.Points, k)
+	// The first iteration stages the cache.
+	m, err := app.Iteration(rt, in, m0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%20 == 19 {
+			m = m0
+		}
+		if m, err = app.Iteration(rt, in, m); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

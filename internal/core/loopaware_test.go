@@ -25,11 +25,15 @@ import (
 // warm run's simulated observables must match the cold run's exactly.
 
 // fusedMeanMapper is meanSeeker's mapper with the loop-aware fused
-// capabilities bolted on. Every arithmetic step reproduces the cold
-// pipeline's floating-point order exactly: the combiner clones the
-// first emitted value and adds the rest in arrival order, so the fused
-// kernels copy the first point and add the rest in record order.
-type fusedMeanMapper struct{}
+// capabilities bolted on, for the job that reduces by
+// mapred.VectorSum{Then: then} into a model holding "mean". Every
+// arithmetic step reproduces the cold pipeline's floating-point order
+// exactly: VectorSum copies the first emitted value and adds the rest
+// in arrival order, so the fused kernels copy the first point and add
+// the rest in record order.
+type fusedMeanMapper struct {
+	then func(sum []float64) writable.Vector
+}
 
 func (fusedMeanMapper) Map(_ string, v writable.Writable, _ *model.Model, emit mapred.Emitter) error {
 	p := v.(writable.Vector)
@@ -67,12 +71,13 @@ func (fusedMeanMapper) NewDerived(recs []mapred.Record) mapred.SplitDerived {
 	return pp
 }
 
-func (fusedMeanMapper) MapSplit(d mapred.SplitDerived, _ *model.Model, emit mapred.Emitter) (int64, int64, error) {
-	pp := d.(*packedMeanPoints)
-	acc := make(writable.Vector, pp.dims+1)
+// add folds pp's points, each with a count of 1, into acc in record
+// order: a nil acc starts as a copy of the first.
+func (pp *packedMeanPoints) add(acc writable.Vector) writable.Vector {
 	for i := 0; i < pp.n; i++ {
 		row := pp.flat[i*pp.dims : (i+1)*pp.dims]
-		if i == 0 {
+		if acc == nil {
+			acc = make(writable.Vector, pp.dims+1)
 			copy(acc, row)
 			acc[pp.dims] = 1
 		} else {
@@ -82,12 +87,21 @@ func (fusedMeanMapper) MapSplit(d mapred.SplitDerived, _ *model.Model, emit mapr
 			acc[pp.dims] += 1
 		}
 	}
+	return acc
+}
+
+func (fusedMeanMapper) MapInto(d mapred.SplitDerived, _, into *model.Model, part *mapred.Partial) (int64, int64, error) {
+	slot, ok := into.Schema().Slot("mean")
+	if part == nil || !ok {
+		return 0, 0, mapred.ErrFusedUnsupported
+	}
+	pp := d.(*packedMeanPoints)
+	part.AddRow(slot, pp.add(nil))
 	rec := mapred.Record{Key: "mean", Value: make(writable.Vector, pp.dims+1)}
-	emit.Emit("mean", acc)
 	return int64(pp.n), int64(pp.n) * rec.Size(), nil
 }
 
-func (fusedMeanMapper) FuseLocal(ds []mapred.SplitDerived, _, _ *model.Model, _ func(int, func(int)), emit mapred.Emitter) (int64, int64, error) {
+func (mp fusedMeanMapper) FuseLocal(ds []mapred.SplitDerived, _, _ *model.Model, _ func(int, func(int)), emit mapred.Emitter) (int64, int64, error) {
 	var acc writable.Vector
 	var total int64
 	dims := -1
@@ -98,52 +112,39 @@ func (fusedMeanMapper) FuseLocal(ds []mapred.SplitDerived, _, _ *model.Model, _ 
 		} else if pp.dims != dims {
 			return 0, 0, mapred.ErrFusedUnsupported
 		}
-		for i := 0; i < pp.n; i++ {
-			row := pp.flat[i*pp.dims : (i+1)*pp.dims]
-			if acc == nil {
-				acc = make(writable.Vector, pp.dims+1)
-				copy(acc, row)
-				acc[pp.dims] = 1
-			} else {
-				for j, x := range row {
-					acc[j] += x
-				}
-				acc[pp.dims] += 1
-			}
-			total++
-		}
+		acc = pp.add(acc)
+		total += int64(pp.n)
 	}
 	if acc != nil {
-		emit.Emit("mean", acc)
+		emit.Emit("mean", mp.then(acc))
 	}
 	return total, 0, nil
 }
 
 // fusedSeeker is meanSeeker with the fused mapper and loop-aware
-// partition layout reuse.
+// partition layout reuse: its job reduces by slot into the next model.
 type fusedSeeker struct{ meanSeeker }
 
 func (a *fusedSeeker) Iteration(rt *Runtime, in *mapred.Input, m *model.Model) (*model.Model, error) {
-	job := &mapred.Job{
-		Name:     "mean",
-		Mapper:   fusedMeanMapper{},
-		Combiner: sumReducer{},
-		Reducer:  sumReducer{},
-	}
-	out, err := rt.RunJob(job, in, m)
-	if err != nil {
-		return nil, err
-	}
 	cur, _ := m.Vector("mean")
-	next := model.New()
-	for _, rec := range out.Records {
-		acc := rec.Value.(writable.Vector)
+	move := func(acc []float64) writable.Vector {
 		n := acc[len(acc)-1]
 		moved := make(writable.Vector, len(acc)-1)
 		for i := range moved {
 			moved[i] = cur[i] + 0.5*(acc[i]/n-cur[i])
 		}
-		next.Set("mean", moved)
+		return moved
+	}
+	next := m.NewLike()
+	job := &mapred.Job{
+		Name:     "mean",
+		Mapper:   fusedMeanMapper{then: move},
+		Combiner: mapred.VectorSum{},
+		Reducer:  mapred.VectorSum{Then: move},
+		Into:     next,
+	}
+	if _, err := rt.RunJob(job, in, m); err != nil {
+		return nil, err
 	}
 	return next, nil
 }

@@ -94,7 +94,7 @@ type Engine struct {
 	// Family, when set, attaches the engine to a loop-aware job family:
 	// persistent per-node workers whose caches hold each split's
 	// loop-invariant bytes and derived structures across iterations, so
-	// mappers implementing FusedMapper/LocalFuser run over pre-parsed
+	// mappers implementing IntoMapper/LocalFuser run over pre-parsed
 	// input and only the model delta ships per iteration. Nil runs every
 	// job cold. The cache never changes simulated outcomes — outputs,
 	// Metrics and traced spans are byte-identical either way.
@@ -293,62 +293,24 @@ type Output struct {
 	ReducerNodes []int
 }
 
-// fusedMapTask runs one map task over its cached derived structure:
-// the fused kernel emits post-combine records in key order and reports
-// the pre-combine count/bytes the cold pipeline would have charged, so
-// costs and counters come out identical. Returns true when the task was
-// handled (success or hard error); false on ErrFusedUnsupported, which
-// sends the caller down the cold body.
-func (e *Engine) fusedMapTask(fm FusedMapper, d SplitDerived, i int, split Split, job *Job, m *model.Model,
-	cost CostModel, numReducers int, partition Partitioner,
-	mapCosts []float64, mapOutBytes, mapOutRecords []int64, mapParts [][][]Record, partSizes, partRecs [][]int64,
-	errs []error) bool {
-	em := getEmitter()
-	preRecs, preBytes, err := fm.MapSplit(d, m, em)
-	if err != nil {
-		putEmitter(em)
-		if errors.Is(err, ErrFusedUnsupported) {
-			return false
-		}
-		errs[i] = fmt.Errorf("job %q map task %d: %w", job.Name, i, err)
-		return true
-	}
-	mapOutBytes[i] = preBytes
-	mapOutRecords[i] = preRecs
-	mapCosts[i] = cost.mapTask(split, preBytes)
-	// Partition the combined records by the cold path's stable counted
-	// scatter, which cannot fail without a combiner. Key order within
-	// each partition stays ascending — a filtered subsequence of the
-	// kernel's sorted emission — exactly as the cold combiner leaves it.
-	parts, _ := PartitionAndCombine(nil, em.records, m, numReducers, partition)
-	putEmitter(em)
-	partSizes[i], partRecs[i] = partitionSizes(parts)
-	mapParts[i] = parts
-	return true
-}
-
-// partitionSizes is the encoded bytes and the record count of each of a
-// map task's post-combine partitions, computed once: the shuffle
-// counters, the shuffle flows and the reduce tasks' input counts all
-// read these tables instead of re-serializing.
-func partitionSizes(parts [][]Record) (sizes, counts []int64) {
-	r := len(parts)
-	buf := make([]int64, 2*r)
-	sizes, counts = buf[:r:r], buf[r:]
+// partitionSizes fills sizes and counts with the encoded bytes and the
+// record count of each of a map task's post-combine partitions,
+// computed once: the shuffle counters, the shuffle flows and the reduce
+// tasks' input counts all read these tables instead of re-serializing.
+func partitionSizes(parts [][]Record, sizes, counts []int64) {
 	for p, part := range parts {
 		sizes[p] = RecordsSize(part)
 		counts[p] = int64(len(part))
 	}
-	return sizes, counts
 }
 
 // stage acquires every split's derived form from the family, serially
 // in split order so cache counters and eviction are deterministic at any
 // Workers setting. homes[i] is split i's cache bucket (nil: its Home).
-// ds[i] is nil where build declined; with all set, the first decline
-// stops staging and returns ds == nil, for kernels that fuse a whole
-// job or none of it. warmBytes sums the hit splits' bytes.
-func (e *Engine) stage(in *Input, homes []int, build func([]Record) SplitDerived, all bool) (ds []SplitDerived, warmBytes int64) {
+// Kernels fuse a whole job or none of it, so the first split build
+// declines stops staging and returns ds == nil. warmBytes sums the hit
+// splits' bytes.
+func (e *Engine) stage(in *Input, homes []int, build func([]Record) SplitDerived) (ds []SplitDerived, warmBytes int64) {
 	ds = make([]SplitDerived, len(in.Splits))
 	for i, split := range in.Splits {
 		node := split.Home
@@ -356,7 +318,7 @@ func (e *Engine) stage(in *Input, homes []int, build func([]Record) SplitDerived
 			node = homes[i]
 		}
 		d, hit := e.Family.acquire(node, split.Records, split.Bytes, build)
-		if d == nil && all {
+		if d == nil {
 			return nil, 0
 		}
 		ds[i] = d
@@ -376,7 +338,7 @@ func (e *Engine) stage(in *Input, homes []int, build func([]Record) SplitDerived
 // task names a map task in errors.
 func (e *Engine) fuseInto(im IntoMapper, job *Job, in *Input, homes []int, m *model.Model, task string,
 	note func(i int, records, bytes int64)) (handled bool, err error) {
-	ds, warmBytes := e.stage(in, homes, im.NewDerived, true)
+	ds, warmBytes := e.stage(in, homes, im.NewDerived)
 	if ds == nil {
 		return false, nil
 	}
@@ -539,33 +501,36 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 	nSplits := len(in.Splits)
 	mapParts := make([][][]Record, nSplits) // split -> partition -> records
 	// split -> partition -> encoded bytes and record count, computed once
+	// into one slab per job
 	partTables := make([][]int64, 2*nSplits)
 	partSizes, partRecs := partTables[:nSplits], partTables[nSplits:]
+	slab := make([]int64, 2*nSplits*numReducers)
+	for i := range partTables {
+		partTables[i] = slab[i*numReducers : (i+1)*numReducers : (i+1)*numReducers]
+	}
 	mapOnlyOut := make([]*listEmitter, nSplits)
 	mapCosts := make([]float64, nSplits)
 	mapOutBytes := make([]int64, nSplits)
 	mapOutRecords := make([]int64, nSplits)
 	errs := make([]error, nSplits)
 
-	// ---- Loop-aware fusion: with a JobFamily attached and a mapper
-	// implementing FusedMapper, stage each split's derived structure in
-	// the family's per-node cache and run map+combine fused over it.
-	// Staging is serial, in split order, so cache counters and eviction
-	// are deterministic at any Workers setting; splits re-homed off a
-	// crashed node stage cold on the surviving replica (homes[i] keys
-	// the node bucket). The fused kernel's output is byte-identical to
-	// the record-at-a-time path by contract; splits whose derived form
-	// is unavailable or whose shape the kernel rejects fall back to the
-	// cold body below. A job with Into and an IntoMapper runs fused
-	// whole or not at all, before the map phase: a map-only one writes
-	// Into by slot, and one whose Reducer is a FloatSum folds each split
-	// into a partial and reduces by slot (into.go).
-	var fused FusedMapper
-	var deriveds []SplitDerived
+	// ---- Loop-aware fusion: a job with Into and an IntoMapper, with a
+	// JobFamily attached, runs fused whole or not at all, before the map
+	// phase, over each split's derived form staged in the family's
+	// per-node cache. Staging is serial, in split order, so cache
+	// counters and eviction are deterministic at any Workers setting;
+	// splits re-homed off a crashed node stage cold on the surviving
+	// replica (homes[i] keys the node bucket). A map-only job writes Into
+	// by slot; one whose Reducer is a FloatSum or a VectorSum folds each
+	// split into a partial and reduces by slot (into.go). Either is
+	// identical to the record-at-a-time path by contract, and a split
+	// whose derived form is unavailable or whose shape the kernel rejects
+	// sends the whole job down the cold body below.
 	intoDone := false
 	var partials []*Partial // the map tasks' partials of a job reducing by slot
 	var route *slotRoute
-	floatSum, sumsBySlot := job.Reducer.(FloatSum)
+	var rowWidth int
+	slotRed := bySlot(job.Reducer)
 	if im, ok := job.Mapper.(IntoMapper); ok && e.Family != nil && job.Into != nil {
 		var err error
 		switch {
@@ -574,14 +539,15 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 				mapOutRecords[i], mapOutBytes[i] = recs, bytes
 				mapCosts[i] = cost.mapTask(in.Splits[i], bytes)
 			})
-		case sumsBySlot && job.Combiner != nil && job.Partition == nil:
-			if partials, err = e.foldInto(im, job, in, homes, m); partials != nil {
+		case slotRed != nil && job.Combiner != nil && job.Partition == nil:
+			if partials, rowWidth, err = e.foldInto(im, slotRed, job, in, homes, m); partials != nil {
 				intoDone = true
 				route = e.Family.route(job.Into.Schema(), numReducers)
+				valueSize := slotRed.valueSize(rowWidth)
 				for i, p := range partials {
 					mapOutRecords[i], mapOutBytes[i] = p.records, p.bytes
 					mapCosts[i] = cost.mapTask(in.Splits[i], p.bytes)
-					partSizes[i], partRecs[i] = route.partition(p, numReducers)
+					route.partition(p, valueSize, partSizes[i], partRecs[i])
 				}
 			}
 		}
@@ -589,27 +555,11 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 			return nil, Metrics{}, err
 		}
 	}
-	if !intoDone && e.Family != nil && numReducers > 0 && job.Combiner != nil {
-		if fm, ok := job.Mapper.(FusedMapper); ok {
-			fused = fm
-			var warmBytes int64
-			deriveds, warmBytes = e.stage(in, homes, fm.NewDerived, false)
-			// A warm iteration ships only the sparse model delta to its
-			// workers; the hit splits' bytes are what it did not have
-			// to re-stage.
-			e.Family.noteWarm(job.Name, m, warmBytes)
-		}
-	}
 
 	// ---- Map phase: execute user code per split, partition and
 	// combine the output.
 	mapSplit := func(i int) {
 		split := in.Splits[i]
-		if fused != nil && deriveds[i] != nil &&
-			e.fusedMapTask(fused, deriveds[i], i, split, job, m, cost, numReducers, partition,
-				mapCosts, mapOutBytes, mapOutRecords, mapParts, partSizes, partRecs, errs) {
-			return
-		}
 		em := getEmitter()
 		if err := em.mapAll(job.Mapper, split.Records, m); err != nil {
 			errs[i] = fmt.Errorf("job %q map task %d: %w", job.Name, i, err)
@@ -632,7 +582,7 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 			errs[i] = fmt.Errorf("job %q combine task %d: %w", job.Name, i, err)
 			return
 		}
-		partSizes[i], partRecs[i] = partitionSizes(parts)
+		partitionSizes(parts, partSizes[i], partRecs[i])
 		mapParts[i] = parts
 	}
 	if !intoDone {
@@ -739,20 +689,23 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 	// partitions where the map tasks left them; their sizes and counts
 	// come from the tables filled during the map phase.
 	reduceValues := make([]int64, numReducers)
+	nFlows := 0 // the non-empty partitions, one shuffle flow each
 	for i := 0; i < nSplits; i++ {
 		for p := 0; p < numReducers; p++ {
 			metrics.ShuffleBytes += partSizes[i][p]
 			metrics.ShuffleRecords += partRecs[i][p]
 			reduceValues[p] += partRecs[i][p]
+			if partSizes[i][p] != 0 {
+				nFlows++
+			}
 		}
 	}
 
 	reduceOut := make([][]Record, numReducers)
 	reduceOutBytes := make([]int64, numReducers)
 	nOut := 0
-	var sums *slotSums // a job reducing by slot: the totals writeInto delivers
 	if partials != nil {
-		sums, nOut = reduceInto(partials, route, reduceOutBytes)
+		nOut = reduceInto(partials, rowWidth, route, slotRed, job.Into, reduceOutBytes)
 		putPartials(partials)
 	} else {
 		rerrs := make([]error, numReducers)
@@ -831,7 +784,7 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 
 	// ---- Shuffle: post-combine partitions travel from the node each
 	// map task ran on to the node its reduce task runs on.
-	var shuffleFlows []simnet.Flow
+	shuffleFlows := make([]simnet.Flow, 0, nFlows)
 	for i := 0; i < nSplits; i++ {
 		for p := 0; p < numReducers; p++ {
 			sz := partSizes[i][p]
@@ -862,8 +815,7 @@ func (e *Engine) RunAt(job *Job, in *Input, m *model.Model, start simtime.Time) 
 		metrics.OutputBytes += reduceOutBytes[p]
 	}
 	var out *Output
-	if sums != nil {
-		sums.writeInto(job.Into, floatSum)
+	if partials != nil {
 		out = &Output{ReducerNodes: nodes}
 	} else {
 		out = job.Deliver(reduceOut, nodes)

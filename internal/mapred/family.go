@@ -45,28 +45,9 @@ type SplitDerived interface {
 
 // ErrFusedUnsupported is returned by a fused kernel that cannot handle
 // the shape of a particular split or model (ragged dimensions, empty
-// model). The engine then falls back to the record-at-a-time path for
-// that split, which produces byte-identical output by construction.
+// model). The engine then runs the whole job on the record-at-a-time
+// path, which produces byte-identical output by construction.
 var ErrFusedUnsupported = errors.New("mapred: fused kernel does not support this split/model shape")
-
-// FusedMapper is the optional capability a Mapper implements to run the
-// framework path's map+combine fused over a whole split. The contract is
-// strict byte-identity: MapSplit must emit exactly the records the
-// record-at-a-time Map → partition → Combiner pipeline would produce,
-// in ascending key order, and report the pre-combine emission count and
-// encoded bytes that pipeline would have charged.
-type FusedMapper interface {
-	Mapper
-	// NewDerived parses a split's records into the cacheable form
-	// MapSplit consumes. Returning nil declares the records unsuitable
-	// (the engine runs that split cold and caches nothing).
-	NewDerived(recs []Record) SplitDerived
-	// MapSplit runs map+combine over one split. preRecords/preBytes are
-	// the pre-combine emission count and encoded size the cold pipeline
-	// would have produced — the engine charges map costs and
-	// MapOutput counters from them.
-	MapSplit(d SplitDerived, m *model.Model, emit Emitter) (preRecords, preBytes int64, err error)
-}
 
 // LocalFuser is the optional capability a Mapper implements to run
 // RunLocal's map+reduce fused across all splits. par schedules f(i) for
@@ -84,7 +65,8 @@ type FusedMapper interface {
 // into stays correct.
 type LocalFuser interface {
 	Mapper
-	// NewDerived as in FusedMapper; nil opts the whole job out.
+	// NewDerived parses a split's records into the cacheable form the
+	// kernel consumes; nil opts the whole job out.
 	NewDerived(recs []Record) SplitDerived
 	FuseLocal(ds []SplitDerived, m, into *model.Model, par func(n int, f func(int)), emit Emitter) (mapEmits, written int64, err error)
 }
@@ -103,21 +85,22 @@ type LocalFuser interface {
 //     leaves there. The engine calls MapInto serially in split order,
 //     so a kernel writes into without locks; the cold path re-Sets every
 //     record, so a partial write cannot show.
-//   - A job whose Reducer is a FloatSum, with a Combiner and the default
-//     partitioner: MapInto folds the split into part. For every record
-//     the split's Map → Combiner pipeline outputs, in that output's
-//     (ascending key) order, it adds the slot of the record's key in
-//     into's schema and the record's Float64 value. into is only read,
-//     and the engine may run splits concurrently. The engine prices the
-//     shuffle and reduce from part and writes the reducer's output into
-//     Into itself (see into.go).
+//   - A job whose Reducer is a FloatSum or a VectorSum, with a Combiner
+//     and the default partitioner: MapInto folds the split into part.
+//     For every record the split's Map → Combiner pipeline outputs it
+//     adds, once, the slot of the record's key in into's schema and the
+//     record's value: a Float64 with Add, a Vector with AddRow, every
+//     Vector of the job of one length. into is only read, and the engine
+//     may run splits concurrently. The engine prices the shuffle and
+//     reduce from part and writes the reducer's output into Into itself
+//     (see into.go).
 //
 // records and bytes are the count and encoded size of the records Map
 // emits for the split, before any combiner — the engine charges map
 // costs and output counters from them.
 type IntoMapper interface {
 	Mapper
-	// NewDerived as in FusedMapper; nil opts the whole job out.
+	// NewDerived as in LocalFuser; nil opts the whole job out.
 	NewDerived(recs []Record) SplitDerived
 	// MapInto runs one split's map toward into, the job's Into, reading
 	// m, the job's model.

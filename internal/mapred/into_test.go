@@ -54,12 +54,26 @@ func intoBase() *model.Model {
 // under slot n mod 16's key and n·scale+1 under slot 3n mod 16's — so
 // in a map-only job later records overwrite earlier ones and order
 // matters, and in a job that sums by key the values add up in arrival
-// order. It implements IntoMapper in both forms and LocalFuser;
-// NewDerived declines a split starting at declineAt, and MapInto and
-// FuseLocal reject one starting at rejectAt, after writing it.
+// order. With vector set each value is the Vector (v, -0) instead of
+// the Float64 v, whose second component stays -0 only when its sum
+// starts from the first value. It implements IntoMapper in both forms
+// and LocalFuser; NewDerived declines a split starting at declineAt,
+// and MapInto and FuseLocal reject one starting at rejectAt, after
+// writing it.
 type toyInto struct {
 	declineAt, rejectAt string
+	vector              bool
 	mapped, fused       atomic.Int64
+}
+
+var negZero = math.Copysign(0, -1)
+
+// toyValue is the value the toy emits for v.
+func (mp *toyInto) toyValue(v float64) writable.Writable {
+	if mp.vector {
+		return writable.Vector{v, negZero}
+	}
+	return writable.Float64(v)
 }
 
 // target is the j-th (slot, value) a record holding n writes.
@@ -75,7 +89,7 @@ func (mp *toyInto) Map(_ string, v writable.Writable, m *model.Model, emit Emitt
 	scale, _ := m.Float("scale")
 	for j := 0; j < 2; j++ {
 		slot, val := target(int64(v.(writable.Int64)), scale, j)
-		emit.Emit(intoKey(slot), writable.Float64(val))
+		emit.Emit(intoKey(slot), mp.toyValue(val))
 	}
 	return nil
 }
@@ -101,15 +115,24 @@ func (mp *toyInto) NewDerived(recs []Record) SplitDerived {
 
 // fold adds the split's emissions into sums by slot, in emission order,
 // marking the slots it touched, and returns Map's record count and
-// bytes.
-func (d *toySplit) fold(scale float64, sums *[intoKeys]float64, touched *[intoKeys]bool) (records, bytes int64) {
+// bytes: FloatSum's fold, from +0, or with vector VectorSum's, from a
+// copy of the first value.
+func (d *toySplit) fold(mp *toyInto, scale float64, sums *[intoKeys][2]float64, touched *[intoKeys]bool) (records, bytes int64) {
 	for _, n := range d.ns {
 		for j := 0; j < 2; j++ {
 			slot, val := target(n, scale, j)
-			sums[slot] += val
+			switch {
+			case !mp.vector:
+				sums[slot][0] += val
+			case !touched[slot]:
+				sums[slot] = [2]float64{val, negZero}
+			default:
+				sums[slot][0] += val
+				sums[slot][1] += negZero
+			}
 			touched[slot] = true
 			records++
-			bytes += Record{Key: intoKey(slot), Value: writable.Float64(val)}.Size()
+			bytes += Record{Key: intoKey(slot), Value: mp.toyValue(val)}.Size()
 		}
 	}
 	return records, bytes
@@ -121,14 +144,18 @@ func (mp *toyInto) MapInto(d SplitDerived, m, into *model.Model, part *Partial) 
 	scale, _ := m.Float("scale")
 	var records, bytes int64
 	if part != nil {
-		// The split's combined records: each touched key's sum from +0,
-		// in key order — which is slot order.
-		var sums [intoKeys]float64
+		// The split's combined records: each touched key's sum, in key
+		// order — which is slot order.
+		var sums [intoKeys][2]float64
 		var touched [intoKeys]bool
-		records, bytes = sd.fold(scale, &sums, &touched)
+		records, bytes = sd.fold(mp, scale, &sums, &touched)
 		for slot, t := range touched {
-			if t {
-				part.Add(slot, sums[slot])
+			switch {
+			case !t:
+			case mp.vector:
+				part.AddRow(slot, sums[slot][:])
+			default:
+				part.Add(slot, sums[slot][0])
 			}
 		}
 	} else {
@@ -150,18 +177,23 @@ func (mp *toyInto) MapInto(d SplitDerived, m, into *model.Model, part *Partial) 
 func (mp *toyInto) FuseLocal(ds []SplitDerived, m, into *model.Model, _ func(int, func(int)), _ Emitter) (int64, int64, error) {
 	mp.fused.Add(1)
 	scale, _ := m.Float("scale")
-	var sums [intoKeys]float64
+	var sums [intoKeys][2]float64
 	var touched [intoKeys]bool
 	var mapEmits, written int64
 	for _, d := range ds {
-		records, _ := d.(*toySplit).fold(scale, &sums, &touched)
+		records, _ := d.(*toySplit).fold(mp, scale, &sums, &touched)
 		mapEmits += records
 	}
 	for slot, t := range touched {
-		if t {
-			into.SetFloatAt(slot, toyThen(sums[slot]))
-			written++
+		switch {
+		case !t:
+			continue
+		case mp.vector:
+			into.SetAt(slot, toyThenVector(sums[slot][:]))
+		default:
+			into.SetFloatAt(slot, toyThen(sums[slot][0]))
 		}
+		written++
 	}
 	for _, d := range ds {
 		if d.(*toySplit).first == mp.rejectAt {
@@ -174,8 +206,15 @@ func (mp *toyInto) FuseLocal(ds []SplitDerived, m, into *model.Model, _ func(int
 // toyThen is the toy reduce job's FloatSum.Then.
 func toyThen(sum float64) float64 { return 2*sum - 1 }
 
-// toyJobs are the toy job's two shapes: map-only, and summed by key
-// into toyThen of each sum.
+// toyThenVector is the toy vector job's VectorSum.Then: toyThen of the
+// first component, the second kept, and the first again — one longer
+// than the rows, so output sizes come from what Then returns.
+func toyThenVector(sum []float64) writable.Vector {
+	return writable.Vector{toyThen(sum[0]), sum[1], sum[0]}
+}
+
+// toyJobs are the toy job's shapes: map-only, summed by key into
+// toyThen of each sum, and its vector form summed by VectorSum.
 var toyJobs = []struct {
 	name string
 	job  func(mp *toyInto, into *model.Model) *Job
@@ -185,6 +224,10 @@ var toyJobs = []struct {
 	}},
 	{"reduce", func(mp *toyInto, into *model.Model) *Job {
 		return &Job{Name: "toy", Mapper: mp, Combiner: FloatSum{}, Reducer: FloatSum{Then: toyThen}, Into: into}
+	}},
+	{"reduce-vector", func(mp *toyInto, into *model.Model) *Job {
+		mp.vector = true
+		return &Job{Name: "toy", Mapper: mp, Combiner: VectorSum{}, Reducer: VectorSum{Then: toyThenVector}, Into: into}
 	}},
 }
 
@@ -275,7 +318,7 @@ func TestIntoMatchesAppliedRecords(t *testing.T) {
 
 // TestIntoWarmIterationBooksDelta pins the fused path's cache
 // accounting: the second run over the same splits hits every split and
-// books the shipped model against them, as FusedMapper jobs do.
+// books the shipped model against them, as every fused job does.
 func TestIntoWarmIterationBooksDelta(t *testing.T) {
 	in := intoInput()
 	for _, r := range intoRunners {
@@ -382,5 +425,126 @@ func TestFloatSum(t *testing.T) {
 	if _, err := RunGrouped(FloatSum{}, []Record{{Key: "k", Value: writable.Text("x")}}, nil); err == nil ||
 		!strings.Contains(err.Error(), "not a Float64") {
 		t.Errorf("a Text value: err = %v, want the kind error", err)
+	}
+}
+
+// TestVectorSum pins the other reducer the by-slot reduce reproduces: a
+// key's values summed component-wise in arrival order starting from a
+// copy of the first — so a component that is -0 in every value stays
+// -0 — then Then applied, and values of two lengths or a value that is
+// not a Vector reported as errors.
+func TestVectorSum(t *testing.T) {
+	first := VectorSum{Then: func(sum []float64) writable.Vector { return writable.Vector{sum[0]} }}
+	x, y, z := 0.1, 0.2, 0.3 // variables, so the sums round at run time
+	for _, c := range []struct {
+		r    VectorSum
+		vals [][]float64
+		want []float64
+	}{
+		{VectorSum{}, [][]float64{{x, z}, {y, y}, {z, x}}, []float64{(x + y) + z, (z + y) + x}},
+		{VectorSum{}, [][]float64{{negZero, 1}, {negZero, 2}}, []float64{negZero, 3}},
+		{VectorSum{}, [][]float64{{negZero}}, []float64{negZero}},
+		{first, [][]float64{{1.5, 7}, {-0.25, 8}}, []float64{1.25}},
+	} {
+		recs := make([]Record, len(c.vals))
+		for i, v := range c.vals {
+			recs[i] = Record{Key: "k", Value: writable.Vector(v)}
+		}
+		out, err := RunGrouped(c.r, recs, nil)
+		if err != nil || len(out) != 1 {
+			t.Fatalf("%v: out %v, err %v", c.vals, out, err)
+		}
+		got := writable.Encode(nil, out[0].Value)
+		if want := writable.Encode(nil, writable.Vector(c.want)); string(got) != string(want) {
+			t.Errorf("%v: got %v, want %v", c.vals, out[0].Value, c.want)
+		}
+	}
+	// The first value is copied, not kept: the caller's vector is intact.
+	v := writable.Vector{1, 2}
+	if _, err := RunGrouped(VectorSum{}, []Record{{Key: "k", Value: v}, {Key: "k", Value: v}}, nil); err != nil || v[0] != 1 || v[1] != 2 {
+		t.Errorf("summing changed the first value to %v (err %v)", v, err)
+	}
+	for _, c := range []struct {
+		vals []writable.Writable
+		want string
+	}{
+		{[]writable.Writable{writable.Vector{1, 2}, writable.Vector{3}}, "2 and 1 components"},
+		{[]writable.Writable{writable.Float64(1)}, "not a Vector"},
+		{[]writable.Writable{writable.Vector{1}, writable.Text("x")}, "not a Vector"},
+	} {
+		recs := make([]Record, len(c.vals))
+		for i, v := range c.vals {
+			recs[i] = Record{Key: "k", Value: v}
+		}
+		if _, err := RunGrouped(VectorSum{}, recs, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want one naming %q", c.vals, err, c.want)
+		}
+	}
+}
+
+// rowsMapper is a kernel whose MapInto hands the engine rows of the
+// widths its splits name, while Map emits what the rows stand for: a
+// width the job cannot take sends the whole job cold.
+type rowsMapper struct {
+	widths        []int // per split, by its first record's value
+	mapped, fused atomic.Int64
+}
+
+func (mp *rowsMapper) Map(_ string, v writable.Writable, _ *model.Model, emit Emitter) error {
+	mp.mapped.Add(1)
+	emit.Emit(intoKey(0), make(writable.Vector, mp.widths[int(v.(writable.Int64))/6]))
+	return nil
+}
+
+type rowsSplit struct{ first, n int }
+
+func (d rowsSplit) SizeBytes() int64 { return 8 }
+
+func (mp *rowsMapper) NewDerived(recs []Record) SplitDerived {
+	return rowsSplit{first: int(recs[0].Value.(writable.Int64)), n: len(recs)}
+}
+
+func (mp *rowsMapper) MapInto(d SplitDerived, _, _ *model.Model, part *Partial) (int64, int64, error) {
+	mp.fused.Add(1)
+	sd := d.(rowsSplit)
+	w := mp.widths[sd.first/6]
+	part.AddRow(0, make([]float64, w))
+	return int64(sd.n), int64(sd.n) * Record{Key: intoKey(0), Value: make(writable.Vector, w)}.Size(), nil
+}
+
+// TestIntoRowsOfOneWidth: a VectorSum job whose partials agree on a
+// width reduces by slot; one whose splits' rows differ in width runs
+// cold and reports the cold reducer's error, as without a family.
+func TestIntoRowsOfOneWidth(t *testing.T) {
+	recs := make([]Record, 24)
+	for i := range recs {
+		recs[i] = Record{Key: fmt.Sprintf("rec%02d", i), Value: writable.Int64(i)}
+	}
+	in := NewInput(recs, testCluster(), 4)
+	for _, c := range []struct {
+		widths []int
+		fused  bool
+	}{
+		{[]int{3, 3, 3, 3}, true},
+		{[]int{3, 3, 2, 3}, false},
+	} {
+		run := func(family bool) (*model.Model, Metrics, error, *rowsMapper) {
+			e := NewEngine(testCluster())
+			if family {
+				e.Family = NewJobFamily("rows", 0)
+			}
+			mp := &rowsMapper{widths: c.widths}
+			into := intoBase()
+			_, met, err := e.Run(&Job{Name: "rows", Mapper: mp, Combiner: VectorSum{}, Reducer: VectorSum{}, Into: into}, in, nil)
+			return into, met, err, mp
+		}
+		wantInto, wantMet, wantErr, _ := run(false)
+		into, met, err, mp := run(true)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || met != wantMet || !into.Equal(wantInto) {
+			t.Errorf("widths %v: err %v, metrics %+v; cold err %v, metrics %+v", c.widths, err, met, wantErr, wantMet)
+		}
+		if c.fused != (err == nil) || c.fused != (mp.mapped.Load() == 0) || mp.fused.Load() != 4 {
+			t.Errorf("widths %v: err %v after %d MapInto and %d Map calls", c.widths, err, mp.fused.Load(), mp.mapped.Load())
+		}
 	}
 }

@@ -166,7 +166,7 @@ func (e *Engine) runLocalFused(job *Job, in *Input, m *model.Model,
 	if !ok {
 		return nil, Metrics{}, false, nil
 	}
-	deriveds, warmBytes := e.stage(in, nil, lf.NewDerived, true)
+	deriveds, warmBytes := e.stage(in, nil, lf.NewDerived)
 	if deriveds == nil {
 		return nil, Metrics{}, false, nil
 	}

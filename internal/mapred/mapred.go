@@ -35,11 +35,17 @@ type Record struct {
 // length-prefixed key plus the encoded value. This is the unit in which
 // all traffic counters are maintained.
 func (r Record) Size() int64 {
+	return KeySize(r.Key) + int64(writable.Size(r.Value))
+}
+
+// KeySize is the encoded size of a record's length-prefixed key: a
+// record's Size less its value's.
+func KeySize(key string) int64 {
 	n := 1
-	for k := uint64(len(r.Key)); k >= 0x80; k >>= 7 {
+	for k := uint64(len(key)); k >= 0x80; k >>= 7 {
 		n++
 	}
-	return int64(n + len(r.Key) + writable.Size(r.Value))
+	return int64(n + len(key))
 }
 
 // RecordsSize sums the encoded sizes of a batch of records.
@@ -200,9 +206,9 @@ func (j *Job) Deliver(tasks [][]Record, nodes []int) *Output {
 // FloatSum is the Reducer that sums a key's Float64 values from +0 in
 // arrival order and emits Then(sum) — the sum itself when Then is nil,
 // which makes it a combiner too. A job with Into whose Reducer is a
-// FloatSum reduces by slot, without records, when its mapper implements
-// IntoMapper, it has a combiner and the default partitioner, and the
-// engine has a JobFamily (into.go).
+// FloatSum (or a VectorSum) reduces by slot, without records, when its
+// mapper implements IntoMapper, it has a combiner and the default
+// partitioner, and the engine has a JobFamily (into.go).
 type FloatSum struct {
 	Then func(sum float64) float64
 }
@@ -227,6 +233,51 @@ func (r FloatSum) apply(sum float64) float64 {
 		return sum
 	}
 	return r.Then(sum)
+}
+
+// VectorSum is the Reducer that sums a key's Vector values
+// component-wise in arrival order, starting from a copy of the first,
+// and emits Then(sum) — a copy of the sum itself when Then is nil, which
+// makes it a combiner too. Starting from the first value, not from
+// zeros, keeps a component that is -0 in every value -0. Values of two
+// lengths, or a value other than a Vector, are an error. Then must not
+// retain its argument, which may be the runtime's buffer. A job with
+// Into whose Reducer is a VectorSum reduces by slot as one with a
+// FloatSum does (into.go).
+type VectorSum struct {
+	Then func(sum []float64) writable.Vector
+}
+
+// Reduce implements Reducer.
+func (r VectorSum) Reduce(key string, values []writable.Writable, _ *model.Model, emit Emitter) error {
+	var sum writable.Vector
+	for i, v := range values {
+		vec, ok := v.(writable.Vector)
+		switch {
+		case !ok:
+			return fmt.Errorf("mapred: VectorSum: key %q holds a %T, not a Vector", key, v)
+		case i == 0:
+			sum = vec.Clone()
+		case len(vec) != len(sum):
+			return fmt.Errorf("mapred: VectorSum: key %q holds vectors of %d and %d components", key, len(sum), len(vec))
+		default:
+			addRow(sum, vec)
+		}
+	}
+	if r.Then != nil {
+		sum = r.Then(sum)
+	}
+	emit.Emit(key, sum)
+	return nil
+}
+
+// addRow adds src into dst component by component; src is at least as
+// long as dst.
+func addRow(dst, src []float64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
+	}
 }
 
 // listEmitter collects emissions in order.

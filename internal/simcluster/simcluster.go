@@ -12,6 +12,7 @@ package simcluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/corrupt"
@@ -278,16 +279,9 @@ func (c *Cluster) Schedule(tasks []Task, slotsPerNode int) ([]Placement, simtime
 	if slotsPerNode <= 0 {
 		panic("simcluster: slotsPerNode must be positive")
 	}
-	// free[i] holds the sorted free times of node c.nodes[i]'s slots.
-	free := make([][]simtime.Time, len(c.nodes))
-	for i := range free {
-		free[i] = make([]simtime.Time, slotsPerNode)
-	}
-	index := make(map[int]int, len(c.nodes)) // global node id -> view index
-	for i, n := range c.nodes {
-		index[n] = i
-	}
-
+	// free holds the sorted free times of the view's slots, those of
+	// node c.nodes[i] at free[i*slotsPerNode:(i+1)*slotsPerNode].
+	free := make([]simtime.Time, len(c.nodes)*slotsPerNode)
 	placements := make([]Placement, len(tasks))
 	var makespan simtime.Duration
 	for ti, task := range tasks {
@@ -295,19 +289,20 @@ func (c *Cluster) Schedule(tasks []Task, slotsPerNode int) ([]Placement, simtime
 			panic("simcluster: negative task cost")
 		}
 		// Earliest slot availability across the view.
-		best := free[0][0]
-		for _, f := range free[1:] {
-			if f[0] < best {
-				best = f[0]
+		best := free[0]
+		for i := slotsPerNode; i < len(free); i += slotsPerNode {
+			if free[i] < best {
+				best = free[i]
 			}
 		}
-		// Prefer the task's home node when it can start equally early.
+		// Prefer the task's home node when it can start equally early;
+		// the view's sorted node ids index it.
 		chosen := -1
-		if pi, ok := index[task.Preferred]; ok && free[pi][0] == best {
+		if pi, ok := slices.BinarySearch(c.nodes, task.Preferred); ok && free[pi*slotsPerNode] == best {
 			chosen = pi
 		} else {
-			for i, f := range free {
-				if f[0] == best {
+			for i := range c.nodes {
+				if free[i*slotsPerNode] == best {
 					chosen = i
 					break
 				}
@@ -322,7 +317,7 @@ func (c *Cluster) Schedule(tasks []Task, slotsPerNode int) ([]Placement, simtime
 			Local: task.Preferred < 0 || c.nodes[chosen] == task.Preferred,
 		}
 		// Re-insert the slot's new free time, keeping the list sorted.
-		f := free[chosen]
+		f := free[chosen*slotsPerNode : (chosen+1)*slotsPerNode]
 		f[0] = end
 		for j := 1; j < len(f) && f[j] < f[j-1]; j++ {
 			f[j], f[j-1] = f[j-1], f[j]

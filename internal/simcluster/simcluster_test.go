@@ -2,6 +2,7 @@ package simcluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -422,5 +423,110 @@ func TestUsageAccounting(t *testing.T) {
 	u2.SlotBusy[0] = 999
 	if c.Usage().SlotBusy[0] == 999 {
 		t.Fatal("Usage returned a live slice")
+	}
+}
+
+// referenceSchedule is Schedule written plainly — a free-time slice per
+// node and a map from node id to view index — that the slab-backed
+// Schedule must match placement for placement.
+func referenceSchedule(c *Cluster, tasks []Task, slotsPerNode int) ([]Placement, simtime.Duration) {
+	free := make([][]simtime.Time, len(c.nodes))
+	for i := range free {
+		free[i] = make([]simtime.Time, slotsPerNode)
+	}
+	index := map[int]int{}
+	for i, n := range c.nodes {
+		index[n] = i
+	}
+	placements := make([]Placement, len(tasks))
+	var makespan simtime.Duration
+	for ti, task := range tasks {
+		best := free[0][0]
+		for _, f := range free[1:] {
+			best = min(best, f[0])
+		}
+		chosen := -1
+		if pi, ok := index[task.Preferred]; ok && free[pi][0] == best {
+			chosen = pi
+		} else {
+			for i, f := range free {
+				if f[0] == best {
+					chosen = i
+					break
+				}
+			}
+		}
+		end := best + simtime.Duration(task.Cost/c.nodeRate(c.nodes[chosen]))
+		placements[ti] = Placement{Node: c.nodes[chosen], Start: best, End: end,
+			Local: task.Preferred < 0 || c.nodes[chosen] == task.Preferred}
+		f := free[chosen]
+		f[0] = end
+		for j := 1; j < len(f) && f[j] < f[j-1]; j++ {
+			f[j], f[j-1] = f[j-1], f[j]
+		}
+		makespan = max(makespan, end)
+	}
+	return placements, makespan
+}
+
+// TestScheduleMatchesReference: on random views, heterogeneous rates,
+// slot counts and preferences (on the view, off it, none), Schedule
+// places every task where the reference does, with the same makespan,
+// and charges the same usage.
+func TestScheduleMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := testConfig()
+		cfg.Nodes = 1 + rng.Intn(12)
+		if rng.Intn(2) == 0 {
+			cfg.NodeRateFactors = make([]float64, cfg.Nodes)
+			for i := range cfg.NodeRateFactors {
+				cfg.NodeRateFactors[i] = 0.5 + rng.Float64()
+			}
+		}
+		c := New(cfg)
+		view := c
+		if cfg.Nodes > 1 && rng.Intn(2) == 0 {
+			view = c.Subset(rng.Perm(cfg.Nodes)[:1+rng.Intn(cfg.Nodes-1)])
+		}
+		slots := 1 + rng.Intn(4)
+		tasks := make([]Task, rng.Intn(60))
+		for i := range tasks {
+			tasks[i] = Task{Cost: float64(rng.Intn(5) * rng.Intn(40)), Preferred: rng.Intn(cfg.Nodes+2) - 1}
+		}
+		wantPl, wantSpan := referenceSchedule(view, tasks, slots)
+		before := c.Usage()
+		gotPl, gotSpan := view.Schedule(tasks, slots)
+		if gotSpan != wantSpan || !slices.Equal(gotPl, wantPl) {
+			t.Fatalf("seed %d: Schedule gave %v (makespan %v), reference %v (%v)", seed, gotPl, gotSpan, wantPl, wantSpan)
+		}
+		after := c.Usage()
+		for _, p := range wantPl {
+			before.SlotBusy[p.Node] += p.End - p.Start
+			before.Tasks[p.Node]++
+		}
+		if !slices.Equal(after.SlotBusy, before.SlotBusy) || !slices.Equal(after.Tasks, before.Tasks) {
+			t.Fatalf("seed %d: usage %+v, want %+v", seed, after, before)
+		}
+	}
+}
+
+// TestScheduleAllocsIndependentOfNodeCount pins Schedule's allocations
+// to a constant: the placements and one slab of slot free times,
+// whatever the view's size.
+func TestScheduleAllocsIndependentOfNodeCount(t *testing.T) {
+	allocs := func(nodes int) float64 {
+		cfg := Medium()
+		cfg.Nodes = nodes
+		c := New(cfg)
+		tasks := make([]Task, 320)
+		for i := range tasks {
+			tasks[i] = Task{Cost: float64(1 + i%7), Preferred: i % (nodes + 1)}
+		}
+		return testing.AllocsPerRun(20, func() { c.Schedule(tasks, cfg.MapSlotsPerNode) })
+	}
+	small, large := allocs(12), allocs(64)
+	if small != 2 || large != 2 {
+		t.Errorf("Schedule allocates %.1f objects on 12 nodes and %.1f on 64, want 2 each", small, large)
 	}
 }

@@ -348,6 +348,10 @@ func (v *Vector) decodeFrom(src []byte) ([]byte, error) {
 // Clone returns an independent copy of the vector.
 func (v Vector) Clone() Vector { return append(Vector(nil), v...) }
 
+// VectorSize is Size of a Vector of n components, computed from n
+// alone.
+func VectorSize(n int) int { return 1 + uvarintLen(uint64(n)) + 8*n }
+
 // Pair is an ordered pair of Writables, useful for composite values such
 // as a (partial sum, count) accumulator.
 type Pair struct {
