@@ -40,17 +40,29 @@
 // Independent experiment cells (figure rows, sweep points) can run
 // concurrently with -parallel N; outputs are byte-identical at any
 // setting because all clocks and counters are simulated per cell.
+//
+// -cpuprofile F and -memprofile F write pprof profiles of the
+// experiments run (the CPU profile while they run, the heap profile
+// after the last). Each experiment runs under the pprof label
+// experiment=<name>, so `go tool pprof -tagfocus experiment=fig2 F`
+// shows one experiment's share of the suite:
+//
+//	picbench -cpuprofile cpu.pprof -memprofile mem.pprof fig2 abl-backend
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -122,6 +134,8 @@ func main() {
 	scaleArg := flag.Float64("scale", 1.0, "dataset-size multiplier: values in (0,1) shrink for smoke runs, 1 is the paper shape, values above 1 climb the scale ladder")
 	parallel := flag.Int("parallel", 1, "experiment cells run concurrently (outputs are identical at any setting)")
 	list := flag.Bool("list", false, "list experiments and report workloads, then exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiments run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the experiments run")
 	flag.Parse()
 	if *list {
 		sorted := append([]experiment(nil), experiments...)
@@ -175,6 +189,11 @@ func main() {
 		}
 	}
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "picbench:", err)
+		os.Exit(1)
+	}
 	failed := false
 	ran := 0
 	var suiteSeconds float64
@@ -183,7 +202,10 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		result, err := e.run()
+		var result renderer
+		pprof.Do(context.Background(), pprof.Labels("experiment", e.name), func(context.Context) {
+			result, err = e.run()
+		})
 		wall := time.Since(start).Seconds()
 		ran++
 		suiteSeconds += wall
@@ -218,9 +240,45 @@ func main() {
 			fmt.Printf("[suite completed in %.1fs wall time: %d experiments]\n", suiteSeconds, ran)
 		}
 	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "picbench:", err)
+		failed = true
+	}
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// startProfiles starts the CPU profile into cpuFile, when named, and
+// returns the function that stops it and writes the heap profile into
+// memFile, when named.
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memFile != "" {
+			f, err := os.Create(memFile)
+			if err != nil {
+				return errors.Join(append(errs, err)...)
+			}
+			runtime.GC() // the heap profile reports as of the last collection
+			errs = append(errs, pprof.WriteHeapProfile(f), f.Close())
+		}
+		return errors.Join(errs...)
+	}, nil
 }
 
 // runSnapshot executes the bench-snapshot subcommand: measure the

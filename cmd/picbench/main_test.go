@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
+	"io"
 	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -91,6 +95,36 @@ func TestListNamesEverythingOnce(t *testing.T) {
 		}
 		if n != 1 {
 			t.Errorf("-list names %q %d times", name, n)
+		}
+	}
+}
+
+// TestProfileFlagsWriteProfiles runs one cheap experiment with
+// -cpuprofile and -memprofile and checks that each file is a pprof
+// profile — gzip-compressed and not empty — and that the CPU profile
+// carries the experiment's label.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if out, err := picbench("-scale 0.05 -cpuprofile " + cpu + " -memprofile " + mem + " fig9").CombinedOutput(); err != nil {
+		t.Fatalf("picbench: %v\n%s", err, out)
+	}
+	for _, name := range []string{cpu, mem} {
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: not a gzip-compressed profile: %v", filepath.Base(name), err)
+		}
+		body, err := io.ReadAll(zr)
+		f.Close()
+		if err != nil || len(body) == 0 {
+			t.Fatalf("%s: %d bytes of profile, err %v", filepath.Base(name), len(body), err)
+		}
+		if name == cpu && !bytes.Contains(body, []byte("fig9")) {
+			t.Errorf("cpu.pprof does not carry the experiment label")
 		}
 	}
 }

@@ -207,10 +207,12 @@ func TestVertexProgramAllocatesConstantPerIteration(t *testing.T) {
 }
 
 // TestWarmBSPIterationAllocsIndependentOfGraphSize pins the float lane
-// end to end: a warm IC iteration of PageRank on the BSP backend —
-// model distribution, both supersteps, pricing, the next model —
-// allocates the same number of objects at 2 000 vertices as at 8 000.
+// and the derived vertex state end to end: a warm IC iteration of
+// PageRank on the BSP backend — model distribution, both supersteps,
+// pricing, the next model — allocates the same number of objects at
+// 2 000 vertices as at 8 000, and no more than the ratchet.
 func TestWarmBSPIterationAllocsIndependentOfGraphSize(t *testing.T) {
+	const ratchet = 46
 	if raceEnabled {
 		t.Skip("the race detector drops pooled objects")
 	}
@@ -237,5 +239,38 @@ func TestWarmBSPIterationAllocsIndependentOfGraphSize(t *testing.T) {
 	t.Logf("%.1f objects at 2 000 vertices, %.1f at 8 000", small, large)
 	if small != large {
 		t.Errorf("a warm BSP iteration allocates %.1f objects at 2 000 vertices, %.1f at 8 000", small, large)
+	}
+	if large > ratchet {
+		t.Errorf("a warm BSP iteration allocates %.1f objects, want at most %d", large, ratchet)
+	}
+}
+
+// BenchmarkVertexIteration times one warm IC iteration on the BSP
+// backend — both supersteps, their pricing and the next model — on a
+// 10 000-vertex graph. The input, the vertex set and the first float
+// model's slot plan are built before the timer starts; each call steps
+// from the previous one's model, as a loop does.
+func BenchmarkVertexIteration(b *testing.B) {
+	g := webgraph.NearlyUncoupled(11, 10_000, 4, 0.05, 4)
+	app := New(g, 0.85, 1e-12, 1)
+	rt := bspRuntime(1)
+	in := graphInput(rt, g)
+	opt := &core.ICOptions{MaxIterations: 1, DisableModelWrites: true}
+	m := InitialModel(g)
+	for range 2 {
+		res, err := core.RunIC(rt, app, in, m, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m = res.Model
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.RunIC(rt, app, in, m, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m = res.Model
 	}
 }

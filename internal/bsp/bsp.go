@@ -58,6 +58,54 @@ type VertexInfo struct {
 	Home int
 }
 
+// VertexSet is a program's vertex table together with what the engine
+// derives from it before a run can start: the wire size of every id,
+// length prefix included, and the first id two vertices share. Deriving
+// it hashes and sizes every id. A program whose vertex table outlives a
+// run — PageRank's is its input's records, the same every iteration —
+// derives its set once with NewVertexSet and hands it to every run as a
+// SetProgram; the engine derives the set of any other program from
+// Vertices() at the start of each attempt. Either way the engine reads
+// ids, homes and sizes from the set, so a derived set changes no result.
+type VertexSet struct {
+	infos  []VertexInfo
+	idSize []int32
+	dup    string // the first id two vertices share, when hasDup
+	hasDup bool
+}
+
+// NewVertexSet derives the set of infos and keeps infos, which must not
+// change afterwards. A duplicate id is not refused here: a run of the
+// set fails with the *ProgramError a run of the same Vertices() would.
+func NewVertexSet(infos []VertexInfo) *VertexSet {
+	s := getScratch()
+	defer s.release()
+	vs := &VertexSet{}
+	vs.derive(infos, s)
+	return vs
+}
+
+// derive sets vs to the set of infos, hashing the ids in s's table.
+func (vs *VertexSet) derive(infos []VertexInfo, s *scratch) {
+	vs.infos = infos
+	vs.idSize = sized(vs.idSize, len(infos))
+	for i := range infos {
+		vs.idSize[i] = int32(framedSize(infos[i].ID))
+	}
+	vs.dup, vs.hasDup = s.duplicateID(infos)
+}
+
+// Infos returns the vertices, each at its index: read-only.
+func (vs *VertexSet) Infos() []VertexInfo { return vs.infos }
+
+// SetProgram is a Program with a derived vertex set. The engine reads
+// the vertex table from VertexSet, once per attempt, instead of deriving
+// it from Vertices(); VertexSet().Infos() must equal Vertices().
+type SetProgram interface {
+	Program
+	VertexSet() *VertexSet
+}
+
 // Message is one delivered message. Tag carries program-defined routing
 // or grouping information (the mapred adapter uses it for record keys).
 type Message struct {
@@ -91,13 +139,14 @@ type Sender interface {
 }
 
 // Program is a vertex computation. Vertices is called once per run
-// attempt and must return a stable, duplicate-free vertex set; the
-// engine reads it throughout the attempt. Compute runs for every active
-// vertex each superstep, v being the vertex's index in Vertices(): a
-// vertex is active in superstep 0, and thereafter when it has incoming
-// messages or did not vote to halt. Returning halt=true votes to halt;
-// an incoming message reactivates the vertex. The run terminates when
-// every vertex has halted and no messages are in flight.
+// attempt, unless the program is a SetProgram, and must return a stable,
+// duplicate-free vertex set; the engine reads it throughout the attempt.
+// Compute runs for every active vertex each superstep, v being the
+// vertex's index in Vertices(): a vertex is active in superstep 0, and
+// thereafter when it has incoming messages or did not vote to halt.
+// Returning halt=true votes to halt; an incoming message reactivates the
+// vertex. The run terminates when every vertex has halted and no
+// messages are in flight.
 //
 // Compute must be safe to call concurrently on distinct vertices.
 type Program interface {

@@ -339,6 +339,65 @@ func TestDuplicateVertexIDRejected(t *testing.T) {
 
 type dupProgram struct{ *ringProgram }
 
+// setProgram hands the engine p's vertex set, derived ahead of the run.
+type setProgram struct {
+	Program
+	set *VertexSet
+}
+
+func (p *setProgram) VertexSet() *VertexSet { return p.set }
+
+// TestSetProgramMatchesDerivingPerAttempt: a program run with a vertex
+// set derived ahead — once, and bound to every attempt, across a crash
+// restart — is the same run as the program deriving its set per attempt,
+// and a derived set with a duplicate id fails the run alike.
+func TestSetProgramMatchesDerivingPerAttempt(t *testing.T) {
+	run := func(derived bool) (*Result, []float64, error) {
+		c := testCluster()
+		c.SetFailurePlan(&simcluster.FailurePlan{Events: []simcluster.NodeEvent{{Node: 1, Time: 1e-3}}})
+		var prog *ringProgram
+		var set *VertexSet
+		res, err := NewEngine(c).Run(func() (Program, error) {
+			prog = newRing(6, 4, []int{0, 1, 2, 3, 1, 2})
+			if !derived {
+				return prog, nil
+			}
+			if set == nil {
+				set = NewVertexSet(prog.Vertices())
+			}
+			return &setProgram{prog, set}, nil
+		}, &RunOptions{Workers: 2})
+		if err != nil {
+			return nil, nil, err
+		}
+		res.Program = nil
+		return res, prog.recv, nil
+	}
+	plain, plainRecv, err := run(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Metrics.Restarts == 0 {
+		t.Fatal("the crash restarted no attempt: the test does not rebind the set")
+	}
+	set, setRecv, err := run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(set, plain) || !reflect.DeepEqual(setRecv, plainRecv) {
+		t.Fatalf("derived-set run\n%+v\nper-attempt run\n%+v", *set, *plain)
+	}
+
+	dup := &dupProgram{newRing(2, 1, nil)}
+	_, plainErr := NewEngine(testCluster()).Run(func() (Program, error) { return dup, nil }, nil)
+	_, setErr := NewEngine(testCluster()).Run(func() (Program, error) {
+		return &setProgram{dup, NewVertexSet(dup.Vertices())}, nil
+	}, nil)
+	if plainErr == nil || setErr == nil || plainErr.Error() != setErr.Error() {
+		t.Fatalf("duplicate id: derived set fails with %v, per-attempt set with %v", setErr, plainErr)
+	}
+}
+
 func (p *dupProgram) Vertices() []VertexInfo {
 	infos := p.ringProgram.Vertices()
 	infos[1].ID = infos[0].ID

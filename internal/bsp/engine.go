@@ -255,17 +255,18 @@ func (e *Engine) Run(build func() (Program, error), opt *RunOptions) (*Result, e
 func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res *Result) (simtime.Time, bool, error) {
 	m := &res.Metrics
 	at := start
-	verts := prog.Vertices()
+	s := getScratch()
+	defer s.release()
+	vs := s.vertexSet(prog)
+	verts := vs.infos
 	n := len(verts)
 	if n > math.MaxInt32 {
 		return at, false, &ProgramError{Job: o.Name, Step: -1,
 			Reason: fmt.Sprintf("%d vertices, more than the engine indexes", n)}
 	}
-	s := getScratch()
-	defer s.release()
-	if dup, ok := s.duplicateID(verts); ok {
-		return at, false, &ProgramError{Job: o.Name, Step: -1, Vertex: dup,
-			Reason: fmt.Sprintf("duplicate vertex id %q", dup)}
+	if vs.hasDup {
+		return at, false, &ProgramError{Job: o.Name, Step: -1, Vertex: vs.dup,
+			Reason: fmt.Sprintf("duplicate vertex id %q", vs.dup)}
 	}
 
 	// Resolve vertex homes against the failure plan: vertices on dead
@@ -284,7 +285,7 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 	if len(live) == 0 {
 		return at, false, fmt.Errorf("bsp: %s: no live nodes", o.Name)
 	}
-	s.startAttempt(verts)
+	s.startAttempt(vs)
 	home := make([]int, n)
 	rehomed := 0
 	for i, v := range verts {
@@ -428,7 +429,7 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 		if !o.Local {
 			res.Spans = append(res.Spans, trace.Event{
 				Kind:  trace.KindSuperstep,
-				Name:  fmt.Sprintf("superstep %d", step),
+				Name:  spanName(&superstepNames, "superstep %d", step),
 				Start: stepStart,
 				End:   at,
 				Bytes: stepNet,
@@ -468,7 +469,7 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 			m.BarrierPhase += at - bStart
 			res.Spans = append(res.Spans, trace.Event{
 				Kind:  trace.KindBarrier,
-				Name:  fmt.Sprintf("barrier %d", step),
+				Name:  spanName(&barrierNames, "barrier %d", step),
 				Start: bStart,
 				End:   at,
 			})
@@ -495,6 +496,25 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 		s.endStep()
 	}
 	return at, false, nil
+}
+
+// The span names of the first supersteps, formatted once: a run takes
+// a few supersteps, PageRank's two.
+var superstepNames, barrierNames [8]string
+
+func init() {
+	for step := range superstepNames {
+		superstepNames[step] = fmt.Sprintf("superstep %d", step)
+		barrierNames[step] = fmt.Sprintf("barrier %d", step)
+	}
+}
+
+// spanName returns names[step], or format's rendering of a later step.
+func spanName(names *[8]string, format string, step int) string {
+	if step < len(names) {
+		return names[step]
+	}
+	return fmt.Sprintf(format, step)
 }
 
 func deadChanged(a, b map[int]bool) bool {

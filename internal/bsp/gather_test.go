@@ -54,7 +54,11 @@ type scriptProgram struct {
 // order-sensitive float combine keeps visible too.
 func genScript(seed int64, combine bool) *scriptProgram {
 	rng := rand.New(rand.NewSource(seed))
-	n := 1 + rng.Intn(40)
+	return drawScript(rng, 1+rng.Intn(40), combine)
+}
+
+// drawScript draws a program of n vertices from rng, as genScript does.
+func drawScript(rng *rand.Rand, n int, combine bool) *scriptProgram {
 	p := &scriptProgram{infos: make([]VertexInfo, n), combine: combine}
 	for i := range p.infos {
 		p.infos[i] = VertexInfo{ID: fmt.Sprintf("vx%d", i*i), Home: rng.Intn(4)}
@@ -120,10 +124,13 @@ func (p *scriptProgram) Combiner() Combiner {
 	return concatCombiner{}
 }
 
-// refStats is what the reference predicts a run's metrics to be.
+// refStats is what the reference predicts a run's metrics to be, and,
+// for the test's own coverage, the source nodes whose float sends it
+// combined.
 type refStats struct {
 	messages, combined, bytes, net, cross int64
 	stepNet                               []int64
+	floatFolds                            map[int]bool
 }
 
 // refGather is the reference for one superstep: the sends of the
@@ -153,6 +160,7 @@ func refGather(p *scriptProgram, step int, homes []int, rack func(int) int, st *
 			if w, ok := at[k]; ok && p.combine {
 				if sd.float {
 					wire[w].f = concatCombiner{}.CombineFloat(wire[w].f, sd.f)
+					st.floatFolds[k.src] = true
 				} else {
 					wire[w].val += sd.val
 				}
@@ -189,8 +197,9 @@ func refGather(p *scriptProgram, step int, homes []int, rack func(int) int, st *
 
 // checkAgainstReference runs the seed's program at each worker count
 // and compares inboxes, message metrics and per-superstep network bytes
-// with the reference, and spans and end time with the first run.
-func checkAgainstReference(t *testing.T, seed int64, combine bool) {
+// with the reference, and spans and end time with the first run. It
+// returns the source nodes whose float sends the runs combined.
+func checkAgainstReference(t *testing.T, seed int64, combine bool) (floatFolds map[int]bool) {
 	t.Helper()
 	var first *Result
 	for _, workers := range []int{1, 2, 3, 8} {
@@ -202,7 +211,7 @@ func checkAgainstReference(t *testing.T, seed int64, combine bool) {
 		}
 		where := fmt.Sprintf("seed %d combine=%v workers=%d", seed, combine, workers)
 
-		var st refStats
+		st := refStats{floatFolds: map[int]bool{}}
 		want := make([]Inbox, len(prog.infos)) // superstep 0 starts with no mail
 		halted := make([]bool, len(prog.infos))
 		for step := 0; step < res.Supersteps; step++ {
@@ -231,7 +240,7 @@ func checkAgainstReference(t *testing.T, seed int64, combine bool) {
 			}
 		}
 		m := res.Metrics
-		got := refStats{m.Messages, m.CombinedMessages, m.MessageBytes, m.MessageNetworkBytes, m.MessageCrossRackBytes, nil}
+		got := refStats{m.Messages, m.CombinedMessages, m.MessageBytes, m.MessageNetworkBytes, m.MessageCrossRackBytes, nil, st.floatFolds}
 		for _, ev := range res.Spans {
 			if ev.Kind == trace.KindSuperstep {
 				got.stepNet = append(got.stepNet, ev.Bytes)
@@ -247,7 +256,9 @@ func checkAgainstReference(t *testing.T, seed int64, combine bool) {
 		if !reflect.DeepEqual(res.Spans, first.Spans) || res.End != first.End || !reflect.DeepEqual(res.Metrics, first.Metrics) {
 			t.Fatalf("%s: spans, end or metrics differ from workers=1", where)
 		}
+		floatFolds = st.floatFolds
 	}
+	return floatFolds
 }
 
 // sameInbox compares two inboxes lane by lane, an empty lane equal to a
@@ -258,10 +269,17 @@ func sameInbox(a, b Inbox) bool {
 		(len(a.Floats) == 0 || reflect.DeepEqual(a.Floats, b.Floats))
 }
 
+// TestGatherMatchesReference also checks its own reach: the dense float
+// index must fold order-sensitive float combines from at least three
+// source nodes within one program, or a row mix-up could pass unseen.
 func TestGatherMatchesReference(t *testing.T) {
+	widest := 0
 	for seed := int64(1); seed <= 150; seed++ {
 		checkAgainstReference(t, seed, false)
-		checkAgainstReference(t, seed, true)
+		widest = max(widest, len(checkAgainstReference(t, seed, true)))
+	}
+	if widest < 3 {
+		t.Fatalf("no seed combined float sends from more than %d source nodes, want at least 3", widest)
 	}
 }
 

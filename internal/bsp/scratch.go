@@ -128,12 +128,13 @@ func (b *inboxes) count(i int) int {
 // emptied on release, so the pool never pins program data.
 type scratch struct {
 	// Per attempt.
-	live   []int   // live node ids, ascending; position = slot
-	slotOf []int32 // node id -> slot, -1 for dead and foreign ids
-	hslot  []int32 // by vertex: its home's slot
-	halted []bool  // by vertex: voted to halt at its last Compute
-	halts  []bool  // by vertex: this superstep's vote
-	idSize []int32 // by vertex: its id's size on the wire, length prefix included
+	live   []int     // live node ids, ascending; position = slot
+	slotOf []int32   // node id -> slot, -1 for dead and foreign ids
+	hslot  []int32   // by vertex: its home's slot
+	halted []bool    // by vertex: voted to halt at its last Compute
+	halts  []bool    // by vertex: this superstep's vote
+	idSize []int32   // by vertex: its id's framed size on the wire, from the vertex set
+	own    VertexSet // the set of a program that has none of its own
 
 	// Per superstep.
 	active     []int32 // vertices to compute, ascending
@@ -144,10 +145,17 @@ type scratch struct {
 	wire       []wireMsg
 	fwire      []floatWire
 	// table is open-addressed; 0 is empty, w+1 names wire[w] (or vertex
-	// w), -(w+1) names fwire[w].
+	// w).
 	table []int32
-	inbox inboxes // what Compute reads
-	next  inboxes // what deliver fills; the two swap at the barrier
+	// findex is the float lane's combine index, by source slot *
+	// vertices + destination; 0 is empty, w+1 names fwire[w]. It is all
+	// zero outside gather — gather clears the entries it set — so an
+	// attempt never initializes it; folding marks a gather under way, and
+	// release clears a whole index a panicking combiner left behind.
+	findex  []int32
+	folding bool
+	inbox   inboxes // what Compute reads
+	next    inboxes // what deliver fills; the two swap at the barrier
 
 	nodeCost  []float64 // by slot
 	nodeUsed  []bool    // by slot; usedSlots consumes it
@@ -164,6 +172,12 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func (s *scratch) release() {
+	if s.folding {
+		clear(s.findex[:cap(s.findex)])
+		s.folding = false
+	}
+	s.own = VertexSet{idSize: s.own.idSize}
+	s.idSize = nil
 	for i := range s.chunks {
 		s.chunks[i].reset()
 	}
@@ -263,17 +277,24 @@ func (s *scratch) usedSlots() []int32 {
 	return s.slots
 }
 
-// startAttempt readies the per-vertex state of verts: nobody has
-// halted, every inbox is empty, homes are yet to be set.
-func (s *scratch) startAttempt(verts []VertexInfo) {
-	n := len(verts)
+// vertexSet returns prog's vertex set: its own when it is a SetProgram,
+// else one derived from Vertices() into the scratch's.
+func (s *scratch) vertexSet(prog Program) *VertexSet {
+	if sp, ok := prog.(SetProgram); ok {
+		return sp.VertexSet()
+	}
+	s.own.derive(prog.Vertices(), s)
+	return &s.own
+}
+
+// startAttempt readies the per-vertex state of vs: nobody has halted,
+// every inbox is empty, homes are yet to be set.
+func (s *scratch) startAttempt(vs *VertexSet) {
+	n := len(vs.infos)
+	s.idSize = vs.idSize
 	s.hslot = sized(s.hslot, n)
 	s.halted = zeroed(s.halted, n)
 	s.halts = sized(s.halts, n)
-	s.idSize = sized(s.idSize, n)
-	for i := range verts {
-		s.idSize[i] = int32(framedSize(verts[i].ID))
-	}
 	s.sent = sized(s.sent, n)
 	s.sentFloats = sized(s.sentFloats, n)
 	s.sentBytes = sized(s.sentBytes, n)
@@ -373,6 +394,8 @@ func (s *scratch) wireSize(sends []outMsg, floats []floatMsg) (bytes int64) {
 // tag) on the boxed lane, (source node, destination) on the float lane
 // — is already on its lane's wire is folded into that entry, left to
 // right in send order, so an entry sits where its key first occurred.
+// The boxed lane finds its key in the hash table; the float lane's key
+// is two small integers, so it finds it in the dense findex.
 func (s *scratch) gather(comb Combiner) (sends int) {
 	nb, nf := 0, 0
 	for i := range s.chunks {
@@ -382,14 +405,16 @@ func (s *scratch) gather(comb Combiner) (sends int) {
 	clear(s.wire)
 	wire := slices.Grow(s.wire[:0], nb)
 	fwire := slices.Grow(s.fwire[:0], nf)
-	// The table maps a key to its wire entry: the integer part of the
-	// key is hashed, the tag only when there is one, and the entry is
-	// compared in full on a hit. Both lanes share it; the sign of an
-	// entry says which wire it names.
-	var tbl []int32
+	// The table maps a boxed key to its wire entry: the integer part of
+	// the key is hashed, the tag only when there is one, and the entry is
+	// compared in full on a hit.
+	var tbl, idx []int32
 	var shift uint
+	n := len(s.halted)
 	if comb != nil {
-		tbl, shift = s.emptyTable(nb + nf)
+		tbl, shift = s.emptyTable(nb)
+		s.findex = sized(s.findex, len(s.live)*n)
+		idx, s.folding = s.findex, true
 	}
 	mask := len(tbl) - 1
 	for ci := range s.chunks {
@@ -407,35 +432,38 @@ func (s *scratch) gather(comb Combiner) (sends int) {
 					}
 					p := int(h * fib >> shift)
 					for ; tbl[p] != 0; p = (p + 1) & mask {
-						if e := tbl[p]; e > 0 {
-							if w := &wire[e-1]; w.src == src && w.dst == om.to && w.tag == om.tag {
-								w.val = comb.Combine(w.val, om.val)
-								continue send
-							}
+						if w := &wire[tbl[p]-1]; w.src == src && w.dst == om.to && w.tag == om.tag {
+							w.val = comb.Combine(w.val, om.val)
+							continue send
 						}
 					}
 					tbl[p] = int32(len(wire)) + 1
 				}
 				wire = append(wire, wireMsg{src: src, dst: om.to, tag: om.tag, val: om.val})
 			}
-		float:
+			var row []int32 // the float index's entries of keys from src
+			if comb != nil {
+				row = idx[int(src)*n : int(src+1)*n]
+			}
 			for _, fm := range fout[:fk] {
 				if comb != nil {
-					p := int((uint64(src)<<32 | uint64(fm.to)) * fib >> shift)
-					for ; tbl[p] != 0; p = (p + 1) & mask {
-						if e := tbl[p]; e < 0 {
-							if w := &fwire[-e-1]; w.src == src && w.dst == fm.to {
-								w.f = comb.CombineFloat(w.f, fm.f)
-								continue float
-							}
-						}
+					if e := row[fm.to]; e != 0 {
+						w := &fwire[e-1]
+						w.f = comb.CombineFloat(w.f, fm.f)
+						continue
 					}
-					tbl[p] = -int32(len(fwire)) - 1
+					row[fm.to] = int32(len(fwire)) + 1
 				}
 				fwire = append(fwire, floatWire{src: src, dst: fm.to, f: fm.f})
 			}
 			out, fout = out[k:], fout[fk:]
 		}
+	}
+	if comb != nil {
+		for w := range fwire {
+			idx[int(fwire[w].src)*n+int(fwire[w].dst)] = 0
+		}
+		s.folding = false
 	}
 	s.wire, s.fwire = wire, fwire
 	return nb + nf

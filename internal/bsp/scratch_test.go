@@ -3,8 +3,12 @@ package bsp
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/writable"
 )
 
 func warmAllocs(t *testing.T, e *Engine, prog Program, opt *RunOptions) float64 {
@@ -150,5 +154,98 @@ func TestRunAfterFailedRunIsClean(t *testing.T) {
 	}
 	if after := goodRun(e); !reflect.DeepEqual(after, solo) {
 		t.Fatalf("run after a failed run differs from the same run alone:\n got %+v\nwant %+v", after.res, solo.res)
+	}
+}
+
+// stepThrough runs p on s superstep by superstep, as an attempt does
+// with every vertex at home, and calls after once each gather returns.
+func stepThrough(t *testing.T, s *scratch, p Program, after func()) {
+	t.Helper()
+	vs := s.vertexSet(p)
+	s.setLive(testCluster().Nodes(), nil)
+	s.startAttempt(vs)
+	for i, v := range vs.infos {
+		s.hslot[i] = s.slotOf[v.Home]
+	}
+	for step := 0; s.activate(); step++ {
+		if c := s.compute(p, step, 2); c != nil {
+			t.Fatalf("superstep %d: vertex %d failed: %v", step, c.failed, c.err)
+		}
+		var comb Combiner
+		if cp, ok := p.(CombinerProgram); ok {
+			comb = cp.Combiner()
+		}
+		s.gather(comb)
+		after()
+		s.deliver(true)
+		s.endStep()
+	}
+}
+
+// TestFloatIndexZeroAfterEveryGather: gather clears every entry of the
+// dense float index it set, so the index is all zero, to its capacity,
+// after every gather — also when one scratch serves a program of 40
+// vertices, then one of 5, then one of 70, as a pooled one does.
+func TestFloatIndexZeroAfterEveryGather(t *testing.T) {
+	s := new(scratch)
+	rng := rand.New(rand.NewSource(5))
+	folds := 0
+	for _, n := range []int{40, 5, 70} {
+		p := drawScript(rng, n, true)
+		stepThrough(t, s, p, func() {
+			for i, e := range s.findex[:cap(s.findex)] {
+				if e != 0 {
+					t.Fatalf("%d vertices: findex[%d] = %d after gather", n, i, e)
+				}
+			}
+			folds += len(s.fwire)
+		})
+		if cap(s.findex) < len(s.live)*n {
+			t.Fatalf("%d vertices: findex has capacity %d, want at least %d", n, cap(s.findex), len(s.live)*n)
+		}
+	}
+	if folds == 0 {
+		t.Fatal("no float message crossed the wire: the test exercises nothing")
+	}
+}
+
+// panicCombiner folds the float lane until its third combine, then
+// panics.
+type panicCombiner struct{ calls *int }
+
+func (panicCombiner) Combine(a, b writable.Writable) writable.Writable { return a }
+
+func (c panicCombiner) CombineFloat(a, b float64) float64 {
+	if *c.calls++; *c.calls == 3 {
+		panic("combine")
+	}
+	return a + b
+}
+
+type panicProgram struct {
+	*scatterProgram
+	calls int
+}
+
+func (p *panicProgram) Combiner() Combiner { return panicCombiner{&p.calls} }
+
+// TestReleaseClearsIndexAfterPanic: a combiner that panics mid-gather
+// leaves entries in the float index; releasing the scratch clears them.
+func TestReleaseClearsIndexAfterPanic(t *testing.T) {
+	s := new(scratch)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the combiner did not panic")
+			}
+		}()
+		stepThrough(t, s, &panicProgram{scatterProgram: newScatter(200, 5, 4, 1)}, func() {})
+	}()
+	if !slices.ContainsFunc(s.findex, func(e int32) bool { return e != 0 }) {
+		t.Fatal("the panic left no entry in the index: the test exercises nothing")
+	}
+	s.release()
+	if slices.ContainsFunc(s.findex[:cap(s.findex)], func(e int32) bool { return e != 0 }) {
+		t.Fatal("release left entries in the float index")
 	}
 }

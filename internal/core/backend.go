@@ -57,6 +57,28 @@ type VertexApp interface {
 	VertexProgram(in *mapred.Input, m *model.Model) (bsp.Program, error)
 }
 
+// VertexDeriver is optionally implemented by a VertexApp whose program
+// splits into an input-only half and a model-bound half. DeriveVertices
+// builds the input-only half — the vertex set, the tables that index it
+// — and its Bind builds one iteration's program over a model, so
+// VertexProgram(in, m) is DeriveVertices(in) then Bind(m), and must
+// fail as it would. The runtime derives once per input and keeps the
+// result in its job family across iterations and crash-restart
+// attempts (JobFamily.HostDerived); with the loop cache detached it
+// derives per attempt. Results are byte-identical either way.
+type VertexDeriver interface {
+	VertexApp
+	DeriveVertices(in *mapred.Input) (DerivedVertices, error)
+}
+
+// DerivedVertices is the input-only half of a vertex program. The
+// runtime binds one derived state many times, so Bind leaves m as it is
+// and adds to the derived state at most a cache of what any later Bind
+// would compute the same way.
+type DerivedVertices interface {
+	Bind(m *model.Model) (bsp.Program, error)
+}
+
 // MergeFinalizer is optionally implemented by a PICApp whose Merge does
 // app-specific post-processing after concatenating partials (dropping
 // frozen boundary keys, recomputing cross-partition terms). The
@@ -163,7 +185,7 @@ func (rt *Runtime) runVertexIteration(app VertexApp, in *mapred.Input, m *model.
 	if !rt.local {
 		opt.ModelHome = rt.LiveModelHome()
 	}
-	res, err := e.Run(func() (bsp.Program, error) { return app.VertexProgram(in, m) }, opt)
+	res, err := e.Run(rt.buildVertexProgram(app, in, m), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -178,6 +200,24 @@ func (rt *Runtime) runVertexIteration(app VertexApp, in *mapred.Input, m *model.
 		return nil, fmt.Errorf("core: %s: assemble model from vertex program: %w", app.Name(), err)
 	}
 	return next, nil
+}
+
+// buildVertexProgram returns the build function of one vertex iteration's
+// runs: the app's program over (in, m), bound to the vertex set the job
+// family keeps for in when the app derives one and the family is
+// attached.
+func (rt *Runtime) buildVertexProgram(app VertexApp, in *mapred.Input, m *model.Model) func() (bsp.Program, error) {
+	d, ok := app.(VertexDeriver)
+	if !ok || rt.family == nil {
+		return func() (bsp.Program, error) { return app.VertexProgram(in, m) }
+	}
+	return func() (bsp.Program, error) {
+		dv, err := rt.family.HostDerived(app, in, func() (any, error) { return d.DeriveVertices(in) })
+		if err != nil {
+			return nil, err
+		}
+		return dv.(DerivedVertices).Bind(m)
+	}
 }
 
 // finishBSP folds one completed BSP run into the runtime: clock,

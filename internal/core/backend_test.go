@@ -212,3 +212,124 @@ func TestBSPRunRecordsRegistryAndSpans(t *testing.T) {
 		}
 	}
 }
+
+// derivingApp is a VertexDeriver that counts its derivations: one vertex
+// per input record, each halting at once, and a Model that carries the
+// model over. It never converges, so a loop runs its full budget.
+type derivingApp struct {
+	meanSeeker
+	derives int
+	fail    error // returned by DeriveVertices when set
+}
+
+func (a *derivingApp) Converged(prev, next *model.Model) bool { return false }
+
+func (a *derivingApp) DeriveVertices(in *mapred.Input) (DerivedVertices, error) {
+	a.derives++
+	if a.fail != nil {
+		return nil, a.fail
+	}
+	var infos []bsp.VertexInfo
+	for _, sp := range in.Splits {
+		for _, r := range sp.Records {
+			infos = append(infos, bsp.VertexInfo{ID: r.Key, Home: sp.Home})
+		}
+	}
+	return &derivedRecords{bsp.NewVertexSet(infos)}, nil
+}
+
+func (a *derivingApp) VertexProgram(in *mapred.Input, m *model.Model) (bsp.Program, error) {
+	d, err := a.DeriveVertices(in)
+	if err != nil {
+		return nil, err
+	}
+	return d.Bind(m)
+}
+
+type derivedRecords struct{ set *bsp.VertexSet }
+
+func (d *derivedRecords) Bind(*model.Model) (bsp.Program, error) { return &recordsProgram{d.set}, nil }
+
+type recordsProgram struct{ set *bsp.VertexSet }
+
+func (p *recordsProgram) Vertices() []bsp.VertexInfo { return p.set.Infos() }
+func (p *recordsProgram) VertexSet() *bsp.VertexSet  { return p.set }
+func (p *recordsProgram) Compute(step, v int, in bsp.Inbox, s bsp.Sender) (bool, error) {
+	return true, nil
+}
+func (p *recordsProgram) Model(prev *model.Model) (*model.Model, error) { return prev.Clone(), nil }
+
+// TestVertexDeriverDerivesOncePerInput: with the loop cache attached the
+// runtime derives a vertex program's input-only half once per input and
+// binds it every iteration, charging nothing to the cache; detached, it
+// derives every attempt. Release, EvictNode and Invalidate drop the
+// derived state, and an input whose splits moved is derived again.
+func TestVertexDeriverDerivesOncePerInput(t *testing.T) {
+	loop := func(warm bool, between func(rt *Runtime, in *mapred.Input)) (derives int, stats mapred.FamilyStats) {
+		rt := testRuntime()
+		if err := rt.SetBackend(BackendBSP); err != nil {
+			t.Fatal(err)
+		}
+		rt.SetLoopCache(warm)
+		app := &derivingApp{}
+		in, _ := pointsInput(rt, 24)
+		s := NewICStepper(rt, app, in, startModel(), &ICOptions{MaxIterations: 5})
+		for step := 0; ; step++ {
+			done, err := s.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				return app.derives, rt.LoopCacheStats()
+			}
+			if step == 1 && between != nil {
+				between(rt, in)
+			}
+		}
+	}
+	// The model's delta accounting (DeltaBytes) is the family's as ever;
+	// the derived state stages, hits and holds nothing.
+	if n, st := loop(true, nil); n != 1 || st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 || st.ResidentBytes != 0 {
+		t.Errorf("warm loop of 5 iterations derived %d times and moved the cache counters to %+v, want once and none", n, st)
+	}
+	if n, _ := loop(false, nil); n != 5 {
+		t.Errorf("cold loop of 5 iterations derived %d times, want 5", n)
+	}
+	for name, drop := range map[string]func(rt *Runtime, in *mapred.Input){
+		"Release":    func(rt *Runtime, _ *mapred.Input) { rt.ReleaseLoopCache() },
+		"EvictNode":  func(rt *Runtime, _ *mapred.Input) { rt.LoopFamily().EvictNode(0) },
+		"Invalidate": func(rt *Runtime, _ *mapred.Input) { rt.LoopFamily().Invalidate() },
+		"moved home": func(rt *Runtime, in *mapred.Input) { in.Splits[2].Home = (in.Splits[2].Home + 1) % 4 },
+		"new records": func(rt *Runtime, in *mapred.Input) {
+			in.Splits[0].Records = append([]mapred.Record(nil), in.Splits[0].Records...)
+		},
+	} {
+		if n, _ := loop(true, drop); n != 2 {
+			t.Errorf("%s mid-loop: derived %d times, want 2", name, n)
+		}
+	}
+}
+
+// TestVertexDeriverErrorIsTheProgramError: a derivation that fails
+// fails the iteration with the error VertexProgram's build would give,
+// warm or cold.
+func TestVertexDeriverErrorIsTheProgramError(t *testing.T) {
+	errBad := errors.New("bad record")
+	msgs := map[bool]string{}
+	for _, warm := range []bool{false, true} {
+		rt := testRuntime()
+		if err := rt.SetBackend(BackendBSP); err != nil {
+			t.Fatal(err)
+		}
+		rt.SetLoopCache(warm)
+		in, _ := pointsInput(rt, 8)
+		_, err := RunIC(rt, &derivingApp{fail: errBad}, in, startModel(), nil)
+		if !errors.Is(err, errBad) {
+			t.Fatalf("warm=%v: err = %v, want the derivation's error", warm, err)
+		}
+		msgs[warm] = err.Error()
+	}
+	if msgs[true] != msgs[false] {
+		t.Fatalf("warm error %q, cold error %q", msgs[true], msgs[false])
+	}
+}

@@ -213,6 +213,51 @@ type JobFamily struct {
 	// routes holds the slot routes of the Into schemas jobs reduce into,
 	// per reducer count: a pure function of both, computed once.
 	routes map[routeKey]*slotRoute
+	// host holds the host-only state owners derived from whole inputs
+	// (see HostDerived).
+	host map[hostKey]*hostEntry
+}
+
+// hostKey names one owner's state derived from one input.
+type hostKey struct {
+	owner any
+	in    *Input
+}
+
+// hostEntry is derived state and the splits it was derived from.
+type hostEntry struct {
+	splits []splitStamp
+	state  any
+}
+
+// splitStamp identifies a split's records and home. It needs no epoch:
+// Invalidate drops all host state.
+type splitStamp struct {
+	ident splitIdent
+	home  int
+}
+
+func stampOf(sp *Split) splitStamp { return splitStamp{identOf(sp.Records, 0), sp.Home} }
+
+func stampsOf(in *Input) []splitStamp {
+	st := make([]splitStamp, len(in.Splits))
+	for i := range in.Splits {
+		st[i] = stampOf(&in.Splits[i])
+	}
+	return st
+}
+
+// matches reports whether in still has the splits e was derived from.
+func (e *hostEntry) matches(in *Input) bool {
+	if len(in.Splits) != len(e.splits) {
+		return false
+	}
+	for i := range in.Splits {
+		if e.splits[i] != stampOf(&in.Splits[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // maxShippedVersions bounds the versions shipped keeps per job, and the
@@ -422,12 +467,44 @@ func (f *JobFamily) AcquireDerived(node int, recs []Record, splitBytes int64, bu
 	return f.acquire(node, recs, splitBytes, build)
 }
 
+// HostDerived returns the state derive built from in for owner, which
+// must be comparable: derive runs on the first call for (owner, in) and
+// again when in's splits have since changed — other records or another
+// home — or the state was dropped; its error is returned and nothing is
+// kept. The state is the simulator's own memory, not a worker's: it is
+// charged to no node's cache budget and stages, evicts and counts
+// nothing, so no cache.* counter or event shows it. EvictNode, Release
+// and Invalidate drop all of it, as they drop what workers cache, and a
+// family that keeps minting inputs starts over past maxShippedVersions
+// of them. derive runs outside the family's lock.
+func (f *JobFamily) HostDerived(owner any, in *Input, derive func() (any, error)) (any, error) {
+	key := hostKey{owner, in}
+	f.mu.Lock()
+	e := f.host[key]
+	f.mu.Unlock()
+	if e != nil && e.matches(in) {
+		return e.state, nil
+	}
+	state, err := derive()
+	if err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.host == nil || len(f.host) >= maxShippedVersions {
+		f.host = map[hostKey]*hostEntry{}
+	}
+	f.host[key] = &hostEntry{splits: stampsOf(in), state: state}
+	return state, nil
+}
+
 // EvictNode drops every entry cached on node — the fault layer calls
 // this when the node crashes, so splits re-homed to survivors re-stage
 // cold there. Returns what was dropped.
 func (f *JobFamily) EvictNode(node int) (entries int, bytes int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.host = nil
 	return f.evictNodeLocked(node)
 }
 
@@ -466,6 +543,7 @@ func (f *JobFamily) Release() (entries int, bytes int64) {
 	// The workers are gone, and their resident model versions with them:
 	// the next warm iteration ships a full model again.
 	f.shipped = map[string]map[*model.Schema]*model.Model{}
+	f.host = nil
 	return entries, bytes
 }
 
@@ -479,6 +557,7 @@ func (f *JobFamily) Invalidate() {
 		f.evictNodeLocked(node)
 	}
 	f.shipped = map[string]map[*model.Schema]*model.Model{}
+	f.host = nil
 	f.epoch++
 }
 

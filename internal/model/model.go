@@ -27,11 +27,12 @@
 //
 //   - Boxed (New, NewWithCapacity, NewOn, Decode): one writable.Writable
 //     per slot, any kind of value.
-//   - Float (NewFloatsOn): a []float64 by slot plus a presence bitmap,
-//     for models whose every value is a Float64 — PageRank's ranks and
-//     edge scores. Encode, Size, Clone, Keys, Equal, the delta codec and
-//     the convergence metrics read it as flat memory and never box a
-//     value, whatever the kind of the model on the other side of a pair.
+//   - Float (NewFloatsOn, NewFloatsWith): a []float64 by slot plus a
+//     presence bitmap, for models whose every value is a Float64 —
+//     PageRank's ranks and edge scores. Encode, Size, Clone, Keys,
+//     Equal, the delta codec and the convergence metrics read it as flat
+//     memory and never box a value, whatever the kind of the model on
+//     the other side of a pair.
 //     Only the Writable edge — Get, At and Range — boxes what it hands
 //     out; Float, FloatAt and HasAt read a float slot in place.
 //
@@ -69,6 +70,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -179,6 +181,38 @@ func NewOn(s *Schema) *Model {
 func NewFloatsOn(s *Schema) *Model {
 	return newModel(&table{schema: s, float: true,
 		floats: make([]float64, len(s.keys)), has: make([]uint64, (len(s.keys)+63)/64)})
+}
+
+// NewFloatsWith returns a float-column model over schema s whose present
+// slots are the set bits of has (copied; bits past the schema must be
+// clear), each holding 0, and the model's value column for the caller to
+// fill by slot: a producer that knows which slots the next version holds
+// sets them in one copy instead of one write per slot. The column is the
+// model's own until the model is next written through its methods; a
+// write of anything but a Float64 makes the model boxed and leaves the
+// column behind, so a producer fills the column first.
+func NewFloatsWith(s *Schema, has []uint64) (*Model, []float64) {
+	if len(has) != (len(s.keys)+63)/64 || len(s.keys)%64 != 0 && has[len(has)-1]>>(len(s.keys)%64) != 0 {
+		panic("model: NewFloatsWith: presence words do not fit the schema")
+	}
+	n := 0
+	for _, w := range has {
+		n += bits.OnesCount64(w)
+	}
+	floats := make([]float64, len(s.keys))
+	return newModel(&table{schema: s, float: true, floats: floats, has: slices.Clone(has), n: n}), floats
+}
+
+// FloatColumn returns a float model's value column and presence words —
+// slot i present when bit i of has is set — for a reader that walks many
+// slots: both are the model's own and read-only. ok is false for a boxed
+// model, which has neither.
+func (m *Model) FloatColumn() (floats []float64, has []uint64, ok bool) {
+	t := m.t.Load()
+	if !t.float {
+		return nil, nil, false
+	}
+	return t.floats, t.has, true
 }
 
 // NewLike returns an empty model over m's schema: the next version of

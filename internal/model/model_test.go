@@ -289,3 +289,47 @@ func TestDecodeRejectsNonCanonicalKeyLength(t *testing.T) {
 		t.Fatal("non-minimal key length accepted")
 	}
 }
+
+// TestNewFloatsWithMatchesSetFloatAt: a model built from presence words
+// and a filled column equals the same model built slot by slot, and its
+// column is a float model's own; a boxed model has no column, and words
+// that do not fit the schema are refused.
+func TestNewFloatsWithMatchesSetFloatAt(t *testing.T) {
+	keys := make([]string, 130)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%03d", i)
+	}
+	s := NewSchema(keys)
+	has := make([]uint64, 3)
+	want := NewFloatsOn(s)
+	for _, i := range []int{0, 5, 63, 64, 100, 129} {
+		has[i>>6] |= 1 << (i & 63)
+		want.SetFloatAt(i, float64(i)/7)
+	}
+	got, vals := NewFloatsWith(s, has)
+	for i := range vals {
+		if has[i>>6]&(1<<(i&63)) != 0 {
+			vals[i] = float64(i) / 7
+		}
+	}
+	if !got.Equal(want) || got.Len() != want.Len() || string(got.Encode(nil)) != string(want.Encode(nil)) {
+		t.Fatalf("NewFloatsWith model %v, slot by slot %v", got.Keys(), want.Keys())
+	}
+	floats, words, ok := got.FloatColumn()
+	if !ok || &floats[0] != &vals[0] || words[1] != has[1] {
+		t.Fatal("FloatColumn does not return the model's own column and words")
+	}
+	if _, _, ok := NewOn(s).FloatColumn(); ok {
+		t.Fatal("a boxed model reports a float column")
+	}
+	for _, bad := range [][]uint64{make([]uint64, 2), {0, 0, 1 << 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewFloatsWith accepted %d words %x for 130 slots", len(bad), bad)
+				}
+			}()
+			NewFloatsWith(s, bad)
+		}()
+	}
+}

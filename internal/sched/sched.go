@@ -439,7 +439,9 @@ func (s *Scheduler) step(j *job, t simtime.Time) error {
 	d := j.rt.Elapsed() - elapsedBefore
 	j.busy += d
 	j.steps++
-	s.tenantUsage[j.spec.Tenant] += float64(d) * float64(len(j.nodes))
+	// Converted so the compiler cannot fuse multiply and add: arm64
+	// would, and tenant shares would depend on the host.
+	s.tenantUsage[j.spec.Tenant] += float64(float64(d) * float64(len(j.nodes)))
 	j.readyAt = t + simtime.Time(d)
 	if err != nil {
 		// Driver restart: rebuild the stepper over the same runtime —
@@ -788,7 +790,8 @@ func (s *Scheduler) dispatch(j *job, nodes []int, t simtime.Time) {
 		j.foot = loadFootprint(j.spec.Load, nodes, s.cluster.Config().RackSize)
 		j.readyAt = t + simtime.Time(j.spec.Load.Duration)
 		j.busy = j.spec.Load.Duration
-		s.tenantUsage[j.spec.Tenant] += float64(j.spec.Load.Duration) * float64(len(nodes))
+		// Converted, as in step, so no host fuses the product.
+		s.tenantUsage[j.spec.Tenant] += float64(float64(j.spec.Load.Duration) * float64(len(nodes)))
 		j.finished = true
 		return
 	}

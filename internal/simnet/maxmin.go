@@ -137,7 +137,9 @@ func (f *Fabric) MaxMinTransferTime(flows []Flow) simtime.Duration {
 			if remaining[i] <= 0 {
 				continue
 			}
-			remaining[i] -= rates[i] * dt
+			// Converted so the compiler cannot fuse multiply and subtract:
+			// arm64 would, and simulated seconds would depend on the host.
+			remaining[i] -= float64(rates[i] * dt)
 			if remaining[i] < 1e-6 {
 				remaining[i] = 0
 				active--
