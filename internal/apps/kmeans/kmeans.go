@@ -488,7 +488,7 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 // Converged implements core.App: every centroid moved less than the
 // threshold.
 func (a *App) Converged(prev, next *model.Model) bool {
-	return model.MaxVectorDelta(prev, next) < a.Threshold
+	return model.VectorDeltaBelow(prev, next, a.Threshold)
 }
 
 // BEConverged implements core.BEConvergedApp with the (possibly looser)
@@ -497,7 +497,7 @@ func (a *App) Converged(prev, next *model.Model) bool {
 // the final threshold terminates the best-effort phase once merging has
 // stopped making systematic progress.
 func (a *App) BEConverged(prev, next *model.Model) bool {
-	return model.MaxVectorDelta(prev, next) < a.BEThreshold
+	return model.VectorDeltaBelow(prev, next, a.BEThreshold)
 }
 
 // Partition implements core.PICApp: deal the points into p random

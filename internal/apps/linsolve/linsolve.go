@@ -120,7 +120,7 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 				if !ok {
 					return fmt.Errorf("linsolve: model missing %s", VarKey(col))
 				}
-				s -= c * x
+				s -= float64(c * x)
 			}
 			if diag == 0 {
 				return fmt.Errorf("linsolve: zero diagonal at row %d", row)
@@ -145,7 +145,7 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 
 // Converged implements core.App.
 func (a *App) Converged(prev, next *model.Model) bool {
-	return model.MaxFloatDelta(prev, next) < a.Tolerance
+	return model.FloatDeltaBelow(prev, next, a.Tolerance)
 }
 
 // Partition implements core.PICApp: contiguous variable blocks. Each
@@ -168,7 +168,7 @@ func (a *App) Partition(_ *mapred.Input, m *model.Model, p int) ([]core.SubProbl
 			row := a.a.Row(i)
 			for j := 0; j < n; j++ {
 				if j < lo || j >= hi {
-					rhs -= row[j] * x[j]
+					rhs -= float64(row[j] * x[j])
 				}
 			}
 			recs = append(recs, mapred.Record{

@@ -273,7 +273,7 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 // Converged implements core.App: the largest weight-block displacement
 // fell below the tolerance.
 func (a *App) Converged(prev, next *model.Model) bool {
-	return model.MaxVectorDelta(prev, next) < a.Tolerance
+	return model.VectorDeltaBelow(prev, next, a.Tolerance)
 }
 
 // Partition implements core.PICApp: deal the training data randomly and

@@ -283,13 +283,13 @@ func (a *App) rank(sum float64) float64 {
 // Tolerance. (Nutch also simply caps iterations; experiments do that via
 // driver options.)
 func (a *App) Converged(prev, next *model.Model) bool {
-	return model.MaxFloatDelta(prev, next) < a.Tolerance
+	return model.FloatDeltaBelow(prev, next, a.Tolerance)
 }
 
 // BEConverged implements core.BEConvergedApp with the looser
 // best-effort bound.
 func (a *App) BEConverged(prev, next *model.Model) bool {
-	return model.MaxFloatDelta(prev, next) < a.BETolerance
+	return model.FloatDeltaBelow(prev, next, a.BETolerance)
 }
 
 // Partition implements core.PICApp: random disjoint vertex groups; each

@@ -212,7 +212,7 @@ func TestVertexProgramAllocatesConstantPerIteration(t *testing.T) {
 // pricing, the next model — allocates the same number of objects at
 // 2 000 vertices as at 8 000, and no more than the ratchet.
 func TestWarmBSPIterationAllocsIndependentOfGraphSize(t *testing.T) {
-	const ratchet = 46
+	const ratchet = 41
 	if raceEnabled {
 		t.Skip("the race detector drops pooled objects")
 	}

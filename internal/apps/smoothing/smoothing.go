@@ -153,14 +153,14 @@ func (a *App) Iteration(rt *core.Runtime, in *mapred.Input, m *model.Model) (*mo
 
 // Converged implements core.App.
 func (a *App) Converged(prev, next *model.Model) bool {
-	return model.MaxVectorDelta(prev, next) < a.Tolerance
+	return model.VectorDeltaBelow(prev, next, a.Tolerance)
 }
 
 // BEConverged implements core.BEConvergedApp: once halo exchanges stop
 // moving the stitched image by more than the (looser) best-effort
 // bound, the top-off phase polishes the remaining band boundaries.
 func (a *App) BEConverged(prev, next *model.Model) bool {
-	return model.MaxVectorDelta(prev, next) < a.BEThreshold
+	return model.VectorDeltaBelow(prev, next, a.BEThreshold)
 }
 
 // Partition implements core.PICApp: horizontal bands of rows. Each band
@@ -262,7 +262,7 @@ func Reference(img *data.Image, mu, tolerance float64, maxIters int) *data.Image
 					sum += cur.Rows[y][x+1]
 					n++
 				}
-				next.Rows[y][x] = (img.Rows[y][x] + mu*sum) / (1 + mu*n)
+				next.Rows[y][x] = (img.Rows[y][x] + float64(mu*sum)) / (1 + float64(mu*n))
 			}
 			if d := linalg.Vector(next.Rows[y]).Dist2(cur.Rows[y]); d > worst {
 				worst = d

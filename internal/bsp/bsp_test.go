@@ -211,35 +211,36 @@ func TestCombinerMergesPerSourceNode(t *testing.T) {
 }
 
 // runRing executes a fresh ring run on a fresh cluster and returns the
-// result plus the observable output.
-func runRing(t *testing.T, workers int) (*Result, []float64) {
+// result, its trace spans and the observable output.
+func runRing(t *testing.T, workers int) (*Result, []trace.Event, []float64) {
 	t.Helper()
 	e := NewEngine(testCluster())
 	var prog *ringProgram
+	var spans []trace.Event
 	res, err := e.Run(func() (Program, error) {
 		prog = newRing(9, 5, []int{0, 1, 2, 3, 0, 1, 2, 3, 0})
 		return prog, nil
-	}, &RunOptions{Workers: workers})
+	}, &RunOptions{Workers: workers, Spans: &spans})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, prog.recv
+	return res, spans, prog.recv
 }
 
 func TestDeterminismAcrossWorkersAndRepeats(t *testing.T) {
-	base, baseRecv := runRing(t, 1)
+	base, baseSpans, baseRecv := runRing(t, 1)
 	if base.Supersteps != 6 {
 		t.Fatalf("Supersteps = %d, want 6 (laps+1)", base.Supersteps)
 	}
 	for name, workers := range map[string]int{"workers=8": 8, "repeat": 1, "workers=3": 3} {
-		got, gotRecv := runRing(t, workers)
+		got, gotSpans, gotRecv := runRing(t, workers)
 		if !reflect.DeepEqual(got.Metrics, base.Metrics) {
 			t.Errorf("%s: metrics diverge:\n got %+v\nwant %+v", name, got.Metrics, base.Metrics)
 		}
 		if got.End != base.End {
 			t.Errorf("%s: end time %v != %v", name, got.End, base.End)
 		}
-		if !reflect.DeepEqual(got.Spans, base.Spans) {
+		if !reflect.DeepEqual(gotSpans, baseSpans) {
 			t.Errorf("%s: trace spans diverge", name)
 		}
 		if !reflect.DeepEqual(got.Homes, base.Homes) {
@@ -252,7 +253,7 @@ func TestDeterminismAcrossWorkersAndRepeats(t *testing.T) {
 }
 
 func TestCrashRestartsAttemptAtBarrier(t *testing.T) {
-	clean, cleanRecv := runRing(t, 1)
+	clean, _, cleanRecv := runRing(t, 1)
 
 	c := testCluster()
 	// Node 3 dies just after the run starts: the first barrier observes
@@ -262,10 +263,11 @@ func TestCrashRestartsAttemptAtBarrier(t *testing.T) {
 	}})
 	e := NewEngine(c)
 	var prog *ringProgram
+	var spans []trace.Event
 	res, err := e.Run(func() (Program, error) {
 		prog = newRing(9, 5, []int{0, 1, 2, 3, 0, 1, 2, 3, 0})
 		return prog, nil
-	}, &RunOptions{Workers: 4})
+	}, &RunOptions{Workers: 4, Spans: &spans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +286,7 @@ func TestCrashRestartsAttemptAtBarrier(t *testing.T) {
 		t.Fatalf("restarted run end %v not later than clean %v (lost attempt must cost time)", res.End, clean.End)
 	}
 	var restartSpan bool
-	for _, ev := range res.Spans {
+	for _, ev := range spans {
 		if strings.Contains(ev.Name, "restart") {
 			restartSpan = true
 		}
@@ -469,10 +471,11 @@ func TestLocalModeSkipsNetworkBarrierAndSpans(t *testing.T) {
 	c := testCluster()
 	e := NewEngine(c)
 	var prog *ringProgram
+	var spans []trace.Event
 	res, err := e.Run(func() (Program, error) {
 		prog = newRing(6, 3, []int{0, 1, 2, 3, 0, 1})
 		return prog, nil
-	}, &RunOptions{Local: true})
+	}, &RunOptions{Local: true, Spans: &spans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,8 +486,8 @@ func TestLocalModeSkipsNetworkBarrierAndSpans(t *testing.T) {
 	if m.MessageNetworkBytes != 0 || m.ModelBytes != 0 {
 		t.Fatalf("local run moved network bytes: %+v", m)
 	}
-	if len(res.Spans) != 0 {
-		t.Fatalf("local run recorded %d framework spans, want 0", len(res.Spans))
+	if len(spans) != 0 {
+		t.Fatalf("local run recorded %d framework spans, want 0", len(spans))
 	}
 	if got := c.Fabric().Counters(); got.Transfers != 0 {
 		t.Fatalf("local run recorded %d fabric transfers, want 0", got.Transfers)
@@ -525,9 +528,9 @@ func TestLocalComputeFactorScalesCompute(t *testing.T) {
 }
 
 func TestBarrierSpansPairSupersteps(t *testing.T) {
-	res, _ := runRing(t, 1)
+	res, spans, _ := runRing(t, 1)
 	var steps, barriers int
-	for _, ev := range res.Spans {
+	for _, ev := range spans {
 		switch ev.Kind {
 		case trace.KindSuperstep:
 			steps++

@@ -119,6 +119,12 @@ type RunOptions struct {
 	Family *mapred.JobFamily
 	// MaxSupersteps bounds one attempt; 0 means DefaultMaxSupersteps.
 	MaxSupersteps int
+	// Spans, if non-nil, is the sink framework runs append their
+	// superstep and barrier trace events to, in time order, with Lane,
+	// ID and Parent unset — the caller stamps and records them under
+	// its own job span. A caller with no tracer leaves it nil, and the
+	// run builds no event.
+	Spans *[]trace.Event
 }
 
 // Result is one completed run.
@@ -133,10 +139,6 @@ type Result struct {
 	// Supersteps mirrors Metrics.Supersteps.
 	Supersteps int
 	Metrics    Metrics
-	// Spans are superstep/barrier trace events from framework runs, in
-	// time order, with Lane, ID and Parent unset — the caller stamps
-	// and records them under its own job span.
-	Spans []trace.Event
 	// End is the simulated completion time.
 	End simtime.Time
 }
@@ -426,8 +428,8 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 			at += d
 		}
 
-		if !o.Local {
-			res.Spans = append(res.Spans, trace.Event{
+		if !o.Local && o.Spans != nil {
+			*o.Spans = append(*o.Spans, trace.Event{
 				Kind:  trace.KindSuperstep,
 				Name:  spanName(&superstepNames, "superstep %d", step),
 				Start: stepStart,
@@ -467,12 +469,14 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 			}
 			at += e.cost.BarrierOverhead
 			m.BarrierPhase += at - bStart
-			res.Spans = append(res.Spans, trace.Event{
-				Kind:  trace.KindBarrier,
-				Name:  spanName(&barrierNames, "barrier %d", step),
-				Start: bStart,
-				End:   at,
-			})
+			if o.Spans != nil {
+				*o.Spans = append(*o.Spans, trace.Event{
+					Kind:  trace.KindBarrier,
+					Name:  spanName(&barrierNames, "barrier %d", step),
+					Start: bStart,
+					End:   at,
+				})
+			}
 		}
 
 		m.Supersteps++
@@ -483,12 +487,14 @@ func (e *Engine) runAttempt(prog Program, o *RunOptions, start simtime.Time, res
 		if plan != nil {
 			nowDead := plan.DeadAt(at)
 			if deadChanged(dead, nowDead) {
-				res.Spans = append(res.Spans, trace.Event{
-					Kind:  trace.KindSuperstep,
-					Name:  "restart: node crash at barrier",
-					Start: at,
-					End:   at,
-				})
+				if o.Spans != nil {
+					*o.Spans = append(*o.Spans, trace.Event{
+						Kind:  trace.KindSuperstep,
+						Name:  "restart: node crash at barrier",
+						Start: at,
+						End:   at,
+					})
+				}
 				return at, true, nil
 			}
 		}

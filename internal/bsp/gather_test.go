@@ -202,10 +202,12 @@ func refGather(p *scriptProgram, step int, homes []int, rack func(int) int, st *
 func checkAgainstReference(t *testing.T, seed int64, combine bool) (floatFolds map[int]bool) {
 	t.Helper()
 	var first *Result
+	var firstSpans []trace.Event
 	for _, workers := range []int{1, 2, 3, 8} {
 		c := testCluster()
 		prog := genScript(seed, combine)
-		res, err := NewEngine(c).Run(func() (Program, error) { return prog, nil }, &RunOptions{Workers: workers})
+		var spans []trace.Event
+		res, err := NewEngine(c).Run(func() (Program, error) { return prog, nil }, &RunOptions{Workers: workers, Spans: &spans})
 		if err != nil {
 			t.Fatalf("seed %d combine=%v workers=%d: %v", seed, combine, workers, err)
 		}
@@ -241,7 +243,7 @@ func checkAgainstReference(t *testing.T, seed int64, combine bool) (floatFolds m
 		}
 		m := res.Metrics
 		got := refStats{m.Messages, m.CombinedMessages, m.MessageBytes, m.MessageNetworkBytes, m.MessageCrossRackBytes, nil, st.floatFolds}
-		for _, ev := range res.Spans {
+		for _, ev := range spans {
 			if ev.Kind == trace.KindSuperstep {
 				got.stepNet = append(got.stepNet, ev.Bytes)
 			}
@@ -250,10 +252,10 @@ func checkAgainstReference(t *testing.T, seed int64, combine bool) (floatFolds m
 			t.Fatalf("%s: message accounting\n got %+v\nwant %+v", where, got, st)
 		}
 		if first == nil {
-			first = res
+			first, firstSpans = res, spans
 			continue
 		}
-		if !reflect.DeepEqual(res.Spans, first.Spans) || res.End != first.End || !reflect.DeepEqual(res.Metrics, first.Metrics) {
+		if !reflect.DeepEqual(spans, firstSpans) || res.End != first.End || !reflect.DeepEqual(res.Metrics, first.Metrics) {
 			t.Fatalf("%s: spans, end or metrics differ from workers=1", where)
 		}
 		floatFolds = st.floatFolds

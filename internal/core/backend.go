@@ -184,6 +184,9 @@ func (rt *Runtime) runVertexIteration(app VertexApp, in *mapred.Input, m *model.
 	}
 	if !rt.local {
 		opt.ModelHome = rt.LiveModelHome()
+		if rt.tracer != nil {
+			opt.Spans = new([]trace.Event)
+		}
 	}
 	res, err := e.Run(rt.buildVertexProgram(app, in, m), opt)
 	if err != nil {
@@ -194,7 +197,7 @@ func (rt *Runtime) runVertexIteration(app VertexApp, in *mapred.Input, m *model.
 		return nil, &BackendError{Backend: BackendBSP, Feature: fmt.Sprintf("vertex program for %s", app.Name()),
 			Reason: "program does not implement bsp.Modeler"}
 	}
-	rt.finishBSP(app.Name(), start, res, rt.local)
+	rt.finishBSP(app.Name(), start, res, opt.Spans, rt.local)
 	next, err := modeler.Model(m)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: assemble model from vertex program: %w", app.Name(), err)
@@ -223,7 +226,7 @@ func (rt *Runtime) buildVertexProgram(app VertexApp, in *mapred.Input, m *model.
 // finishBSP folds one completed BSP run into the runtime: clock,
 // metrics, the job trace event with superstep/barrier children, and the
 // bsp.* registry family.
-func (rt *Runtime) finishBSP(name string, start simtime.Time, res *bsp.Result, local bool) {
+func (rt *Runtime) finishBSP(name string, start simtime.Time, res *bsp.Result, spans *[]trace.Event, local bool) {
 	folded := res.Metrics.Fold(local)
 	rt.metrics.Add(folded)
 	rt.elapsed += folded.Duration
@@ -238,17 +241,25 @@ func (rt *Runtime) finishBSP(name string, start simtime.Time, res *bsp.Result, l
 		Bytes: folded.ShuffleNetworkBytes + folded.ModelBytes, Lane: rt.lane,
 		ID: id, Parent: rt.span,
 	})
-	if rt.tracer != nil && !local {
-		for _, ev := range res.Spans {
-			ev.Name = name + "/" + ev.Name
-			ev.Lane = rt.lane
-			ev.Parent = id
-			rt.tracer.Record(ev)
-		}
-	}
+	rt.recordBSPSpans(spans, name, id)
 	rt.observeBSP(res.Metrics, local)
 	rt.observeCache(start)
 	rt.observeNow()
+}
+
+// recordBSPSpans records the superstep and barrier spans a BSP run
+// appended to its sink as children of job span id. The sink is nil
+// when no tracer is attached or the run was local.
+func (rt *Runtime) recordBSPSpans(spans *[]trace.Event, name string, id int64) {
+	if spans == nil {
+		return
+	}
+	for _, ev := range *spans {
+		ev.Name = name + "/" + ev.Name
+		ev.Lane = rt.lane
+		ev.Parent = id
+		rt.tracer.Record(ev)
+	}
 }
 
 // observeBSP records one BSP run into the metrics registry: the bsp.*

@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bsp"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 func TestSetBackendRejectsUnsupportedKnobs(t *testing.T) {
@@ -200,6 +202,8 @@ func TestBSPRunRecordsRegistryAndSpans(t *testing.T) {
 	}
 	reg := metrics.New()
 	rt.SetObservability(reg)
+	tr := trace.New()
+	rt.SetTracer(tr)
 	in, _ := pointsInput(rt, 40)
 	if _, err := RunIC(rt, &meanSeeker{eps: 1e-6}, in, startModel(), nil); err != nil {
 		t.Fatal(err)
@@ -210,6 +214,50 @@ func TestBSPRunRecordsRegistryAndSpans(t *testing.T) {
 		if !ok || m.Value <= 0 {
 			t.Errorf("registry missing %s after BSP run (got %+v, ok=%v)", name, m, ok)
 		}
+	}
+	checkBSPSpans(t, "adapter", tr)
+
+	// A native vertex program records its spans through the same sink.
+	native := testRuntime()
+	if err := native.SetBackend(BackendBSP); err != nil {
+		t.Fatal(err)
+	}
+	tr = trace.New()
+	native.SetTracer(tr)
+	in, _ = pointsInput(native, 40)
+	if _, err := RunIC(native, &derivingApp{}, in, startModel(), &ICOptions{MaxIterations: 2}); err != nil {
+		t.Fatal(err)
+	}
+	checkBSPSpans(t, "vertex program", tr)
+}
+
+// checkBSPSpans checks that a traced BSP run recorded superstep and
+// barrier spans, each a child of the job span whose name prefixes its
+// own.
+func checkBSPSpans(t *testing.T, path string, tr *trace.Tracer) {
+	t.Helper()
+	jobs := map[int64]string{}
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindJob {
+			jobs[e.ID] = e.Name
+		}
+	}
+	var steps, barriers int
+	for _, e := range tr.Events() {
+		switch e.Kind {
+		case trace.KindSuperstep:
+			steps++
+		case trace.KindBarrier:
+			barriers++
+		default:
+			continue
+		}
+		if job, ok := jobs[e.Parent]; !ok || !strings.HasPrefix(e.Name, job+"/") {
+			t.Fatalf("%s: span %q is not the child of its job span", path, e.Name)
+		}
+	}
+	if steps == 0 || barriers == 0 {
+		t.Fatalf("%s: traced run recorded %d superstep and %d barrier spans", path, steps, barriers)
 	}
 }
 

@@ -6,7 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/corrupt"
+	"repro/internal/dfs"
+	"repro/internal/integrity"
 	"repro/internal/model"
+	"repro/internal/simcluster"
 	"repro/internal/trace"
 	"repro/internal/writable"
 )
@@ -226,4 +230,80 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatal("restore returned neither model nor error")
 		}
 	})
+}
+
+// TestMultiBlockCheckpointSeal checks the sealed content checksum on
+// checkpoints that span many DFS blocks: the seal, combined from the
+// block CRCs, equals one CRC32C pass over the stored bytes; restore
+// reads the latest version back; one damaged replica is failed over;
+// a block damaged on every replica rolls back to the earlier version;
+// and with the block layer's verification off, the seal alone still
+// catches damage in the last block.
+func TestMultiBlockCheckpointSeal(t *testing.T) {
+	newRT := func() *Runtime {
+		cluster := simcluster.New(simcluster.Config{
+			Nodes: 4, RackSize: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
+			ComputeRate: 1e6, NodeBandwidth: 1e6, RackBandwidth: 4e6, CoreBandwidth: 4e6,
+		})
+		rt := NewRuntime(cluster, dfs.Config{Replication: 3, BlockSize: 100})
+		rt.SetIntegrityChecks(true)
+		rt.WriteModel("m", bigModel(0))
+		rt.WriteModel("m", bigModel(1))
+		return rt
+	}
+	damageBlock := func(rt *Runtime, file string, bi int) {
+		f, _ := rt.FS().Open(file)
+		for _, node := range f.Blocks[bi].Replicas {
+			if !rt.FS().CorruptReplica(file, bi, node, 41) {
+				t.Fatalf("%s block %d: no replica on node %d to damage", file, bi, node)
+			}
+		}
+	}
+	latest := checkpointName("m", 1)
+
+	rt := newRT()
+	for seq := range int64(2) {
+		file := checkpointName("m", seq)
+		f, ok := rt.FS().Open(file)
+		if !ok || len(f.Blocks) < 3 {
+			t.Fatalf("%s: want a checkpoint of at least 3 blocks", file)
+		}
+		if got, want := rt.integ.ckptSums[file], integrity.Checksum(f.Data()); got != want {
+			t.Fatalf("%s: sealed sum %08x, CRC32C of the bytes %08x", file, got, want)
+		}
+	}
+	if got, err := rt.RestoreModel("m"); err != nil || !got.Equal(bigModel(1)) {
+		t.Fatalf("restore of an undamaged checkpoint: %v", err)
+	}
+
+	f, _ := rt.FS().Open(latest)
+	mid := len(f.Blocks) / 2
+	if !rt.FS().CorruptReplica(latest, mid, corrupt.PrimaryReplica, 7) {
+		t.Fatal("no primary replica to damage")
+	}
+	if got, err := rt.RestoreModel("m"); err != nil || !got.Equal(bigModel(1)) {
+		t.Fatalf("restore past one damaged replica: %v", err)
+	}
+	if rt.FS().Integrity().DetectedBlocks == 0 || rt.IntegrityRollbacks() != 0 {
+		t.Fatal("the damaged replica was not detected and failed over")
+	}
+
+	damageBlock(rt, latest, mid)
+	if got, err := rt.RestoreModel("m"); err != nil || !got.Equal(bigModel(0)) {
+		t.Fatalf("restore of a block damaged on every replica did not roll back: %v", err)
+	}
+	if rt.IntegrityRollbacks() != 1 {
+		t.Fatalf("IntegrityRollbacks = %d, want 1", rt.IntegrityRollbacks())
+	}
+
+	blind := newRT()
+	blind.FS().SetVerifyReads(false)
+	f, _ = blind.FS().Open(latest)
+	damageBlock(blind, latest, len(f.Blocks)-1)
+	if got, err := blind.RestoreModel("m"); err != nil || !got.Equal(bigModel(0)) {
+		t.Fatalf("the seal missed damage the block layer let through: %v", err)
+	}
+	if blind.IntegrityRollbacks() != 1 {
+		t.Fatalf("IntegrityRollbacks = %d, want 1", blind.IntegrityRollbacks())
+	}
 }

@@ -42,11 +42,9 @@ type Runtime struct {
 	// best-effort merge pays. Off by default — delta checkpoints change
 	// simulated model-update traffic, so the golden experiment numbers
 	// keep the full-checkpoint behavior unless a run opts in. ckptBase
-	// tracks the last full checkpoint per model name; encBuf is the
-	// reused encode scratch (the DFS copies data it stores).
+	// tracks the last full checkpoint per model name.
 	deltaCkpt bool
 	ckptBase  map[string]*ckptBase
-	encBuf    []byte
 
 	// tracer, lane and base implement the optional execution timeline:
 	// forked runtimes inherit the tracer, carry their own lane, and
@@ -286,7 +284,10 @@ func (rt *Runtime) RunJob(job *mapred.Job, in *mapred.Input, m *model.Model) (*m
 		}
 	}
 	kind := trace.KindJob
-	var bspRes *bsp.Result
+	var (
+		bspRes *bsp.Result
+		spans  *[]trace.Event // the BSP run's span sink, with a tracer only
+	)
 	if rt.local {
 		kind = trace.KindLocalJob
 		out, metrics, err = rt.engine.RunLocal(job, in, m)
@@ -294,13 +295,18 @@ func (rt *Runtime) RunJob(job *mapred.Job, in *mapred.Input, m *model.Model) (*m
 		// Divert framework jobs to the partition-level BSP adapter:
 		// splits map as vertices, the shuffle rides messages, reducers
 		// are vertices — priced on the same fabric.
-		out, bspRes, err = bsp.RunJob(rt.bspEngine(), job, in, m, &bsp.RunOptions{
+		opt := &bsp.RunOptions{
 			Name:      job.Name,
 			At:        start,
 			Workers:   rt.engine.Workers,
 			ModelHome: rt.LiveModelHome(),
 			Family:    rt.family,
-		})
+		}
+		if rt.tracer != nil {
+			spans = new([]trace.Event)
+			opt.Spans = spans
+		}
+		out, bspRes, err = bsp.RunJob(rt.bspEngine(), job, in, m, opt)
 		if err == nil {
 			metrics = bspRes.Metrics.Fold(false)
 		}
@@ -321,14 +327,7 @@ func (rt *Runtime) RunJob(job *mapred.Job, in *mapred.Input, m *model.Model) (*m
 		ID: id, Parent: rt.span,
 	})
 	if bspRes != nil {
-		if rt.tracer != nil {
-			for _, ev := range bspRes.Spans {
-				ev.Name = job.Name + "/" + ev.Name
-				ev.Lane = rt.lane
-				ev.Parent = id
-				rt.tracer.Record(ev)
-			}
-		}
+		rt.recordBSPSpans(spans, job.Name, id)
 		rt.observeBSP(bspRes.Metrics, false)
 	} else if kind == trace.KindJob {
 		rt.recordJobSpans(id, job.Name, start, metrics)
@@ -469,26 +468,33 @@ func (rt *Runtime) WriteModel(name string, m *model.Model) {
 	home := rt.LiveModelHome()
 	before := rt.fs.Counters().WritePipeline
 	file := checkpointName(name, rt.modelWrites)
-	rt.encBuf = rt.encBuf[:0]
-	base := rt.ckptBase[name]
-	if rt.deltaCkpt && base != nil && base.deltas < maxDeltaChain &&
-		int64(uvarintLen(uint64(base.seq)))+model.DeltaSize(base.m, m) < m.Size() {
-		file += deltaSuffix
-		rt.encBuf = binary.AppendUvarint(rt.encBuf, uint64(base.seq))
-		rt.encBuf = model.EncodeDelta(base.m, m, rt.encBuf)
-		base.deltas++
-	} else {
-		rt.encBuf = m.Encode(rt.encBuf)
+	// Each version is encoded once, into a buffer of exactly its size
+	// that the DFS then owns (it keeps every version's bytes).
+	size := m.Size()
+	var data []byte
+	if base := rt.ckptBase[name]; rt.deltaCkpt && base != nil && base.deltas < maxDeltaChain {
+		head := uvarintLen(uint64(base.seq))
+		if ds := model.DeltaSize(base.m, m); int64(head)+ds < size {
+			file += deltaSuffix
+			data = binary.AppendUvarint(make([]byte, 0, int64(head)+ds), uint64(base.seq))
+			data = model.EncodeDelta(base.m, m, data)
+			base.deltas++
+		}
+	}
+	if data == nil {
+		data = m.Encode(make([]byte, 0, size))
 		if rt.deltaCkpt {
 			rt.ckptBase[name] = &ckptBase{seq: rt.modelWrites, m: m.Clone()}
 		}
 	}
+	f, d := rt.fs.CreateWithData(file, data, home)
 	// Seal the checkpoint's content checksum, verified again on restore:
 	// even damage that slips past the block layer (or lands while
 	// detection is off) is caught before a restored model is trusted.
-	rt.integ.ckptSums[file] = integrity.Checksum(rt.encBuf)
-	_, d := rt.fs.CreateWithData(file, rt.encBuf, home)
-	rt.fs.Delete(latestPointer(name))
+	// It is the CRC32C of the bytes, combined from the block CRCs the
+	// DFS sealed as it stored them.
+	rt.integ.ckptSums[file] = f.Checksum()
+	// Create replaces the previous pointer file.
 	rt.fs.CreateWithData(latestPointer(name), []byte(file), home)
 	rt.modelWrites++
 	rt.elapsed += d

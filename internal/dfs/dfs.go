@@ -283,18 +283,36 @@ func (fs *FS) placeReplicas(writer int) []int {
 // replication pipeline and traffic accounting as Create, plus the bytes
 // themselves, retrievable with Data or ReadDataChecked. This is how
 // model checkpoints are persisted.
+//
+// The file system takes ownership of data: it stores the slice itself,
+// not a copy, so the caller must not modify it afterwards. Readers
+// (Data, ReadDataChecked) are handed the same bytes and must not
+// modify them either; scripted corruption lives beside them as
+// per-replica patches and never writes into them.
 func (fs *FS) CreateWithData(name string, data []byte, writer int) (*File, simtime.Duration) {
 	f, d := fs.Create(name, int64(len(data)), writer)
-	f.data = append([]byte(nil), data...)
+	f.data = data
 	// Seal a CRC32C per block at write time; verify-on-read checks
 	// replicas against these.
 	f.sums = make([]uint32, len(f.Blocks))
 	var off int64
 	for i, b := range f.Blocks {
-		f.sums[i] = integrity.Checksum(f.data[off : off+b.Size])
+		f.sums[i] = integrity.Checksum(data[off : off+b.Size])
 		off += b.Size
 	}
 	return f, d
+}
+
+// Checksum returns the CRC32C of the file's contents, as
+// integrity.Checksum(f.Data()) would, combined from the block checksums
+// sealed at write time instead of a second pass over the bytes. A
+// size-only file has no contents and returns 0.
+func (f *File) Checksum() uint32 {
+	var sum uint32
+	for i, s := range f.sums {
+		sum = integrity.Combine(sum, s, f.Blocks[i].Size)
+	}
+	return sum
 }
 
 // charge records flows on the fabric and returns their transfer time:

@@ -1,11 +1,13 @@
 package dfs
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/integrity"
 	"repro/internal/simcluster"
 )
 
@@ -317,10 +319,32 @@ func TestCreateWithDataRoundTrip(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatalf("ReadDataChecked = %q", got)
 	}
-	// The stored copy is independent of the caller's buffer.
-	payload[0] = 'X'
-	if f.Data()[0] == 'X' {
-		t.Fatal("CreateWithData aliases the caller's buffer")
+	// The file system owns the caller's buffer: it stores the slice
+	// itself, not a copy.
+	if &f.Data()[0] != &payload[0] {
+		t.Fatal("CreateWithData copied the caller's buffer instead of taking it")
+	}
+}
+
+// TestFileChecksumCombinesBlockChecksums checks that a file's checksum,
+// combined from its sealed block CRCs, equals one CRC32C pass over its
+// bytes, for files of zero, one and several blocks (a partial last
+// block included).
+func TestFileChecksumCombinesBlockChecksums(t *testing.T) {
+	fs := newFS(t) // 1000-byte blocks
+	for _, n := range []int{0, 1, 999, 1000, 1001, 2500, 4000} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i*13 + i>>5)
+		}
+		want := integrity.Checksum(data)
+		f, _ := fs.CreateWithData(fmt.Sprintf("f%d", n), data, 0)
+		if got := f.Checksum(); got != want {
+			t.Fatalf("%d bytes in %d blocks: Checksum = %08x, want %08x", n, len(f.Blocks), got, want)
+		}
+	}
+	if f, _ := fs.Create("sized", 2500, 0); f.Checksum() != 0 {
+		t.Fatal("a size-only file has a checksum")
 	}
 }
 

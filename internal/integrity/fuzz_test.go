@@ -44,3 +44,23 @@ func FuzzOpen(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCRCCombine checks the checksum combination against a direct pass:
+// Combine(Checksum(a), Checksum(b), len(b)) == Checksum(a‖b).
+func FuzzCRCCombine(f *testing.F) {
+	data := make([]byte, 3000)
+	for i := range data {
+		data[i] = byte(i*7 + i>>3)
+	}
+	for _, cut := range []int{0, 1, 7, 8, 63, 64, 1000, 2999, 3000} {
+		f.Add(data[:cut], data[cut:])
+	}
+	f.Add([]byte{}, []byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 129), []byte("tail"))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		whole := append(append([]byte(nil), a...), b...)
+		if got, want := Combine(Checksum(a), Checksum(b), int64(len(b))), Checksum(whole); got != want {
+			t.Fatalf("Combine(%d+%d bytes) = %08x, want %08x", len(a), len(b), got, want)
+		}
+	})
+}

@@ -1,7 +1,8 @@
 // Package integrity provides the checksum primitives used by the
-// end-to-end data-integrity layer: a CRC32C content checksum and a
-// small self-describing frame codec that wraps a payload with its
-// length and checksum.
+// end-to-end data-integrity layer: a CRC32C content checksum, the
+// combination of two such checksums into that of the concatenated
+// bytes, and a small self-describing frame codec that wraps a payload
+// with its length and checksum.
 //
 // Frames are bookkeeping, not wire format: the simulator stores a frame
 // alongside each DFS file's bytes and verifies it on read, but charged
@@ -29,6 +30,47 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Checksum returns the CRC32C of data.
 func Checksum(data []byte) uint32 {
 	return crc32.Checksum(data, castagnoli)
+}
+
+// castagnoliPoly is the CRC32C polynomial in the reflected bit order
+// hash/crc32 computes in.
+const castagnoliPoly = 0x82F63B78
+
+// Combine returns the CRC32C of the concatenation a‖b given only
+// crcA = Checksum(a), crcB = Checksum(b) and lenB = len(b): zlib's
+// crc32_combine over the Castagnoli polynomial. Appending lenB bytes
+// multiplies a's register by x^(8·lenB) modulo the polynomial, and the
+// initial and final inversions of the two checksums cancel in the XOR.
+// A file's checksum is thus the combination of its block checksums in
+// block order, with no second pass over its bytes.
+func Combine(crcA, crcB uint32, lenB int64) uint32 {
+	return multModP(xPow8n(uint64(lenB)), crcA) ^ crcB
+}
+
+// multModP returns a·b modulo the CRC polynomial, both operands in the
+// reflected representation (bit 31 is the coefficient of x^0).
+func multModP(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		b = b>>1 ^ castagnoliPoly&-(b&1)
+	}
+	return p
+}
+
+// xPow8n returns x^(8n) modulo the CRC polynomial, by
+// square-and-multiply.
+func xPow8n(n uint64) uint32 {
+	p, sq := uint32(1)<<31, uint32(1)<<23 // x^0, x^8
+	for ; n != 0; n >>= 1 {
+		if n&1 != 0 {
+			p = multModP(sq, p)
+		}
+		sq = multModP(sq, sq)
+	}
+	return p
 }
 
 // Frame magic bytes. Two bytes keep accidental payload/frame confusion

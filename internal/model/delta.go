@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/writable"
 )
@@ -48,9 +49,22 @@ func EncodeDelta(prev, next *Model, dst []byte) []byte {
 // DeltaSize reports len(EncodeDelta(prev, next, nil)) without building
 // the encoding — the byte count delta shipping charges per iteration.
 func DeltaSize(prev, next *Model) int64 {
-	nt := next.sealed()
+	pt, nt := prev.sealed(), next.sealed()
 	var n int64
-	changes(prev.sealed(), nt, func(key string, j int) {
+	if pt.schema == nt.schema && pt.float && nt.float {
+		keys := pt.schema.keys
+		for w := range pt.has {
+			set, del := changedBits(pt, nt, w)
+			// A set is an op byte and an encoded Float64, a tombstone
+			// an op byte; each carries its key.
+			n += int64(bits.OnesCount64(set))*(1+1+8) + int64(bits.OnesCount64(del))
+			for m := set | del; m != 0; m &= m - 1 {
+				n += keySize(keys[w<<6|bits.TrailingZeros64(m)])
+			}
+		}
+		return n
+	}
+	changes(pt, nt, func(key string, j int) {
 		if j < 0 {
 			n += keySize(key) + 1
 		} else {
@@ -64,6 +78,21 @@ func DeltaSize(prev, next *Model) int64 {
 // differs between pt and nt, with the key's slot in nt (-1 where nt
 // lacks it): the entries of the delta from pt to nt.
 func changes(pt, nt *table, fn func(key string, j int)) {
+	if pt.schema == nt.schema && pt.float && nt.float {
+		keys := pt.schema.keys
+		for w := range pt.has {
+			set, del := changedBits(pt, nt, w)
+			for m := set | del; m != 0; m &= m - 1 {
+				i := w<<6 | bits.TrailingZeros64(m)
+				if set&(m&-m) != 0 {
+					fn(keys[i], i)
+				} else {
+					fn(keys[i], -1)
+				}
+			}
+		}
+		return
+	}
 	if pt.schema == nt.schema {
 		for i, k := range pt.schema.keys {
 			switch ph, nh := pt.holds(i), nt.holds(i); {
@@ -83,6 +112,23 @@ func changes(pt, nt *table, fn func(key string, j int)) {
 		}
 		return true
 	})
+}
+
+// changedBits returns the delta's entries in presence word w of two
+// float columns on one schema: set has a bit for each slot present in
+// nt and absent from pt or different in value bits, del one for each
+// slot present in pt only. Only the slots present on both sides are
+// compared.
+func changedBits(pt, nt *table, w int) (set, del uint64) {
+	ph, nh := pt.has[w], nt.has[w]
+	set, del = nh&^ph, ph&^nh
+	for both := ph & nh; both != 0; both &= both - 1 {
+		i := w<<6 | bits.TrailingZeros64(both)
+		if math.Float64bits(pt.floats[i]) != math.Float64bits(nt.floats[i]) {
+			set |= both & -both
+		}
+	}
+	return set, del
 }
 
 // ApplyDeltaBytes returns a copy of prev with an encoded delta applied:

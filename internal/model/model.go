@@ -819,20 +819,7 @@ func MaxVectorDelta(a, b *Model) float64 {
 	}
 	var worst float64
 	dist := func(i, j int) {
-		avec, ok := at.vals[i].(writable.Vector)
-		if !ok {
-			return
-		}
-		bvec, ok := bt.vals[j].(writable.Vector)
-		if !ok || len(bvec) != len(avec) {
-			return
-		}
-		var d2 float64
-		for k := range avec {
-			d := avec[k] - bvec[k]
-			d2 += float64(d * d) // rounded product: no fused multiply-add on any GOARCH
-		}
-		if d2 > worst {
+		if d2, ok := vectorDist2(at.vals[i], bt.vals[j]); ok && d2 > worst {
 			worst = d2
 		}
 	}
@@ -849,6 +836,59 @@ func MaxVectorDelta(a, b *Model) float64 {
 		})
 	}
 	return math.Sqrt(worst)
+}
+
+// VectorDeltaBelow reports exactly MaxVectorDelta(a, b) < tol — the
+// convergence test — and returns false at the first pair of vectors
+// whose distance is not below tol instead of finding the largest. The
+// answers agree because √ is monotone and correctly rounded, so the
+// largest root is the root of the largest squared distance; a pair
+// whose squared distance is NaN is skipped, as the maximum skips it;
+// and MaxVectorDelta is never below a tol that is ≤ 0 or NaN.
+func VectorDeltaBelow(a, b *Model, tol float64) bool {
+	if !(tol > 0) {
+		return false
+	}
+	at, bt := a.sealed(), b.sealed()
+	if at.float || bt.float {
+		return true // MaxVectorDelta is 0
+	}
+	below := func(i, j int) bool {
+		d2, ok := vectorDist2(at.vals[i], bt.vals[j])
+		return !ok || !(math.Sqrt(d2) >= tol)
+	}
+	if at.schema == bt.schema {
+		for i := range at.vals {
+			if !below(i, i) {
+				return false
+			}
+		}
+		return true
+	}
+	ok := true
+	join(at, bt, func(_ string, i, j int) bool {
+		ok = i < 0 || j < 0 || below(i, j)
+		return ok
+	})
+	return ok
+}
+
+// vectorDist2 returns the squared L2 distance between a and b; ok is
+// false unless both are vectors of one length.
+func vectorDist2(a, b writable.Writable) (d2 float64, ok bool) {
+	avec, ok := a.(writable.Vector)
+	if !ok {
+		return 0, false
+	}
+	bvec, ok := b.(writable.Vector)
+	if !ok || len(bvec) != len(avec) {
+		return 0, false
+	}
+	for k := range avec {
+		d := avec[k] - bvec[k]
+		d2 += float64(d * d) // rounded product: no fused multiply-add on any GOARCH
+	}
+	return d2, true
 }
 
 // MaxFloatDelta returns the largest absolute difference between
@@ -877,6 +917,50 @@ func MaxFloatDelta(a, b *Model) float64 {
 		return true
 	})
 	return worst
+}
+
+// FloatDeltaBelow reports exactly MaxFloatDelta(a, b) < tol — the
+// convergence test — and returns false at the first pair of Float64
+// entries whose difference is not below tol. A NaN difference is
+// skipped, as the maximum skips it, and MaxFloatDelta is never below a
+// tol that is ≤ 0 or NaN.
+func FloatDeltaBelow(a, b *Model, tol float64) bool {
+	if !(tol > 0) {
+		return false
+	}
+	at, bt := a.sealed(), b.sealed()
+	if at.schema == bt.schema && at.float && bt.float {
+		// Both columns flat: visit the slots present on both sides a
+		// presence word at a time.
+		for w, ah := range at.has {
+			for both := ah & bt.has[w]; both != 0; both &= both - 1 {
+				i := w<<6 | bits.TrailingZeros64(both)
+				if math.Abs(at.floats[i]-bt.floats[i]) >= tol {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	below := func(i, j int) bool {
+		af, aok := at.floatAt(i)
+		bf, bok := bt.floatAt(j)
+		return !aok || !bok || !(math.Abs(af-bf) >= tol)
+	}
+	if at.schema == bt.schema {
+		for i := range at.schema.keys {
+			if !below(i, i) {
+				return false
+			}
+		}
+		return true
+	}
+	ok := true
+	join(at, bt, func(_ string, i, j int) bool {
+		ok = i < 0 || j < 0 || below(i, j)
+		return ok
+	})
+	return ok
 }
 
 func uvarintLen(v uint64) int {
